@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance dataset (JSONL)")
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=_positive_int, default=None)
     p.add_argument("--mix", default="sail",
                    help="preset (sail|uniform|norestriction|fixed105k) or JSON file")
     p.add_argument("--seed", type=int, default=default_seed())

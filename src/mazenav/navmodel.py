@@ -277,7 +277,8 @@ class NavModel:
                  clip_threshold: float = 5.0) -> tuple[float, float]:
         """Single-instance update: backward, clip at 5, Adam.
 
-        Returns (loss, post-clip gradient norm).
+        Returns (loss, post-clip gradient norm). A non-finite loss or
+        gradient norm raises FloatingPointError before any parameter moves.
         """
         params = self.params()
         nnet.zero_grad(params)
@@ -287,6 +288,8 @@ class NavModel:
         nnet.backward(loss)
         nnet.clip_global_norm(params, clip_threshold)
         post_norm = nnet.global_grad_norm(params)
+        if not math.isfinite(post_norm):
+            raise FloatingPointError(f"non-finite gradient norm on instance {instance.id}")
         nnet.adam_step(params, lr=lr)
         return float(loss.data), post_norm
 

@@ -6,10 +6,17 @@ softmax and cross-entropy, with Adam and global-norm clipping for the
 update step. Kernels are pure functions of their inputs; the tape is
 rebuilt on every forward pass, so backpropagation through time falls out
 of replaying the recurrence.
+
+The LSTM cell is one fused kernel, and parameter gradients, their norm,
+clipping and Adam are updated in place. Every fused or in-place expression
+keeps the per-element operation order of the plain composition of
+primitives, so results are bit-identical to it (tests/test_nnet.py keeps
+that composition as the reference).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
@@ -17,6 +24,20 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 _GRAD_ENABLED = True
+
+# Work space for in-place gradient products and the optimizer update. It
+# grows to the largest request (two arrays of the largest parameter's size)
+# and is shared by every caller, so this module is not thread-safe.
+_SCRATCH = np.empty(0)
+
+
+def _scratch(shape: tuple[int, ...], count: int = 1) -> np.ndarray:
+    """`count` disjoint C-contiguous arrays of `shape`, stacked on axis 0."""
+    global _SCRATCH
+    size = count * math.prod(shape)
+    if _SCRATCH.size < size:
+        _SCRATCH = np.empty(size)
+    return _SCRATCH[:size].reshape((count, *shape))
 
 
 @contextmanager
@@ -50,8 +71,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 rounds exactly as zeros + g, with one pass fewer.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def item(self) -> float:
         return float(self.data)
@@ -70,9 +93,14 @@ class Tensor:
 
 
 class Param(Tensor):
-    """Named trainable tensor with Adam moment buffers and step counter."""
+    """Named trainable tensor with Adam moment buffers and step counter.
 
-    __slots__ = ("name", "m", "v", "t")
+    The gradient lives in a buffer kept across steps: zero_grad sets `grad`
+    to None and the next backward pass overwrites the buffer, so a gradient
+    array is only valid until then.
+    """
+
+    __slots__ = ("name", "m", "v", "t", "_grad_buffer")
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
@@ -80,6 +108,15 @@ class Param(Tensor):
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
         self.t = 0
+        self._grad_buffer: Optional[np.ndarray] = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            if self._grad_buffer is None:
+                self._grad_buffer = np.empty_like(self.data)
+            self.grad = np.add(g, 0.0, out=self._grad_buffer)
+        else:
+            self.grad += g
 
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -90,6 +127,15 @@ def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data)
+
+
+def _accumulate_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
+    """t.grad += outer(u, v), with the product formed in the scratch array.
+
+    einsum forms each u[i]*v[j] with one rounding, as np.outer does, at
+    about twice the speed of a broadcast multiply on the model's shapes.
+    """
+    t.accumulate(np.einsum("i,j->ij", u, v, out=_scratch(t.data.shape)[0]))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -143,12 +189,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if a.requires_grad:
             if b.data.ndim == 1:
-                a.accumulate(np.outer(g, b.data) if a.data.ndim == 2 else g * b.data)
+                if a.data.ndim == 2:
+                    _accumulate_outer(a, g, b.data)
+                else:
+                    a.accumulate(g * b.data)
             else:
                 a.accumulate(np.atleast_1d(g) @ b.data.T)
         if b.requires_grad:
             if a.data.ndim == 1:
-                b.accumulate(np.outer(a.data, g) if b.data.ndim == 2 else g * a.data)
+                if b.data.ndim == 2:
+                    _accumulate_outer(b, a.data, g)
+                else:
+                    b.accumulate(g * a.data)
             else:
                 b.accumulate(a.data.T @ np.atleast_1d(g))
 
@@ -207,8 +259,18 @@ def relu(t: Tensor) -> Tensor:
     return _node(out_data, (t,), backward)
 
 
+def _logistic(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) into `out`; where exp overflows the result is the
+    exact limit 0, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        np.negative(a, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-t.data))
+    out_data = _logistic(t.data, np.empty_like(t.data))
 
     def backward(out: Tensor) -> None:
         if t.requires_grad:
@@ -292,23 +354,79 @@ def lstm_cell(W: Tensor, b: Tensor, x: Tensor,
     W has shape (4H, D+H) applied to [x; h_prev]; gate rows are ordered
     i, f, g, o. Sigmoid gates, tanh candidate and output squashing, no
     peepholes.
+
+    Fused kernel: the tape gets three nodes (activated gates, c, h) whose
+    hand-written backward passes evaluate, element by element, the same
+    expressions in the same order as the composition of concat, linear,
+    narrow, sigmoid, tanh, mul and add, so values and gradients are
+    bit-identical to it.
     """
     h_prev, c_prev = state
     hidden = h_prev.data.shape[0]
-    if W.data.shape != (4 * hidden, x.data.shape[0] + hidden):
+    in_dim = x.data.shape[0]
+    if W.data.shape != (4 * hidden, in_dim + hidden):
         raise ValueError(
             f"lstm_cell weight shape {W.data.shape} does not match "
-            f"input {x.data.shape[0]} + hidden {hidden}"
+            f"input {in_dim} + hidden {hidden}"
         )
-    z = concat([x, h_prev])
-    gates = linear(W, z, b)
-    i = sigmoid(narrow(gates, 0, hidden))
-    f = sigmoid(narrow(gates, hidden, hidden))
-    g = tanh(narrow(gates, 2 * hidden, hidden))
-    o = sigmoid(narrow(gates, 3 * hidden, hidden))
-    c_new = add(mul(f, c_prev), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+    z = np.concatenate([x.data, h_prev.data])
+    gates = W.data @ z
+    gates += b.data
+    candidate = np.tanh(gates[2 * hidden:3 * hidden])
+    _logistic(gates, out=gates)  # one call for i, f and o; g is overwritten next
+    gates[2 * hidden:3 * hidden] = candidate
+    i, f, g, o = (gates[k * hidden:(k + 1) * hidden] for k in range(4))
+    c_data = f * c_prev.data
+    c_data += i * g
+    tc = np.tanh(c_data)
+    h_data = o * tc
+
+    def gates_grad() -> np.ndarray:
+        if act.grad is None:
+            act.grad = np.zeros_like(gates)
+        return act.grad
+
+    def act_backward(out: Tensor) -> None:
+        # d(activated gates) -> d(pre-activation gates), in place.
+        d = out.grad
+        d_if, d_g, d_o = d[:2 * hidden], d[2 * hidden:3 * hidden], d[3 * hidden:]
+        d_if *= gates[:2 * hidden]
+        d_if *= 1.0 - gates[:2 * hidden]
+        d_g *= 1.0 - g * g
+        d_o *= o
+        d_o *= 1.0 - o
+        if b.requires_grad:
+            b.accumulate(d)
+        if W.requires_grad:
+            _accumulate_outer(W, d, z)
+        if x.requires_grad or h_prev.requires_grad:
+            dz = W.data.T @ d
+            if x.requires_grad:
+                x.accumulate(dz[:in_dim])
+            if h_prev.requires_grad:
+                h_prev.accumulate(dz[in_dim:])
+
+    def cell_backward(out: Tensor) -> None:
+        dc = out.grad
+        if act.requires_grad:
+            d = gates_grad()
+            np.multiply(dc, g, out=d[:hidden])
+            np.multiply(dc, c_prev.data, out=d[hidden:2 * hidden])
+            np.multiply(dc, i, out=d[2 * hidden:3 * hidden])
+        if c_prev.requires_grad:
+            c_prev.accumulate(dc * f)
+
+    def hidden_backward(out: Tensor) -> None:
+        dh = out.grad
+        if act.requires_grad:
+            np.multiply(dh, tc, out=gates_grad()[3 * hidden:])
+        if c.requires_grad:
+            c.accumulate(dh * o * (1.0 - tc * tc))
+
+    act = _node(gates, (W, b, x, h_prev), act_backward)
+    c = _node(c_data, (act, c_prev), cell_backward)
+    h = _node(h_data, (act, c), hidden_backward)
+    return h, c
 
 
 def conv2d_valid(filters: Tensor, x: Tensor) -> Tensor:
@@ -384,15 +502,20 @@ def global_grad_norm(params: Iterable[Param]) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            square = np.multiply(p.grad, p.grad, out=_scratch(p.grad.shape)[0])
+            total += float(square.sum())
     return float(np.sqrt(total))
 
 
 def clip_global_norm(params: Sequence[Param], threshold: float = 5.0) -> float:
     """Scale all gradients by threshold/norm when the global L2 norm
-    exceeds the threshold; returns the scale applied (1.0 when inactive)."""
+    exceeds the threshold; returns the scale applied (1.0 when inactive).
+
+    A non-finite norm leaves the gradients as they are: no scale makes
+    them finite, and the caller's check on the norm sees them unchanged.
+    """
     norm = global_grad_norm(params)
-    if norm <= threshold or norm == 0.0:
+    if norm <= threshold or norm == 0.0 or not math.isfinite(norm):
         return 1.0
     scale = threshold / norm
     for p in params:
@@ -403,16 +526,30 @@ def clip_global_norm(params: Sequence[Param], threshold: float = 5.0) -> float:
 
 def adam_step(params: Sequence[Param], lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update; parameters without gradients are skipped."""
+    """Bias-corrected Adam update; parameters without gradients are skipped.
+
+    Runs in place, in the order of the textbook expressions
+    m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g),
+    data -= (lr*m_hat) / (sqrt(v_hat) + eps), so it rounds exactly as they do.
+    """
     for p in params:
         if p.grad is None:
             continue
         p.t += 1
-        p.m = beta1 * p.m + (1.0 - beta1) * p.grad
-        p.v = beta2 * p.v + (1.0 - beta2) * (p.grad * p.grad)
-        m_hat = p.m / (1.0 - beta1 ** p.t)
-        v_hat = p.v / (1.0 - beta2 ** p.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        s, u = _scratch(p.data.shape, 2)
+        p.m *= beta1
+        p.m += np.multiply(p.grad, 1.0 - beta1, out=s)
+        p.v *= beta2
+        np.multiply(p.grad, p.grad, out=s)
+        s *= 1.0 - beta2
+        p.v += s
+        np.divide(p.v, 1.0 - beta2 ** p.t, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(p.m, 1.0 - beta1 ** p.t, out=u)
+        u *= lr
+        u /= s
+        p.data -= u
 
 
 # ---------------------------------------------------------------------------

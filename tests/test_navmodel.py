@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,24 @@ class TestTraining:
         model.param("token_embedding").data[:] = np.nan
         with pytest.raises(FloatingPointError):
             model.train_on(lo_instances[0])
+
+    def test_train_on_rejects_nonfinite_gradient(self, shared_vocab, lo_instances,
+                                                 monkeypatch):
+        model = make_model(shared_vocab)
+        inst = lo_instances[0]
+        before = model.state_dict()
+        backward = nnet.backward
+
+        def backward_with_inf(loss):
+            backward(loss)
+            model.param("dec_b").grad[0] = np.inf  # the loss itself stays finite
+
+        monkeypatch.setattr(nnet, "backward", backward_with_inf)
+        with pytest.raises(FloatingPointError, match=re.escape(str(inst.id))):
+            model.train_on(inst)
+        after = model.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        assert all(p.t == 0 for p in model.params())
 
     def test_repeated_updates_reduce_loss(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, variant="languageOnly")

@@ -2,20 +2,27 @@
 
 Every primitive's backward pass is verified against central finite
 differences computed in 64-bit; the analytic and numeric routes are kept
-fully independent.
+fully independent. The fused LSTM cell and the in-place optimizer are
+compared bit for bit with the composed cell and the allocating textbook
+formulas they replace.
 """
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from mazenav import nnet
+from mazenav.datastore import build_vocab
+from mazenav.langgen import TaskCategory, generate_dataset
+from mazenav.navmodel import ModelConfig, NavModel
 from mazenav.nnet import (
     Param,
     Tensor,
     adam_step,
+    add,
     backward,
     clip_global_norm,
     concat,
@@ -38,6 +45,21 @@ from mazenav.nnet import (
     tanh,
     zero_grad,
 )
+from mazenav.worldsim import WorldConfig
+
+
+def composite_lstm_cell(W, b, x, state):
+    """Reference LSTM cell composed of tape primitives (the unfused form)."""
+    h_prev, c_prev = state
+    hidden = h_prev.data.shape[0]
+    gates = linear(W, concat([x, h_prev]), b)
+    i = sigmoid(narrow(gates, 0, hidden))
+    f = sigmoid(narrow(gates, hidden, hidden))
+    g = tanh(narrow(gates, 2 * hidden, hidden))
+    o = sigmoid(narrow(gates, 3 * hidden, hidden))
+    c_new = add(mul(f, c_prev), mul(i, g))
+    h_new = mul(o, tanh(c_new))
+    return h_new, c_new
 
 
 def numeric_grad(func, param, h=1e-6):
@@ -264,6 +286,11 @@ class TestForwardSemantics:
             h, c = lstm_cell(W, b, constant(rng.normal(size=D)), (h, c))
             assert (np.abs(h.data) < 1.0).all()
 
+    def test_sigmoid_is_the_plain_logistic_formula(self):
+        # the composite LSTM reference shares sigmoid, so pin its rounding here
+        x = np.random.default_rng(6).normal(size=1000) * 8
+        assert np.array_equal(sigmoid(constant(x)).data, 1.0 / (1.0 + np.exp(-x)))
+
     def test_no_grad_builds_no_graph(self):
         p = Param("p", np.ones(3))
         with no_grad():
@@ -364,3 +391,194 @@ class TestFiniteDiffCheck:
         coarse = finite_diff_check(Curved(), None, h=1e-1, samples_per_param=None)
         assert fine["maxRelError"] < coarse["maxRelError"]
         assert exact["pass"] and fine["pass"]
+
+
+class TestFusedLstmCell:
+    H, D, STEPS = 5, 3, 6
+
+    def make_inputs(self):
+        rng = np.random.default_rng(11)
+        H, D = self.H, self.D
+        return dict(
+            W=Param("W", rng.normal(size=(4 * H, D + H)) * 1.5),
+            b=Param("b", rng.normal(size=4 * H)),
+            x=Param("x", rng.normal(size=D)),
+            h0=Param("h0", rng.normal(size=H) * 0.5),
+            c0=Param("c0", rng.normal(size=H)),
+            A=constant(rng.normal(size=(D, H))),
+            head=constant(rng.normal(size=H)),
+            c_out=constant(rng.normal(size=H)),
+        )
+
+    def chain(self, cell, p):
+        """6 steps; each h feeds a linear head and the next step's input,
+        so h has three consumers as the decoder state does."""
+        h, c = p["h0"], p["c0"]
+        x = p["x"]
+        loss = constant(np.asarray(0.0))
+        states = []
+        for _ in range(self.STEPS):
+            h_prev = h
+            h, c = cell(p["W"], p["b"], x, (h, c))
+            states.append((h.data, c.data))
+            loss = add(loss, matmul(p["head"], h))
+            x = add(p["x"], tanh(matmul(p["A"], h_prev)))
+        return add(loss, matmul(p["c_out"], c)), states
+
+    def run(self, cell):
+        p = self.make_inputs()
+        params = [p[k] for k in ("W", "b", "x", "h0", "c0")]
+        zero_grad(params)
+        loss, states = self.chain(cell, p)
+        backward(loss)
+        return loss.data, states, {q.name: q.grad.copy() for q in params}
+
+    def test_matches_composite_bitwise(self):
+        loss, states, grads = self.run(lstm_cell)
+        ref_loss, ref_states, ref_grads = self.run(composite_lstm_cell)
+        assert np.array_equal(loss, ref_loss)
+        for (h, c), (ref_h, ref_c) in zip(states, ref_states):
+            assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+        assert grads.keys() == ref_grads.keys() == {"W", "b", "x", "h0", "c0"}
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    def test_no_grad_forward_matches_composite(self):
+        p = self.make_inputs()
+        with no_grad():
+            _, states = self.chain(lstm_cell, p)
+            _, ref_states = self.chain(composite_lstm_cell, p)
+        for (h, c), (ref_h, ref_c) in zip(states, ref_states):
+            assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+
+    def test_three_tape_nodes_per_step(self):
+        p = self.make_inputs()
+        h, c = lstm_cell(p["W"], p["b"], p["x"], (p["h0"], p["c0"]))
+        act, c_prev = c.parents
+        assert h.parents == (act, c) and c_prev is p["c0"]
+        assert act.parents == (p["W"], p["b"], p["x"], p["h0"])
+
+    def test_saturated_gates_do_not_warn(self):
+        H, D = 2, 1
+        W = Param("W", np.zeros((4 * H, D + H)))
+        b = Param("b", np.full(4 * H, -800.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, c = lstm_cell(W, b, constant(np.ones(D)), (constant(np.ones(H)),
+                                                         constant(np.ones(H))))
+            zero_grad([W, b])
+            backward(matmul(h, h) + matmul(c, c))
+            assert np.array_equal(sigmoid(constant([-800.0, 800.0])).data, [0.0, 1.0])
+        assert np.array_equal(c.data, np.zeros(H)) and np.array_equal(h.data, np.zeros(H))
+        assert np.isfinite(W.grad).all() and np.isfinite(b.grad).all()
+
+    def test_training_matches_composite_bitwise(self, monkeypatch):
+        mix = {TaskCategory.LANGUAGE_ONLY: 1.0}
+        data = list(generate_dataset(mix, 6, master_seed=5,
+                                     config=WorldConfig(width=5, height=5)))
+        vocab = build_vocab(data)
+        config = ModelConfig(vocab_size=len(vocab), embed_dim=8, encoder_hidden=8,
+                             attention_hidden=8, conv_width=3, conv_channels=4,
+                             extra_convs=((3, 3, 4),))
+
+        def train(cell):
+            monkeypatch.setattr(nnet, "lstm_cell", cell)
+            model = NavModel(config, vocab, seed=1)
+            steps = [model.train_on(inst, clip_threshold=threshold)
+                     for threshold in (5.0, 0.5) for inst in data]
+            return steps, model
+
+        steps, model = train(lstm_cell)
+        ref_steps, ref_model = train(composite_lstm_cell)
+        assert steps == ref_steps
+        for p, ref in zip(model.params(), ref_model.params()):
+            assert p.t == ref.t == 2 * len(data)
+            for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
+                assert np.array_equal(a, r), p.name
+
+
+def reference_grad_norm(grads):
+    total = 0.0
+    for g in grads:
+        if g is not None:
+            total += float((g * g).sum())
+    return float(np.sqrt(total))
+
+
+def reference_clip(grads, threshold):
+    norm = reference_grad_norm(grads)
+    if norm <= threshold or norm == 0.0:
+        return 1.0, grads
+    scale = threshold / norm
+    return scale, [None if g is None else g * scale for g in grads]
+
+
+def reference_adam(state, g, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    data, m, v, t = state
+    t += 1
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t
+
+
+class TestInPlaceOptimizer:
+    def test_matches_allocating_formulas_bitwise(self):
+        rng = np.random.default_rng(4)
+        shapes = [(7, 5), (5,), (3, 4, 2), (6,)]
+        params = [Param(f"p{k}", rng.normal(size=s)) for k, s in enumerate(shapes)]
+        ref = [(p.data.copy(), p.m.copy(), p.v.copy(), p.t) for p in params]
+        clipped = 0
+        for step in range(50):
+            grads = [rng.normal(size=s) * rng.uniform(0.0, 1.2) for s in shapes]
+            grads[3] = None  # a parameter the loss never reached
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            assert global_grad_norm(params) == reference_grad_norm(grads)
+            scale = clip_global_norm(params, threshold=5.0)
+            ref_scale, grads = reference_clip(grads, 5.0)
+            assert scale == ref_scale
+            clipped += scale < 1.0
+            assert global_grad_norm(params) == reference_grad_norm(grads)
+            lr = 1e-3 * (1 + step % 3)
+            adam_step(params, lr=lr)
+            ref = [s if g is None else reference_adam(s, g, lr=lr)
+                   for s, g in zip(ref, grads)]
+            for p, (data, m, v, t) in zip(params, ref):
+                assert p.t == t
+                assert np.array_equal(p.data, data)
+                assert np.array_equal(p.m, m) and np.array_equal(p.v, v)
+        assert 0 < clipped < 50
+        assert params[3].t == 0
+
+    def test_gradient_buffer_reused_across_passes(self):
+        rng = np.random.default_rng(5)
+        W = Param("W", rng.normal(size=(8, 4)))
+        b = Param("b", rng.normal(size=8))
+        x = constant(rng.normal(size=2))
+
+        def loss():
+            h, c = lstm_cell(W, b, x, (constant(np.zeros(2)), constant(np.zeros(2))))
+            h, c = lstm_cell(W, b, x, (h, c))
+            return matmul(h, h)
+
+        zero_grad([W, b])
+        backward(loss())
+        first = {p.name: (p.grad, p.grad.copy()) for p in (W, b)}
+        zero_grad([W, b])
+        assert W.grad is None and b.grad is None
+        backward(loss())
+        for p in (W, b):
+            buffer, values = first[p.name]
+            assert p.grad is buffer
+            assert np.array_equal(p.grad, values)
+
+    def test_clip_leaves_nonfinite_gradients_unscaled(self):
+        p = Param("p", np.zeros(3))
+        p.grad = np.array([np.inf, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert clip_global_norm([p], threshold=5.0) == 1.0
+            assert global_grad_norm([p]) == np.inf
+        assert np.array_equal(p.grad, [np.inf, 1.0, 1.0])

@@ -318,6 +318,14 @@ class TestCliErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nonpositive_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--count", "-5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_exits_2(self, capsys):
         rc = main(["eval", "--data", "/nonexistent.jsonl",
                    "--checkpoint", "also-missing"])

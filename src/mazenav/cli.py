@@ -16,7 +16,7 @@ from dataclasses import replace
 from itertools import islice
 from typing import Optional, Sequence
 
-from . import datastore, evalbench, langgen, navmodel, render, worldsim
+from . import datastore, evalbench, langgen, navmodel, percept, render, worldsim
 from .langgen import GenerationError, TaskCategory, TemplateError
 
 VARIANT_ALIASES = {"full": "full", "lo": "languageOnly", "bof": "bagOfFeatures",
@@ -73,6 +73,10 @@ def write_manifest(artifact: str, command: str, args: argparse.Namespace,
 
 
 def _world_config(args: argparse.Namespace) -> worldsim.WorldConfig:
+    """World flags, rejected up front unless every world fits the percept grid."""
+    if args.width < 1 or args.height < 1:
+        raise ValueError(f"--width and --height must be >= 1, got {args.width}x{args.height}")
+    percept.check_grid_fits(args.width, args.height)
     return worldsim.WorldConfig(width=args.width, height=args.height,
                                 p_item=args.p_item, min_dist=args.min_dist)
 
@@ -128,6 +132,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         dev_set = dev_set[:args.dev_limit]
     vocab = datastore.build_vocab(train_set)
     config = _model_config(args, len(vocab))
+    if config.variant == "full":
+        for inst in instances:
+            try:
+                percept.check_grid_fits(inst.world.width, inst.world.height)
+            except percept.GridOverflowError as exc:
+                raise ValueError(f"{args.data}: instance {inst.id}: {exc}") from None
     model = navmodel.NavModel(config, vocab, seed=args.seed)
     history_path = args.out_checkpoint + ".history.csv"
     result = navmodel.train(model, train_set, dev_set, max_epochs=args.max_epochs,

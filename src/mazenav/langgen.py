@@ -210,9 +210,6 @@ def realize(template: Template, slots: dict[str, str], rng: random.Random) -> li
 # ---------------------------------------------------------------------------
 # Path segmentation
 
-_TURN_ACTIONS = (Action.RIGHT, Action.LEFT)
-
-
 def segment_path(actions: Sequence[Action]) -> list[Segment]:
     """Split an action sequence into maximal turn/move runs.
 
@@ -224,12 +221,17 @@ def segment_path(actions: Sequence[Action]) -> list[Segment]:
     if Action.STOP in body:
         raise ValueError("STOP before end of action sequence")
     segments: list[Segment] = []
+    run: list[Action] = []
+    kind = ""
     for act in body:
-        kind = "turn" if act in _TURN_ACTIONS else "move"
-        if segments and segments[-1].kind == kind:
-            segments[-1] = Segment(kind, segments[-1].actions + (act,))
-        else:
-            segments.append(Segment(kind, (act,)))
+        act_kind = "turn" if act is Action.RIGHT or act is Action.LEFT else "move"
+        if act_kind != kind:
+            if run:
+                segments.append(Segment(kind, tuple(run)))
+            run, kind = [], act_kind
+        run.append(act)
+    if run:
+        segments.append(Segment(kind, tuple(run)))
     return segments
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Optional, Sequence
@@ -480,27 +481,53 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
 CHECKPOINT_VERSION = 1
 
 
+def checkpoint_paths(handle: str) -> tuple[str, str, str]:
+    """Files of the checkpoint saved or loaded as `handle` (`run/m` or
+    `run/m.npz`, which name the same checkpoint): the .npz file, the sidecar
+    `<handle>.json` that save_checkpoint writes, and the sidecar name the
+    other form of the handle would have written."""
+    if handle.endswith(".npz"):
+        base = handle[:-len(".npz")]
+        return handle, handle + ".json", base + ".json"
+    return handle + ".npz", handle + ".json", handle + ".npz.json"
+
+
 def save_checkpoint(model: NavModel, path: str) -> None:
     """Write parameters as npz plus a JSON sidecar (config + vocabulary)."""
-    np.savez(path, **model.state_dict())
+    npz_path, sidecar_path, _ = checkpoint_paths(path)
+    np.savez(npz_path, **model.state_dict())
     sidecar = {
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
         "vocab": model.vocab.to_list(),
     }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
 
 
 def load_checkpoint(path: str) -> NavModel:
-    with open(path + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {sidecar.get('version')}")
+    """Load a checkpoint by either form of the handle it was saved under.
+
+    A candidate sidecar without a "version" key (say, a model-config file
+    named like the handle) is not a checkpoint sidecar and is passed over.
+    """
+    npz_path, *candidates = checkpoint_paths(path)
+    sidecar = None
+    for candidate in candidates:
+        if os.path.exists(candidate):
+            with open(candidate, encoding="utf-8") as fh:
+                sidecar = json.load(fh)
+            if isinstance(sidecar, dict) and "version" in sidecar:
+                break
+            sidecar = None
+    if sidecar is None:
+        raise FileNotFoundError(
+            f"checkpoint {path!r}: no sidecar at {' or '.join(candidates)}")
+    if sidecar["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {sidecar['version']}")
     config = ModelConfig.from_dict(sidecar["config"])
     vocab = Vocabulary.from_list(sidecar["vocab"])
     model = NavModel(config, vocab, seed=0)
-    npz_path = path if path.endswith(".npz") else path + ".npz"
     with np.load(npz_path) as data:
         model.load_state_dict({k: data[k] for k in data.files})
     return model

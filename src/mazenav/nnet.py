@@ -25,10 +25,15 @@ import numpy as np
 
 _GRAD_ENABLED = True
 
-# Work space for in-place gradient products and the optimizer update. It
-# grows to the largest request (two arrays of the largest parameter's size)
-# and is shared by every caller, so this module is not thread-safe.
+# Work space for in-place gradient products, the gradient norm and the
+# optimizer update. It grows to the largest request (one array of the largest
+# parameter's size, or Adam's two block buffers) and is shared by every
+# caller, so this module is not thread-safe.
 _SCRATCH = np.empty(0)
+
+# Adam updates a parameter this many elements at a time, so its two work
+# arrays stay small and in cache.
+_ADAM_BLOCK = 32768
 
 
 def _scratch(shape: tuple[int, ...], count: int = 1) -> np.ndarray:
@@ -104,6 +109,8 @@ class Param(Tensor):
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
+        if not self.data.flags.c_contiguous:  # adam_step updates through flat views
+            self.data = self.data.copy(order="C")
         self.name = name
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
@@ -499,12 +506,32 @@ def zero_grad(params: Iterable[Param]) -> None:
 
 
 def global_grad_norm(params: Iterable[Param]) -> float:
+    """L2 norm of all gradients together.
+
+    Squares that overflow are ignored at first; if the sum is then infinite
+    although every gradient is finite, the norm is recomputed from the
+    gradients divided by their largest magnitude, so it stays finite.
+    """
+    grads = [p.grad for p in params if p.grad is not None]
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            square = np.multiply(p.grad, p.grad, out=_scratch(p.grad.shape)[0])
+    with np.errstate(over="ignore"):
+        for g in grads:
+            square = np.multiply(g, g, out=_scratch(g.shape)[0])
             total += float(square.sum())
+    if total == math.inf and all(np.isfinite(g).all() for g in grads):
+        return _rescaled_norm(grads)
     return float(np.sqrt(total))
+
+
+def _rescaled_norm(grads: Sequence[np.ndarray]) -> float:
+    """max|g| * ||g / max|g|||, for finite gradients whose squares overflow."""
+    top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+    total = 0.0
+    for g in grads:
+        scaled = np.divide(g, top, out=_scratch(g.shape)[0])
+        scaled *= scaled
+        total += float(scaled.sum())
+    return top * math.sqrt(total)
 
 
 def clip_global_norm(params: Sequence[Param], threshold: float = 5.0) -> float:
@@ -524,11 +551,18 @@ def clip_global_norm(params: Sequence[Param], threshold: float = 5.0) -> float:
     return scale
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """1-D view of a C-contiguous array, for in-place updates through it."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous array, got strides {a.strides}")
+    return a.reshape(-1)
+
+
 def adam_step(params: Sequence[Param], lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
     """Bias-corrected Adam update; parameters without gradients are skipped.
 
-    Runs in place, in the order of the textbook expressions
+    Runs in place, block by block, in the order of the textbook expressions
     m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g),
     data -= (lr*m_hat) / (sqrt(v_hat) + eps), so it rounds exactly as they do.
     """
@@ -536,20 +570,26 @@ def adam_step(params: Sequence[Param], lr: float = 1e-3, beta1: float = 0.9,
         if p.grad is None:
             continue
         p.t += 1
-        s, u = _scratch(p.data.shape, 2)
-        p.m *= beta1
-        p.m += np.multiply(p.grad, 1.0 - beta1, out=s)
-        p.v *= beta2
-        np.multiply(p.grad, p.grad, out=s)
-        s *= 1.0 - beta2
-        p.v += s
-        np.divide(p.v, 1.0 - beta2 ** p.t, out=s)
-        np.sqrt(s, out=s)
-        s += eps
-        np.divide(p.m, 1.0 - beta1 ** p.t, out=u)
-        u *= lr
-        u /= s
-        p.data -= u
+        m_corr, v_corr = 1.0 - beta1 ** p.t, 1.0 - beta2 ** p.t
+        data, m, v = _flat(p.data), _flat(p.m), _flat(p.v)
+        grad = p.grad.reshape(-1)
+        for lo in range(0, data.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, data.size)
+            g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+            s, u = _scratch((hi - lo,), 2)
+            mb *= beta1
+            mb += np.multiply(g, 1.0 - beta1, out=s)
+            vb *= beta2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - beta2
+            vb += s
+            np.divide(vb, v_corr, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(mb, m_corr, out=u)
+            u *= lr
+            u /= s
+            data[lo:hi] -= u
 
 
 # ---------------------------------------------------------------------------

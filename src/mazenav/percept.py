@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .worldsim import FLOORS, ITEMS, WALL_PAINTINGS, Direction, Pose, WorldMap
+from .render import FLOOR_CHARS, ITEM_CHARS, WALL_CHARS
+from .worldsim import FLOORS, ITEMS, WALL_PAINTINGS, Direction, Pose, WorldMap, norm_edge
 
 CELL_BITS = 20
 ITEM_OFFSET = 0
@@ -36,6 +37,16 @@ class GridOverflowError(ValueError):
     """A line of sight does not fit into the fixed 20-column grid."""
 
 
+def check_grid_fits(width: int, height: int) -> None:
+    """Raise GridOverflowError unless every line of sight of a width x height
+    world fits the grid: a straight run across it shows 2*side-1 cells."""
+    cells = 2 * max(width, height) - 1
+    if cells > GRID_COLS:
+        raise GridOverflowError(
+            f"a {width}x{height} world has lines of sight of up to {cells} cells, "
+            f"the percept grid holds {GRID_COLS} (sides of at most {(GRID_COLS + 1) // 2})")
+
+
 def line_of_sight(world: WorldMap, pose: Pose, direction: Direction):
     """Cells visible from the agent's node along `direction`.
 
@@ -49,14 +60,10 @@ def line_of_sight(world: WorldMap, pose: Pose, direction: Direction):
         nxt = world.neighbor_toward(node, direction)
         if nxt is None:
             return cells
-        floor, wall = world.edge_attrs[_norm(node, nxt)]
+        floor, wall = world.edge_attrs[norm_edge(node, nxt)]
         cells.append(("hall", floor, wall))
         cells.append(("node", world.items.get(nxt)))
         node = nxt
-
-
-def _norm(a, b):
-    return (a, b) if a <= b else (b, a)
 
 
 def _write_cell(row: np.ndarray, col: int, cell: tuple) -> None:
@@ -108,13 +115,6 @@ def encode_bof(world: WorldMap, pose: Pose) -> np.ndarray:
     return vec
 
 
-_ITEM_CHAR = {"barstool": "b", "chair": "c", "easel": "e",
-              "hatrack": "h", "lamp": "l", "sofa": "s"}
-_FLOOR_CHAR = {"blue": "b", "brick": "k", "concrete": "c", "flower": "f",
-               "grass": "g", "gravel": "v", "wood": "w", "yellow": "y"}
-_WALL_CHAR = {"butterfly": "B", "fish": "F", "tower": "T"}
-
-
 def grid_to_text(grid: np.ndarray) -> str:
     """Debug dump: one 2-char mnemonic per cell (.x node, fW hall, ## blocked)."""
     lines = []
@@ -125,10 +125,10 @@ def grid_to_text(grid: np.ndarray) -> str:
                 tokens.append("##")
             elif cell[BIT_NODE]:
                 item_bits = np.flatnonzero(cell[ITEM_OFFSET:ITEM_OFFSET + len(ITEMS)])
-                tokens.append("." + (_ITEM_CHAR[ITEMS[item_bits[0]]] if len(item_bits) else "."))
+                tokens.append("." + (ITEM_CHARS[ITEMS[item_bits[0]]] if len(item_bits) else "."))
             else:
                 floor = FLOORS[int(np.flatnonzero(cell[FLOOR_OFFSET:FLOOR_OFFSET + len(FLOORS)])[0])]
                 wall = WALL_PAINTINGS[int(np.flatnonzero(cell[WALL_OFFSET:WALL_OFFSET + len(WALL_PAINTINGS)])[0])]
-                tokens.append(_FLOOR_CHAR[floor] + _WALL_CHAR[wall])
+                tokens.append(FLOOR_CHARS[floor] + WALL_CHARS[wall])
         lines.append(" ".join(tokens))
     return "\n".join(lines)

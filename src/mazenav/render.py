@@ -10,8 +10,8 @@ from typing import Optional, Sequence
 
 from .worldsim import Action, DELTAS, Direction, Pose, WorldMap, norm_edge, step
 
-# Single-letter mnemonics; grass/gravel and blue/brick disambiguated as in
-# the percept debug dump (gravel=v, brick=k).
+# Single-letter mnemonics, also used by the percept debug dump; grass/gravel
+# and blue/brick are disambiguated (gravel=v, brick=k).
 FLOOR_CHARS = {"blue": "b", "brick": "k", "concrete": "c", "flower": "f",
                "grass": "g", "gravel": "v", "wood": "w", "yellow": "y"}
 WALL_CHARS = {"butterfly": "B", "fish": "F", "tower": "T"}

@@ -6,11 +6,12 @@ growing South, so North decreases y. Clockwise order is N, E, S, W.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
@@ -119,6 +120,43 @@ def norm_edge(a: Node, b: Node) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
+class _Grid(NamedTuple):
+    """Tables of one width x height grid, indexed by node index y*width + x.
+
+    A node's links are its grid neighbours as (node index, normalised edge)
+    in N, E, S, W order; bit p of an open mask stands for link p. The edge
+    tuples are shared by every maze of this size, so set and dict lookups
+    of them mostly succeed on identity.
+    """
+
+    nodes: tuple[Node, ...]
+    candidates: tuple[tuple[tuple[tuple[int, Edge], ...], ...], ...]  # [node][open mask] -> links
+    all_open: tuple[int, ...]  # [node] -> open mask with every link set
+    closers: tuple[tuple[tuple[int, int], ...], ...]  # [node] -> (neighbour, mask clearing node's bit there)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(width: int, height: int) -> _Grid:
+    nodes = tuple((x, y) for y in range(height) for x in range(width))
+    links = []
+    for x, y in nodes:
+        row = []
+        for dx, dy in DELTAS.values():
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < width and 0 <= ny < height:
+                row.append((ny * width + nx, norm_edge((x, y), (nx, ny))))
+        links.append(row)
+    candidates = tuple(
+        tuple(tuple(link for p, link in enumerate(row) if mask >> p & 1)
+              for mask in range(1 << len(row)))
+        for row in links)
+    all_open = tuple((1 << len(row)) - 1 for row in links)
+    closers = tuple(
+        tuple((j, ~(1 << [k for k, _ in links[j]].index(i))) for j, _ in row)
+        for i, row in enumerate(links))
+    return _Grid(nodes, candidates, all_open, closers)
+
+
 @dataclass
 class WorldMap:
     width: int
@@ -131,9 +169,7 @@ class WorldMap:
     neighbors: dict[Node, list[Node]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        adj: dict[Node, list[Node]] = {
-            (x, y): [] for y in range(self.height) for x in range(self.width)
-        }
+        adj: dict[Node, list[Node]] = {node: [] for node in _grid(self.width, self.height).nodes}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
@@ -157,85 +193,91 @@ class WorldMap:
 
 def generate_maze(width: int, height: int, rng: random.Random) -> set[Edge]:
     """Carve a perfect maze over the width x height grid with an iterative
-    depth-first backtracker from a random start node."""
+    depth-first backtracker from a random start node.
+
+    The RNG is drawn exactly as follows: randrange(width) and randrange(height)
+    for the start, then randrange(len(candidates)) at each step with more than
+    one unvisited neighbour, the candidates listed in N, E, S, W order. Each
+    node keeps a mask of its unvisited neighbours, so a step is two lookups.
+    """
     if width < 1 or height < 1:
         raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
-    visited: set[Node] = set()
+    grid = _grid(width, height)
+    candidates, closers = grid.candidates, grid.closers
+    randrange = rng.randrange
+    unvisited = list(grid.all_open)
     edges: set[Edge] = set()
-    start = (rng.randrange(width), rng.randrange(height))
-    visited.add(start)
-    stack = [start]
-    offsets = [(0, -1), (1, 0), (0, 1), (-1, 0)]
+    x = randrange(width)
+    here = randrange(height) * width + x
+    for j, close in closers[here]:
+        unvisited[j] &= close
+    stack = [here]
     while stack:
-        node = stack[-1]
-        x, y = node
-        candidates = [
-            (x + dx, y + dy)
-            for dx, dy in offsets
-            if 0 <= x + dx < width and 0 <= y + dy < height
-            and (x + dx, y + dy) not in visited
-        ]
-        if not candidates:
+        top = stack[-1]
+        options = candidates[top][unvisited[top]]
+        if not options:
             stack.pop()
             continue
-        nxt = candidates[rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
-        visited.add(nxt)
-        edges.add(norm_edge(node, nxt))
+        nxt, edge = options[randrange(len(options))] if len(options) > 1 else options[0]
+        for j, close in closers[nxt]:
+            unvisited[j] &= close
+        edges.add(edge)
         stack.append(nxt)
     return edges
 
 
 def compute_halls(edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
-    """Partition edges into maximal collinear consecutive runs."""
-    horizontal: dict[int, list[int]] = {}
-    vertical: dict[int, list[int]] = {}
-    for (x1, y1), (x2, y2) in edges:
+    """Partition edges into maximal collinear consecutive runs: horizontal
+    halls by row then column, then vertical halls by column then row.
+
+    Hall edges are normalised unit edges; an input edge that already is one
+    is kept as the same object.
+    """
+    rows: list[tuple[int, int, Edge]] = []  # (y, smaller x, edge) per horizontal edge
+    cols: list[tuple[int, int, Edge]] = []  # (x, smaller y, edge) per vertical edge
+    for e in edges:
+        (x1, y1), (x2, y2) = e
         if y1 == y2:
-            horizontal.setdefault(y1, []).append(min(x1, x2))
+            if x2 == x1 + 1:
+                rows.append((y1, x1, e))
+            else:
+                x = min(x1, x2)
+                rows.append((y1, x, ((x, y1), (x + 1, y1))))
+        elif y2 == y1 + 1 and x2 == x1:
+            cols.append((x1, y1, e))
         else:
-            vertical.setdefault(x1, []).append(min(y1, y2))
+            y = min(y1, y2)
+            cols.append((x1, y, ((x1, y), (x1, y + 1))))
+    rows.sort()
+    cols.sort()
     halls: list[Hall] = []
-    for y in sorted(horizontal):
-        xs = sorted(horizontal[y])
-        run: list[Edge] = []
-        prev = None
-        for x in xs:
-            if prev is not None and x != prev + 1:
-                halls.append(Hall("horizontal", run))
-                run = []
-            run.append(((x, y), (x + 1, y)))
-            prev = x
-        halls.append(Hall("horizontal", run))
-    for x in sorted(vertical):
-        ys = sorted(vertical[x])
-        run = []
-        prev = None
-        for y in ys:
-            if prev is not None and y != prev + 1:
-                halls.append(Hall("vertical", run))
-                run = []
-            run.append(((x, y), (x, y + 1)))
-            prev = y
-        halls.append(Hall("vertical", run))
+    for axis, keyed in (("horizontal", rows), ("vertical", cols)):
+        last_line, last = None, 0
+        for line, pos, e in keyed:
+            if line != last_line or pos != last + 1:
+                run: list[Edge] = []
+                halls.append(Hall(axis, run))
+            run.append(e)
+            last_line, last = line, pos
     return halls
 
 
-def _cut_areas(width: int, height: int, n_areas: int, rng: random.Random) -> list[list[Node]]:
-    """Split nodes into n_areas strips with n_areas - 1 parallel axis-aligned cuts."""
-    axes = [ax for ax, size in (("x", width), ("y", height)) if size >= n_areas]
-    if not axes:
-        return [[(x, y) for y in range(height) for x in range(width)]]
+def _cut_bounds(width: int, height: int, n_areas: int,
+                rng: random.Random) -> tuple[int, list[int]]:
+    """Draw n_areas - 1 parallel axis-aligned cuts, n_areas being at most the
+    longer side; returns the cut axis (0 for x, 1 for y) and the strip bounds
+    [0, cuts..., size]."""
+    axes = [ax for ax, size in ((0, width), (1, height)) if size >= n_areas]
     axis = axes[rng.randrange(len(axes))]
-    size = width if axis == "x" else height
-    cuts = sorted(rng.sample(range(1, size), n_areas - 1))
-    bounds = [0] + cuts + [size]
-    groups: list[list[Node]] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if axis == "x":
-            groups.append([(x, y) for y in range(height) for x in range(lo, hi)])
-        else:
-            groups.append([(x, y) for y in range(lo, hi) for x in range(width)])
-    return groups
+    size = height if axis else width
+    return axis, [0, *sorted(rng.sample(range(1, size), n_areas - 1)), size]
+
+
+def _strip_nodes(width: int, height: int, axis: int, lo: int, hi: int) -> list[Node]:
+    """Nodes with coordinate `axis` in [lo, hi), in row-major order."""
+    if axis:
+        return [(x, y) for y in range(lo, hi) for x in range(width)]
+    return [(x, y) for y in range(height) for x in range(lo, hi)]
 
 
 def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
@@ -249,35 +291,33 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
     """
     cfg = config or WorldConfig()
     width, height = cfg.width, cfg.height
+    randrange, random_ = rng.randrange, rng.random
+    p_item, n_items = cfg.p_item, len(ITEMS)
     items: dict[Node, str] = {}
-    for y in range(height):
-        for x in range(width):
-            if rng.random() < cfg.p_item:
-                items[(x, y)] = ITEMS[rng.randrange(len(ITEMS))]
+    for node in _grid(width, height).nodes:
+        if random_() < p_item:
+            items[node] = ITEMS[randrange(n_items)]
     halls = compute_halls(edges)
+    n_floors = len(FLOORS)
     for hall in halls:
-        hall.floor = FLOORS[rng.randrange(len(FLOORS))]
-    floor_of: dict[Edge, str] = {}
-    for hall in halls:
-        for e in hall.edges:
-            floor_of[e] = hall.floor  # type: ignore[assignment]
+        hall.floor = FLOORS[randrange(n_floors)]
 
     n_areas = min(rng.choice((2, 3)), max(width, height), max(len(edges), 1))
-    sorted_edges = sorted(edges)
+    # Per axis, the coordinates of the smaller endpoints of the edges: a strip
+    # owns an edge iff it holds one of these.
+    owners = ({a[0] for a, _ in edges}, {a[1] for a, _ in edges})
     for _ in range(64):
-        groups = _cut_areas(width, height, n_areas, rng)
-        node_area = {node: i for i, grp in enumerate(groups) for node in grp}
-        used = {node_area[e[0]] for e in sorted_edges}
-        if len(used) == len(groups):
+        axis, bounds = _cut_bounds(width, height, n_areas, rng)
+        if all(any(lo <= c < hi for c in owners[axis]) for lo, hi in zip(bounds, bounds[1:])):
             break
     else:
-        groups = [[(x, y) for y in range(height) for x in range(width)]]
-        node_area = {node: 0 for node in groups[0]}
-    paintings = rng.sample(WALL_PAINTINGS, len(groups))
-    areas = [Area(i, grp, paintings[i]) for i, grp in enumerate(groups)]
-    edge_attrs = {
-        e: (floor_of[e], paintings[node_area[e[0]]]) for e in sorted_edges
-    }
+        axis, bounds = 0, [0, width]
+    n_strips = len(bounds) - 1
+    paintings = rng.sample(WALL_PAINTINGS, n_strips)
+    areas = [Area(i, _strip_nodes(width, height, axis, bounds[i], bounds[i + 1]), paintings[i])
+             for i in range(n_strips)]
+    wall_at = [paintings[i] for i in range(n_strips) for _ in range(bounds[i], bounds[i + 1])]
+    edge_attrs = {e: (hall.floor, wall_at[e[0][axis]]) for hall in halls for e in hall.edges}
     return WorldMap(width, height, frozenset(edges), items, halls, edge_attrs, areas)
 
 
@@ -350,48 +390,56 @@ def shortest_path(world: WorldMap, start: Node, goal: Node) -> list[Node]:
 
 
 def bfs_distances(world: WorldMap, start: Node, stop_at: Node | None = None) -> dict[Node, int]:
+    """Hop distances from `start` to every reachable node. With `stop_at`, the
+    search ends once that node is reached, so farther nodes may be missing."""
     dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == stop_at:
-            break
-        d = dist[node] + 1
-        for nb in world.neighbors[node]:
-            if nb not in dist:
-                dist[nb] = d
-                queue.append(nb)
+    if start == stop_at:
+        return dist
+    neighbors = world.neighbors
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for node in frontier:
+            for nb in neighbors[node]:
+                if nb not in dist:
+                    dist[nb] = d
+                    if nb == stop_at:
+                        return dist
+                    reached.append(nb)
+        frontier = reached
     return dist
 
 
+_DIRECTION_OF: dict[tuple[int, int], Direction] = {delta: d for d, delta in DELTAS.items()}
+
+# Minimal turns indexed by (target - current) % 4; 180 degrees is two RIGHTs.
+_TURNS: tuple[tuple[Action, ...], ...] = (
+    (), (Action.RIGHT,), (Action.RIGHT, Action.RIGHT), (Action.LEFT,))
+
+
 def direction_between(a: Node, b: Node) -> Direction:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    for direction, delta in DELTAS.items():
-        if delta == (dx, dy):
-            return direction
-    raise InvalidPathError(f"nodes {a} and {b} are not adjacent")
+    direction = _DIRECTION_OF.get((b[0] - a[0], b[1] - a[1]))
+    if direction is None:
+        raise InvalidPathError(f"nodes {a} and {b} are not adjacent")
+    return direction
 
 
 def turns_toward(current: Direction, target: Direction) -> list[Action]:
     """Minimal turn sequence; 180 degrees is two RIGHTs by tie-break."""
-    diff = (target - current) % 4
-    if diff == 0:
-        return []
-    if diff == 1:
-        return [Action.RIGHT]
-    if diff == 2:
-        return [Action.RIGHT, Action.RIGHT]
-    return [Action.LEFT]
+    return list(_TURNS[(target - current) % 4])
 
 
 def path_to_actions(path: list[Node], start_dir: Direction) -> list[Action]:
     """Translate a node path into turn/move actions ending in STOP."""
     actions: list[Action] = []
+    move = Action.MOVE
     facing = start_dir
     for a, b in zip(path, path[1:]):
         target = direction_between(a, b)
-        actions.extend(turns_toward(facing, target))
-        actions.append(Action.MOVE)
+        actions += _TURNS[(target - facing) % 4]
+        actions.append(move)
         facing = target
     actions.append(Action.STOP)
     return actions

@@ -210,6 +210,35 @@ class TestTraining:
         with pytest.raises(FloatingPointError):
             model.train_on(lo_instances[0])
 
+    def test_train_on_clips_finite_gradient_whose_square_overflows(
+            self, shared_vocab, lo_instances, monkeypatch):
+        model = make_model(shared_vocab)
+        before = model.state_dict()
+        backward = nnet.backward
+
+        def backward_with_huge(loss):
+            backward(loss)
+            model.param("dec_b").grad[0] = 1e200
+
+        monkeypatch.setattr(nnet, "backward", backward_with_huge)
+        loss, post_norm = model.train_on(lo_instances[0])
+        assert math.isfinite(loss)
+        assert post_norm == pytest.approx(5.0, rel=1e-12)
+        after = model.state_dict()
+        assert all(np.isfinite(after[k]).all() for k in after)
+        assert not np.array_equal(before["dec_b"], after["dec_b"])
+
+    def test_optimizer_scratch_bounded_by_largest_parameter(self, shared_vocab,
+                                                            lo_instances, monkeypatch):
+        # Adam works in blocks, so the shared scratch holds one array of the
+        # largest parameter, not the two it would take whole.
+        monkeypatch.setattr(nnet, "_SCRATCH", np.empty(0))
+        model = make_model(shared_vocab, encoder_hidden=64)
+        largest = max(p.data.size for p in model.params())
+        assert largest > 2 * nnet._ADAM_BLOCK
+        model.train_on(lo_instances[0])
+        assert nnet._SCRATCH.size == largest
+
     def test_train_on_rejects_nonfinite_gradient(self, shared_vocab, lo_instances,
                                                  monkeypatch):
         model = make_model(shared_vocab)

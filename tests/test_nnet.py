@@ -552,6 +552,51 @@ class TestInPlaceOptimizer:
         assert 0 < clipped < 50
         assert params[3].t == 0
 
+    def test_blockwise_adam_matches_allocating_formulas_bitwise(self):
+        # Sizes below, at and across the block size, with a ragged last block.
+        rng = np.random.default_rng(6)
+        block = nnet._ADAM_BLOCK
+        shapes = [(3,), (block,), (2 * block + 17,), (3, block // 2 + 5)]
+        params = [Param(f"p{k}", rng.normal(size=s)) for k, s in enumerate(shapes)]
+        ref = [(p.data.copy(), p.m.copy(), p.v.copy(), p.t) for p in params]
+        for step in range(3):
+            grads = [rng.normal(size=s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            adam_step(params, lr=1e-3 * (step + 1))
+            ref = [reference_adam(st, g, lr=1e-3 * (step + 1)) for st, g in zip(ref, grads)]
+        for p, (data, m, v, t) in zip(params, ref):
+            assert p.t == t
+            assert np.array_equal(p.data, data)
+            assert np.array_equal(p.m, m) and np.array_equal(p.v, v)
+
+    def test_param_data_is_c_contiguous(self):
+        p = Param("p", np.arange(12.0).reshape(3, 4).T)
+        p.grad = np.ones((4, 3))
+        adam_step([p])
+        assert p.data.flags.c_contiguous and p.t == 1
+
+    def test_norm_of_finite_gradients_whose_squares_overflow(self):
+        p = Param("p", np.zeros(2))
+        p.grad = np.array([1e200, 1.0])
+        q = Param("q", np.zeros(1))
+        q.grad = np.array([-1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert global_grad_norm([p]) == 1e200
+            assert global_grad_norm([p, q]) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+            scale = clip_global_norm([p], threshold=5.0)
+        assert scale == 5.0 / 1e200
+        assert p.grad[0] == pytest.approx(5.0, rel=1e-15)
+        assert global_grad_norm([p]) == pytest.approx(5.0, rel=1e-15)
+
+    def test_norm_stays_nonfinite_for_nonfinite_gradients(self):
+        for bad in (np.inf, np.nan):
+            p = Param("p", np.zeros(3))
+            p.grad = np.array([1e200, bad, 1.0])
+            assert not math.isfinite(global_grad_norm([p]))
+            assert clip_global_norm([p], threshold=5.0) == 1.0
+
     def test_gradient_buffer_reused_across_passes(self):
         rng = np.random.default_rng(5)
         W = Param("W", rng.normal(size=(8, 4)))

@@ -318,6 +318,49 @@ class TestCliErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_accepts_either_checkpoint_handle(self, workspace, capsys, tmp_path):
+        from mazenav.navmodel import load_checkpoint, save_checkpoint
+
+        # workspace["ckpt"] was saved as `model.npz`; save a copy as `bare`.
+        save_checkpoint(load_checkpoint(str(workspace["ckpt"])), str(tmp_path / "bare"))
+        assert (tmp_path / "bare.npz").exists() and (tmp_path / "bare.json").exists()
+        handles = [str(workspace["ckpt"]), str(workspace["root"] / "model"),
+                   str(tmp_path / "bare"), str(tmp_path / "bare.npz")]
+        rates = []
+        for handle in handles:
+            rc = main(["eval", "--data", str(workspace["data"]), "--checkpoint", handle,
+                       "--beam", "1", "--limit", "5"])
+            assert rc == 0, handle
+            rates.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1]))
+        assert all(r == rates[0] for r in rates)
+
+    @pytest.mark.parametrize("size", [["--width", "12", "--height", "12"],
+                                      ["--width", "0"], ["--height", "-3"]])
+    def test_gen_rejects_world_size_up_front(self, size, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        rc = main(["gen", "--count", "3", "--out", str(out), *size])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "percept grid holds 20" in err or "must be >= 1" in err
+        assert not out.exists()
+
+    def test_bench_rejects_too_large_world(self, capsys):
+        rc = main(["bench", "--cap", "10", "--width", "11", "--height", "4"])
+        assert rc == 2
+        assert "11x4" in capsys.readouterr().err
+
+    def test_train_full_rejects_too_large_world(self, tmp_path, capsys):
+        data = tmp_path / "big.jsonl"
+        datastore.write_instances(
+            generate_dataset(DEFAULT_MIX, 4, 3, config=WorldConfig(width=12, height=12)),
+            str(data))
+        ckpt = tmp_path / "m.npz"
+        rc = main(["train", "--data", str(data), "--out-checkpoint", str(ckpt),
+                   "--max-epochs", "1"])
+        assert rc == 2
+        assert "12x12" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_nonpositive_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
         with pytest.raises(SystemExit) as exc:

@@ -482,14 +482,12 @@ CHECKPOINT_VERSION = 1
 
 
 def checkpoint_paths(handle: str) -> tuple[str, str, str]:
-    """Files of the checkpoint saved or loaded as `handle` (`run/m` or
-    `run/m.npz`, which name the same checkpoint): the .npz file, the sidecar
-    `<handle>.json` that save_checkpoint writes, and the sidecar name the
-    other form of the handle would have written."""
-    if handle.endswith(".npz"):
-        base = handle[:-len(".npz")]
-        return handle, handle + ".json", base + ".json"
-    return handle + ".npz", handle + ".json", handle + ".npz.json"
+    """Files of the checkpoint saved or loaded as `handle`; `run/m` and
+    `run/m.npz` name the same checkpoint. Returns the weights `run/m.npz`,
+    the sidecar `run/m.npz.json`, and `run/m.json`, where a bare handle's
+    sidecar used to go (a name that could be, say, a model-config file)."""
+    base = handle[:-len(".npz")] if handle.endswith(".npz") else handle
+    return base + ".npz", base + ".npz.json", base + ".json"
 
 
 def save_checkpoint(model: NavModel, path: str) -> None:
@@ -506,10 +504,11 @@ def save_checkpoint(model: NavModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> NavModel:
-    """Load a checkpoint by either form of the handle it was saved under.
+    """Load a checkpoint by either form of its handle.
 
-    A candidate sidecar without a "version" key (say, a model-config file
-    named like the handle) is not a checkpoint sidecar and is passed over.
+    The sidecar is read from its current name or else from the older
+    `run/m.json`; a JSON file there without a "version" key is not a
+    checkpoint sidecar and is passed over.
     """
     npz_path, *candidates = checkpoint_paths(path)
     sidecar = None

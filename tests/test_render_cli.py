@@ -321,11 +321,17 @@ class TestCliErrors:
     def test_eval_accepts_either_checkpoint_handle(self, workspace, capsys, tmp_path):
         from mazenav.navmodel import load_checkpoint, save_checkpoint
 
-        # workspace["ckpt"] was saved as `model.npz`; save a copy as `bare`.
-        save_checkpoint(load_checkpoint(str(workspace["ckpt"])), str(tmp_path / "bare"))
-        assert (tmp_path / "bare.npz").exists() and (tmp_path / "bare.json").exists()
+        # workspace["ckpt"] was saved as `model.npz`, beside the model-config
+        # file `model.json`; save a copy as `bare`, and one with its sidecar
+        # under the older name `<handle>.json`.
+        model = load_checkpoint(str(workspace["ckpt"]))
+        save_checkpoint(model, str(tmp_path / "bare"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "bare.npz.json"]
+        save_checkpoint(model, str(tmp_path / "old"))
+        (tmp_path / "old.npz.json").rename(tmp_path / "old.json")
         handles = [str(workspace["ckpt"]), str(workspace["root"] / "model"),
-                   str(tmp_path / "bare"), str(tmp_path / "bare.npz")]
+                   str(tmp_path / "bare"), str(tmp_path / "bare.npz"),
+                   str(tmp_path / "old"), str(tmp_path / "old.npz")]
         rates = []
         for handle in handles:
             rc = main(["eval", "--data", str(workspace["data"]), "--checkpoint", handle,
@@ -333,6 +339,18 @@ class TestCliErrors:
             assert rc == 0, handle
             rates.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1]))
         assert all(r == rates[0] for r in rates)
+
+    def test_train_with_bare_handle_keeps_same_named_config(self, workspace, tmp_path,
+                                                            capsys):
+        config = tmp_path / "m.json"
+        config.write_text(workspace["config"].read_text())
+        rc = main(["train", "--data", str(workspace["data"]), "--variant", "lo",
+                   "--config", str(config), "--out-checkpoint", str(tmp_path / "m"),
+                   "--max-epochs", "1"])
+        assert rc == 0
+        capsys.readouterr()
+        assert config.read_text() == workspace["config"].read_text()
+        assert (tmp_path / "m.npz").exists() and (tmp_path / "m.npz.json").exists()
 
     @pytest.mark.parametrize("size", [["--width", "12", "--height", "12"],
                                       ["--width", "0"], ["--height", "-3"]])

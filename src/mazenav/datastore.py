@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import random
+import secrets
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .langgen import Instance, TaskCategory
-from .worldsim import Action, Direction, Pose, world_from_dict, world_to_dict
+from .worldsim import (Action, Direction, Pose, WorldMap, map_object_hook, world_from_dict,
+                       world_to_dict)
 
 UNK = "<unk>"
 UNK_INDEX = 0
@@ -31,41 +35,107 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+_CATEGORIES = {c.value: c for c in TaskCategory}
+_DIRECTIONS = {d.name: d for d in Direction}
+_ACTIONS = {a.value: a for a in Action}
+# Poses are immutable, so read instances share them.
+_pose = functools.lru_cache(maxsize=4096)(Pose)
+
+
+def _unknown_name(category, heading, actions) -> str | None:
+    """The first of these names that is not a known one, as a message."""
+    for kind, known, names in (("category", _CATEGORIES, [category]),
+                               ("direction", _DIRECTIONS, [heading]),
+                               ("action", _ACTIONS, actions)):
+        for name in names:
+            if not isinstance(name, str) or name not in known:
+                return f"unknown {kind} {name!r}"
+    return None
+
+
 def instance_from_dict(data: dict) -> Instance:
-    start = data["start"]
+    """Inverse of instance_to_dict; ValueError names a start pose off the map
+    or an unknown category, direction or action. The map may already be a
+    WorldMap (as json.loads with worldsim.map_object_hook leaves it)."""
+    world = data["map"]
+    if not isinstance(world, WorldMap):
+        world = world_from_dict(world)
+    start, names = data["start"], data["actions"]
+    x, y = start["x"], start["y"]
+    try:
+        category = _CATEGORIES[data["category"]]
+        heading = _DIRECTIONS[start["dir"]]
+        actions = list(map(_ACTIONS.__getitem__, names))
+    except (KeyError, TypeError):
+        cause = _unknown_name(data["category"], start["dir"], names)
+        if cause is None:
+            raise
+        raise ValueError(cause) from None
+    if type(x) is not int or type(y) is not int or not world.in_bounds((x, y)):
+        raise ValueError(f"start ({x!r}, {y!r}) is outside the "
+                         f"{world.width}x{world.height} map")
     return Instance(
         id=data["id"],
         seed=data["seed"],
-        category=TaskCategory(data["category"]),
-        world=world_from_dict(data["map"]),
-        start=Pose(start["x"], start["y"], Direction[start["dir"]]),
+        category=category,
+        world=world,
+        start=_pose(x, y, heading),
         instruction=list(data["instruction"]),
-        actions=[Action(a) for a in data["actions"]],
+        actions=actions,
     )
 
 
 def write_instances(instances: Iterable[Instance], path: str) -> int:
-    """Write one compact JSON object per line; returns the line count."""
+    """Write one compact JSON object per line; returns the line count.
+
+    The lines go to a temporary file beside `path`, which then replaces
+    `path` in one step: a failure partway leaves an existing file as it was.
+    """
+    folder, name = os.path.split(path)
+    tmp = os.path.join(folder, f".{name}.{secrets.token_hex(4)}.tmp")
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            for inst in instances:
+                fh.write(json.dumps(instance_to_dict(inst), separators=(",", ":")))
+                fh.write("\n")
+                n += 1
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
     return n
 
 
 def read_instances(path: str) -> Iterator[Instance]:
+    """Instances of a JSONL file, one per non-blank line; a malformed line
+    raises DatasetError naming the file, the line and the cause."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                data = json.loads(line)
-                yield instance_from_dict(data)
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
+                inst = instance_from_dict(json.loads(line, object_hook=map_object_hook))
+            except _LINE_FAULTS as exc:
+                cause = _line_fault(line) or exc
+                raise DatasetError(f"{path}: line {lineno}: {cause}") from cause
+            yield inst
+
+
+_LINE_FAULTS = (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError)
+
+
+def _line_fault(line: str) -> Exception | None:
+    """What is wrong with a line, from the slower reading that names causes."""
+    try:
+        instance_from_dict(json.loads(line))
+    except _LINE_FAULTS as exc:
+        return exc
+    return None
 
 
 @dataclass

@@ -20,6 +20,10 @@ ITEMS = ("barstool", "chair", "easel", "hatrack", "lamp", "sofa")
 FLOORS = ("blue", "brick", "concrete", "flower", "grass", "gravel", "wood", "yellow")
 WALL_PAINTINGS = ("butterfly", "fish", "tower")
 
+# The (floor, wall painting) value of every edge attribute, shared by all
+# worlds: _EDGE_ATTRS[floor][wall].
+_EDGE_ATTRS = {f: {w: (f, w) for w in WALL_PAINTINGS} for f in FLOORS}
+
 
 class Direction(IntEnum):
     NORTH = 0
@@ -84,14 +88,14 @@ class Hall:
     """Maximal run of collinear consecutive edges sharing one floor pattern."""
 
     axis: str  # "horizontal" | "vertical"
-    edges: list[Edge]
+    edges: tuple[Edge, ...]
     floor: str | None = None
 
 
 @dataclass
 class Area:
     id: int
-    nodes: list[Node]
+    nodes: tuple[Node, ...]
     wall: str
 
 
@@ -124,27 +128,43 @@ class _Grid(NamedTuple):
     """Tables of one width x height grid, indexed by node index y*width + x.
 
     A node's links are its grid neighbours as (node index, normalised edge)
-    in N, E, S, W order; bit p of an open mask stands for link p. The edge
-    tuples are shared by every maze of this size, so set and dict lookups
-    of them mostly succeed on identity.
+    in N, E, S, W order; bit p of an open mask stands for link p. The node
+    and edge tuples are shared by every world of this size, generated or
+    read, so set and dict lookups of them mostly succeed on identity, and
+    containers that hold only them drop out of the garbage collector.
     """
 
     nodes: tuple[Node, ...]
     candidates: tuple[tuple[tuple[tuple[int, Edge], ...], ...], ...]  # [node][open mask] -> links
     all_open: tuple[int, ...]  # [node] -> open mask with every link set
     closers: tuple[tuple[tuple[int, int], ...], ...]  # [node] -> (neighbour, mask clearing node's bit there)
+    open_nodes: tuple[tuple[tuple[Node, ...], ...], ...]  # [node][open mask] -> neighbour nodes
+    edge_bits: dict[Edge, int]  # edge -> its link's bit in byte i and byte j of the open masks
+    quad_edges: dict[tuple[int, int, int, int], Edge]  # (x0, y0, x1, y1), either way round -> edge
+    key_nodes: dict[str, Node]  # "x,y" -> node
+    pair_nodes: dict[tuple[int, int], Node]  # (x, y) -> node
+    # Hall order: horizontal edges by row then column, then vertical edges by
+    # column then row; consecutive edges of a line have consecutive ranks.
+    rank: dict[Edge, int]
+    vertical_from: int  # rank of the first vertical edge
+    runs_from: dict[int, tuple[tuple[Edge, ...], ...]]  # rank -> straight runs from it, by length - 1
+    quad_runs: dict[tuple[tuple[int, int, int, int], ...], tuple[Edge, ...]]  # a run's quads -> run
+    strips: dict[tuple[Node, ...], tuple[Node, ...]]  # every strip's nodes -> themselves
+    strip_at: dict[tuple[int, int, int], tuple[Node, ...]]  # (axis, lo, hi) -> nodes of the strip
 
 
 @functools.lru_cache(maxsize=16)
 def _grid(width: int, height: int) -> _Grid:
     nodes = tuple((x, y) for y in range(height) for x in range(width))
     links = []
+    one: dict[Edge, Edge] = {}  # one tuple per edge, shared by both of its links
     for x, y in nodes:
         row = []
         for dx, dy in DELTAS.values():
             nx, ny = x + dx, y + dy
             if 0 <= nx < width and 0 <= ny < height:
-                row.append((ny * width + nx, norm_edge((x, y), (nx, ny))))
+                e = norm_edge(nodes[y * width + x], nodes[ny * width + nx])
+                row.append((ny * width + nx, one.setdefault(e, e)))
         links.append(row)
     candidates = tuple(
         tuple(tuple(link for p, link in enumerate(row) if mask >> p & 1)
@@ -154,11 +174,48 @@ def _grid(width: int, height: int) -> _Grid:
     closers = tuple(
         tuple((j, ~(1 << [k for k, _ in links[j]].index(i))) for j, _ in row)
         for i, row in enumerate(links))
-    return _Grid(nodes, candidates, all_open, closers)
+    open_nodes = tuple(tuple(tuple(nodes[j] for j, _ in opts) for opts in row)
+                       for row in candidates)
+    # An edge's open-link bits, byte i for node i; edges add up to the open masks.
+    edge_bits: dict[Edge, int] = {}
+    for i, row in enumerate(links):
+        for p, (_, e) in enumerate(row):
+            edge_bits[e] = edge_bits.get(e, 0) | 1 << (8 * i + p)
+    quad_edges = {}
+    for e in edge_bits:
+        (x0, y0), (x1, y1) = e
+        quad_edges[(x0, y0, x1, y1)] = quad_edges[(x1, y1, x0, y0)] = e
+    rows = [[quad_edges[(x, y, x + 1, y)] for x in range(width - 1)] for y in range(height)]
+    cols = [[quad_edges[(x, y, x, y + 1)] for y in range(height - 1)] for x in range(width)]
+    vertical_from = width * height
+    # Line k starts at rank offset + k * stride, one more than a line holds.
+    rank = {e: offset + k * stride + pos
+            for lines, offset, stride in ((rows, 0, width), (cols, vertical_from, height))
+            for k, line in enumerate(lines) for pos, e in enumerate(line)}
+    runs_from = {rank[line[i]]: tuple(tuple(line[i:j]) for j in range(i + 1, len(line) + 1))
+                 for line in rows + cols for i in range(len(line))}
+    quad_runs = {tuple((a[0], a[1], b[0], b[1]) for a, b in run): run
+                 for runs in runs_from.values() for run in runs}
+    # Strips of columns (axis 0) or rows (axis 1) [lo, hi), nodes in row-major order.
+    strip_at = {(axis, lo, hi): tuple(n for n in nodes if lo <= n[axis] < hi)
+                for axis, size in ((0, width), (1, height))
+                for lo in range(size) for hi in range(lo + 1, size + 1)}
+    return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_bits, quad_edges,
+                 {f"{n[0]},{n[1]}": n for n in nodes}, {n: n for n in nodes},
+                 rank, vertical_from, runs_from, quad_runs,
+                 {strip: strip for strip in strip_at.values()}, strip_at)
 
 
 @dataclass
 class WorldMap:
+    """A decorated maze. Edges are normalised unit edges between grid nodes.
+
+    Hall edges, area nodes and neighbour lists are tuples and the node and
+    edge tuples come from the per-size table, so the garbage collector
+    stops tracking them (and the dicts that hold only them) at its first
+    pass over the world.
+    """
+
     width: int
     height: int
     edges: frozenset[Edge]
@@ -166,14 +223,25 @@ class WorldMap:
     halls: list[Hall]
     edge_attrs: dict[Edge, tuple[str, str]]  # edge -> (floor, wall painting)
     areas: list[Area]
-    neighbors: dict[Node, list[Node]] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        adj: dict[Node, list[Node]] = {node: [] for node in _grid(self.width, self.height).nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        self.neighbors = adj
+    # Open neighbours of every node in N, E, S, W order, built on first use.
+    neighbors: dict[Node, tuple[Node, ...]] = field(init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # Only reached while `neighbors` is unset; it is then stored as a plain
+        # attribute, which keeps the instance's attributes out of a tracked dict.
+        if name != "neighbors":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grid = _grid(self.width, self.height)
+        try:
+            masks = sum(map(grid.edge_bits.__getitem__, self.edges))
+        except KeyError:
+            e = next(e for e in self.edges if e not in grid.edge_bits)
+            raise ValueError(f"edge {e} does not join grid neighbours of the "
+                             f"{self.width}x{self.height} map") from None
+        masks = masks.to_bytes(len(grid.nodes), "little")
+        self.neighbors = {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
+        return self.neighbors
 
     def in_bounds(self, node: Node) -> bool:
         return 0 <= node[0] < self.width and 0 <= node[1] < self.height
@@ -252,13 +320,33 @@ def compute_halls(edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
     cols.sort()
     halls: list[Hall] = []
     for axis, keyed in (("horizontal", rows), ("vertical", cols)):
+        run: list[Edge] = []
         last_line, last = None, 0
         for line, pos, e in keyed:
-            if line != last_line or pos != last + 1:
-                run: list[Edge] = []
-                halls.append(Hall(axis, run))
+            if run and (line != last_line or pos != last + 1):
+                halls.append(Hall(axis, tuple(run)))
+                run = []
             run.append(e)
             last_line, last = line, pos
+        if run:
+            halls.append(Hall(axis, tuple(run)))
+    return halls
+
+
+def _table_halls(grid: _Grid, edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
+    """compute_halls for edges of `grid`, each hall's edges being one of the
+    table's runs. KeyError for an edge not in the table."""
+    ranks = sorted(map(grid.rank.__getitem__, edges))
+    ranks.append(-2)  # closes the last run
+    runs_from, vertical_from = grid.runs_from, grid.vertical_from
+    halls: list[Hall] = []
+    start, prev = ranks[0], ranks[0] - 1
+    for r in ranks:
+        if r != prev + 1:
+            halls.append(Hall("horizontal" if start < vertical_from else "vertical",
+                              runs_from[start][prev - start]))
+            start = r
+        prev = r
     return halls
 
 
@@ -271,13 +359,6 @@ def _cut_bounds(width: int, height: int, n_areas: int,
     axis = axes[rng.randrange(len(axes))]
     size = height if axis else width
     return axis, [0, *sorted(rng.sample(range(1, size), n_areas - 1)), size]
-
-
-def _strip_nodes(width: int, height: int, axis: int, lo: int, hi: int) -> list[Node]:
-    """Nodes with coordinate `axis` in [lo, hi), in row-major order."""
-    if axis:
-        return [(x, y) for y in range(lo, hi) for x in range(width)]
-    return [(x, y) for y in range(height) for x in range(lo, hi)]
 
 
 def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
@@ -294,10 +375,14 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
     randrange, random_ = rng.randrange, rng.random
     p_item, n_items = cfg.p_item, len(ITEMS)
     items: dict[Node, str] = {}
-    for node in _grid(width, height).nodes:
+    grid = _grid(width, height)
+    for node in grid.nodes:
         if random_() < p_item:
             items[node] = ITEMS[randrange(n_items)]
-    halls = compute_halls(edges)
+    try:
+        halls = _table_halls(grid, edges)
+    except KeyError:  # not unit edges of this grid
+        halls = compute_halls(edges)
     n_floors = len(FLOORS)
     for hall in halls:
         hall.floor = FLOORS[randrange(n_floors)]
@@ -314,10 +399,12 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
         axis, bounds = 0, [0, width]
     n_strips = len(bounds) - 1
     paintings = rng.sample(WALL_PAINTINGS, n_strips)
-    areas = [Area(i, _strip_nodes(width, height, axis, bounds[i], bounds[i + 1]), paintings[i])
+    strip_at = grid.strip_at
+    areas = [Area(i, strip_at[axis, bounds[i], bounds[i + 1]], paintings[i])
              for i in range(n_strips)]
     wall_at = [paintings[i] for i in range(n_strips) for _ in range(bounds[i], bounds[i + 1])]
-    edge_attrs = {e: (hall.floor, wall_at[e[0][axis]]) for hall in halls for e in hall.edges}
+    edge_attrs = {e: _EDGE_ATTRS[hall.floor][wall_at[e[0][axis]]]
+                  for hall in halls for e in hall.edges}
     return WorldMap(width, height, frozenset(edges), items, halls, edge_attrs, areas)
 
 
@@ -494,22 +581,127 @@ def world_to_dict(world: WorldMap) -> dict:
     }
 
 
-def world_from_dict(data: dict) -> WorldMap:
-    def to_edge(quad: list[int]) -> Edge:
-        return norm_edge((quad[0], quad[1]), (quad[2], quad[3]))
+# Known names, mapped to the module's own strings so that read worlds share them.
+_ITEM_NAMES = {n: n for n in ITEMS}
+_WALL_NAMES = {n: n for n in WALL_PAINTINGS}
+_HALL_FLOORS = {None: None, **{n: n for n in FLOORS}}
+_AXES = {n: n for n in ("horizontal", "vertical")}
 
-    edges = frozenset(to_edge(q) for q in data["edges"])
-    items = {}
+
+def map_object_hook(obj: dict):
+    """`object_hook` for json.loads of text holding world_to_dict maps.
+
+    Each edge attribute, hall and area becomes a tuple as soon as it is
+    parsed, and each map a WorldMap, so the parse tree's many small dicts
+    and lists are freed while the line is still being read instead of all
+    living until its end (fewer garbage collections per line read). A
+    malformed map raises KeyError, TypeError or ValueError without a named
+    cause; world_from_dict on the plain parse names it.
+    """
+    if "edge" in obj:
+        return tuple(obj["edge"]), obj["floor"], obj["wall"]
+    if "axis" in obj:
+        return obj["axis"], tuple(map(tuple, obj["edges"])), obj["floor"]
+    if "nodes" in obj:
+        return obj["id"], tuple(map(tuple, obj["nodes"])), obj["wall"]
+    if "edgeAttrs" in obj:
+        return _world_of(obj)
+    return obj
+
+
+def world_from_dict(data: dict) -> WorldMap:
+    """Inverse of world_to_dict.
+
+    Edges and nodes resolve through the per-size table and names through
+    the known-name tables, so a read world holds the same objects as a
+    generated world of its size. An entry off the grid, an unknown name or
+    an edge without attributes raises ValueError naming it.
+    """
+    compact = dict(data)
+    try:
+        for key in ("halls", "edgeAttrs", "areas"):
+            compact[key] = [map_object_hook(entry) for entry in data[key]]
+        return _world_of(compact)
+    except (KeyError, TypeError, ValueError) as exc:
+        cause = _map_fault(data)
+        if cause is None:
+            raise
+        raise ValueError(cause) from exc
+
+
+def _world_of(data: dict) -> WorldMap:
+    """A serialised map whose halls, edge attributes and areas are the
+    tuples map_object_hook makes of them."""
+    width, height = data["width"], data["height"]
+    if type(width) is not int or type(height) is not int or width < 1 or height < 1:
+        raise ValueError(f"map sides must be integers >= 1, got {width!r} x {height!r}")
+    grid = _grid(width, height)
+    edge_of, runs, key_nodes = grid.quad_edges.__getitem__, grid.quad_runs, grid.key_nodes
+    edges = frozenset(map(edge_of, map(tuple, data["edges"])))
+    items = {key_nodes[key]: _ITEM_NAMES[item] for key, item in data["items"].items()}
+    halls = [Hall(_AXES[axis], runs.get(quads) or tuple(map(edge_of, quads)), _HALL_FLOORS[floor])
+             for axis, quads, floor in data["halls"]]
+    edge_attrs = {edge_of(quad): _EDGE_ATTRS[floor][wall]
+                  for quad, floor, wall in data["edgeAttrs"]}
+    areas = []
+    for i, pairs, wall in data["areas"]:
+        nodes = tuple(map(grid.pair_nodes.__getitem__, pairs))
+        areas.append(Area(i, grid.strips.get(nodes, nodes), _WALL_NAMES[wall]))
+    if edge_attrs.keys() != edges:
+        raise ValueError("the edge attributes do not match the edges")
+    return WorldMap(width, height, edges, items, halls, edge_attrs, areas)
+
+
+def _map_fault(data: dict) -> str | None:
+    """The first entry of a serialised map that is off its grid, names an
+    unknown item, floor, wall painting or axis, or has no edge attributes
+    (or attributes but no edge); None if there is none."""
+    width, height = data["width"], data["height"]
+    if type(width) is not int or type(height) is not int or width < 1 or height < 1:
+        return None
+    grid = _grid(width, height)
+    where = f"the {width}x{height} map"
+    quads = grid.quad_edges
+
+    def known(table: dict, key) -> bool:
+        try:
+            return key in table
+        except TypeError:  # unhashable
+            return False
+
+    def edge_fault(q) -> str | None:
+        if isinstance(q, list) and known(quads, tuple(q)):
+            return None
+        return f"edge {q!r} does not join grid neighbours of {where}"
+
+    def node_fault(p) -> str | None:
+        if isinstance(p, list) and known(grid.pair_nodes, tuple(p)):
+            return None
+        return f"area node {p!r} is outside {where}"
+
+    def name_fault(kind: str, table: dict, name) -> str | None:
+        return None if known(table, name) else f"unknown {kind} {name!r}"
+
+    faults = [edge_fault(q) for q in data["edges"]]
     for key, item in data["items"].items():
-        x, y = key.split(",")
-        items[(int(x), int(y))] = item
-    halls = [
-        Hall(h["axis"], [to_edge(q) for q in h["edges"]], h["floor"])
-        for h in data["halls"]
-    ]
-    edge_attrs = {to_edge(ea["edge"]): (ea["floor"], ea["wall"]) for ea in data["edgeAttrs"]}
-    areas = [
-        Area(aa["id"], [(x, y) for x, y in aa["nodes"]], aa["wall"])
-        for aa in data["areas"]
-    ]
-    return WorldMap(data["width"], data["height"], edges, items, halls, edge_attrs, areas)
+        if not known(grid.key_nodes, key):
+            faults.append(f"item node {key!r} is outside {where}")
+        faults.append(name_fault("item", _ITEM_NAMES, item))
+    for h in data["halls"]:
+        faults += [name_fault("axis", _AXES, h["axis"]), *map(edge_fault, h["edges"]),
+                   name_fault("floor", _HALL_FLOORS, h["floor"])]
+    for ea in data["edgeAttrs"]:
+        faults += [edge_fault(ea["edge"]), name_fault("floor", _EDGE_ATTRS, ea["floor"]),
+                   name_fault("wall", _WALL_NAMES, ea["wall"])]
+    for aa in data["areas"]:
+        faults += [*map(node_fault, aa["nodes"]), name_fault("wall", _WALL_NAMES, aa["wall"])]
+    fault = next(filter(None, faults), None)
+    if fault is not None:
+        return fault
+    edges = {quads[tuple(q)] for q in data["edges"]}
+    attributed = {quads[tuple(ea["edge"])] for ea in data["edgeAttrs"]}
+    for e in sorted(edges ^ attributed):
+        quad = [*e[0], *e[1]]
+        return f"edge {quad} has no attributes" if e in edges else \
+            f"edge attributes for {quad}, which is not an edge"
+    return None

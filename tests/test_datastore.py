@@ -1,5 +1,6 @@
 """Serialization, splitting, and vocabulary tests."""
 
+import gc
 import json
 import random
 
@@ -18,7 +19,16 @@ from mazenav.datastore import (
     write_instances,
 )
 from mazenav.langgen import DEFAULT_MIX, Instance, TaskCategory, generate_dataset
-from mazenav.worldsim import Action, Direction, Pose, WorldConfig, generate_world
+from mazenav.worldsim import (
+    Action,
+    Direction,
+    Pose,
+    WorldConfig,
+    _grid,
+    generate_world,
+    world_from_dict,
+    world_to_dict,
+)
 
 
 def sample_instances(n, seed=0):
@@ -178,3 +188,140 @@ class TestVocabulary:
         closure = set(TemplateBank.load_default().vocabulary())
         vocab = build_vocab(sample_instances(300, seed=9))
         assert set(vocab.tokens[1:]) <= closure
+
+
+def line_instance(width=3, height=1, seed=0):
+    """A one-instance dict on a width x height map, as a JSONL line holds it."""
+    world = generate_world(random.Random(seed), WorldConfig(width, height, p_item=1.0))
+    inst = Instance(id=0, seed=0, category=TaskCategory.LANGUAGE_ONLY, world=world,
+                    start=Pose(0, 0, Direction.EAST), instruction=["go"],
+                    actions=[Action.MOVE, Action.STOP])
+    return instance_to_dict(inst)
+
+
+def read_one(tmp_path, data):
+    path = tmp_path / "one.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    return list(read_instances(str(path)))
+
+
+class TestReaderValidation:
+    def test_valid_line_reads(self, tmp_path):
+        (inst,) = read_one(tmp_path, line_instance())
+        assert inst.world.width == 3 and inst.start == Pose(0, 0, Direction.EAST)
+
+    @pytest.mark.parametrize("mutate, cause", [
+        (lambda d: d["map"]["edges"].append([0, 0, 2, 0]),
+         r"edge \[0, 0, 2, 0\] does not join grid neighbours of the 3x1 map"),
+        (lambda d: d["map"]["halls"][0]["edges"].append([1, 0, 1, 1]),
+         r"edge \[1, 0, 1, 1\] does not join grid neighbours of the 3x1 map"),
+        (lambda d: d["map"]["items"].update({"3,0": "lamp"}),
+         r"item node '3,0' is outside the 3x1 map"),
+        (lambda d: d["map"]["areas"][0]["nodes"].append([0, 1]),
+         r"area node \[0, 1\] is outside the 3x1 map"),
+        (lambda d: d["start"].update(x=3), r"start \(3, 0\) is outside the 3x1 map"),
+        (lambda d: d["start"].update(y=-1), r"start \(0, -1\) is outside the 3x1 map"),
+        (lambda d: d["map"].update(width=0), r"map sides must be integers >= 1, got 0 x 1"),
+        (lambda d: d["map"].update(height=-2), r"map sides must be integers >= 1"),
+        (lambda d: d["actions"].insert(0, "JUMP"), r"unknown action 'JUMP'"),
+        (lambda d: d["start"].update(dir="UP"), r"unknown direction 'UP'"),
+        (lambda d: d.update(category="Dance"), r"unknown category 'Dance'"),
+        (lambda d: d["map"]["items"].update({"1,0": "piano"}), r"unknown item 'piano'"),
+        (lambda d: d["map"]["edgeAttrs"][0].update(floor="lava"), r"unknown floor 'lava'"),
+        (lambda d: d["map"]["edgeAttrs"].pop(), r"edge \[1, 0, 2, 0\] has no attributes"),
+    ])
+    def test_malformed_map_names_cause(self, tmp_path, mutate, cause):
+        data = line_instance()
+        mutate(data)
+        with pytest.raises(DatasetError, match=r"one\.jsonl: line 1: " + cause):
+            read_one(tmp_path, data)
+
+    def test_world_from_dict_raises_value_error(self):
+        data = line_instance()["map"]
+        data["edges"].append([0, 0, 2, 0])
+        with pytest.raises(ValueError, match="does not join grid neighbours"):
+            world_from_dict(data)
+
+    def test_missing_key_still_named(self, tmp_path):
+        data = line_instance()
+        del data["map"]["halls"][0]["floor"]
+        with pytest.raises(DatasetError, match="line 1: 'floor'"):
+            read_one(tmp_path, data)
+
+
+class TestAtomicWrite:
+    def test_failed_stream_leaves_target_and_no_temp(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_instances(sample_instances(3), str(path))
+        before = path.read_bytes()
+
+        def failing():
+            yield from sample_instances(2, seed=4)
+            raise RuntimeError("generator died")
+
+        with pytest.raises(RuntimeError, match="generator died"):
+            write_instances(failing(), str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    def test_new_file_appears_only_when_complete(self, tmp_path):
+        path = tmp_path / "new.jsonl"
+
+        def failing():
+            yield sample_instances(1)[0]
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            write_instances(failing(), str(path))
+        assert list(tmp_path.iterdir()) == []
+        assert write_instances(sample_instances(2), str(path)) == 2
+        assert len(list(read_instances(str(path)))) == 2
+
+
+class TestReadBackEquivalence:
+    def test_read_world_equals_generated_across_sizes(self, tmp_path):
+        instances = []
+        for width in range(1, 11):
+            for height in range(1, 11):
+                for p_item in (0.0, 0.25, 1.0):
+                    rng = random.Random(width * 100 + height * 7 + int(p_item * 4))
+                    world = generate_world(rng, WorldConfig(width, height, p_item))
+                    instances.append(fake_instance(len(instances), TaskCategory.ORIENT, world))
+        path = str(tmp_path / "sizes.jsonl")
+        write_instances(instances, path)
+        for inst, back in zip(instances, read_instances(path), strict=True):
+            plain = world_from_dict(json.loads(json.dumps(world_to_dict(inst.world))))
+            for world in (back.world, plain):
+                assert world == inst.world
+                assert list(world.neighbors.items()) == list(inst.world.neighbors.items())
+                assert [h.edges for h in world.halls] == [h.edges for h in inst.world.halls]
+                assert [a.nodes for a in world.areas] == [a.nodes for a in inst.world.areas]
+            assert instance_to_dict(back) == instance_to_dict(inst)
+
+
+class TestGcBudget:
+    def tracked(self, world):
+        objects = [("neighbors", world.neighbors), ("edge_attrs", world.edge_attrs),
+                   ("items", world.items)]
+        objects += [("neighbors value", v) for v in world.neighbors.values()]
+        objects += [("hall edges", h.edges) for h in world.halls]
+        objects += [("area nodes", a.nodes) for a in world.areas]
+        return [name for name, obj in objects if gc.is_tracked(obj)]
+
+    def test_world_data_drops_out_of_the_collector(self, tmp_path):
+        instances = sample_instances(20, seed=2)
+        path = str(tmp_path / "gc.jsonl")
+        write_instances(instances, path)
+        back = list(read_instances(path))
+        for inst in instances + back:
+            inst.world.neighbors  # built on first use
+        gc.collect()
+        for inst in instances + back:
+            assert self.tracked(inst.world) == []
+        for inst in instances + back:
+            grid = _grid(inst.world.width, inst.world.height)
+            for e in inst.world.edges:
+                assert grid.quad_edges[(*e[0], *e[1])] is e
+            for hall in inst.world.halls:
+                assert all(grid.quad_edges[(*e[0], *e[1])] is e for e in hall.edges)
+            assert all(k is grid.pair_nodes[k] for k in inst.world.items)

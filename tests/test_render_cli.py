@@ -379,6 +379,20 @@ class TestCliErrors:
         assert "12x12" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_train_rejects_malformed_map_before_model(self, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        inst = next(iter(generate_dataset(DEFAULT_MIX, 1, 3, config=WorldConfig(3, 1, min_dist=1))))
+        line = datastore.instance_to_dict(inst)
+        line["map"]["edges"].append([0, 0, 2, 0])
+        data.write_text(json.dumps(line) + "\n")
+        ckpt = tmp_path / "m.npz"
+        rc = main(["train", "--data", str(data), "--out-checkpoint", str(ckpt),
+                   "--max-epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{data}: line 1: edge [0, 0, 2, 0] does not join grid neighbours of the 3x1 map" in err
+        assert not ckpt.exists() and not (tmp_path / "m.npz.history.csv").exists()
+
     def test_nonpositive_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
         with pytest.raises(SystemExit) as exc:

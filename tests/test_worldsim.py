@@ -102,6 +102,16 @@ class TestHalls:
     def test_single_node_map_has_no_halls(self):
         assert compute_halls(set()) == []
 
+    def test_decorated_halls_match_compute_halls(self):
+        # decorate takes halls from the per-size table; compute_halls is the reference
+        for width, height in [(1, 1), (1, 6), (6, 1), (2, 3), (8, 8), (10, 7)]:
+            for seed in range(20):
+                edges = generate_maze(width, height, random.Random(seed))
+                world = decorate(edges, random.Random(seed), WorldConfig(width, height))
+                expected = compute_halls(edges)
+                assert [(h.axis, h.edges) for h in world.halls] == \
+                       [(h.axis, h.edges) for h in expected]
+
 
 class TestDecoration:
     def test_world_invariants(self):
@@ -294,3 +304,22 @@ class TestSerialization:
         once = json.dumps(world_to_dict(world), sort_keys=False)
         twice = json.dumps(world_to_dict(world), sort_keys=False)
         assert once == twice
+
+
+class TestNeighbors:
+    def test_order_is_north_east_south_west(self):
+        world = generate_world(random.Random(4), WorldConfig(5, 5))
+        for node, nbs in world.neighbors.items():
+            assert isinstance(nbs, tuple)
+            dirs = [(nb[0] - node[0], nb[1] - node[1]) for nb in nbs]
+            order = [(0, -1), (1, 0), (0, 1), (-1, 0)]
+            assert dirs == [d for d in order if d in dirs]
+            assert sorted(nbs) == sorted(b if a == node else a
+                                         for a, b in world.edges if node in (a, b))
+
+    def test_edge_off_the_grid_is_named(self):
+        from mazenav.worldsim import Area
+        edges = frozenset({((0, 0), (2, 0))})
+        world = WorldMap(3, 1, edges, {}, [], {}, [Area(0, ((0, 0), (1, 0), (2, 0)), "fish")])
+        with pytest.raises(ValueError, match="does not join grid neighbours of the 3x1 map"):
+            world.neighbors

@@ -7,12 +7,13 @@ import json
 import os
 import random
 import secrets
+import stat
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .langgen import Instance, TaskCategory
-from .worldsim import (Action, Direction, Pose, WorldMap, map_object_hook, world_from_dict,
-                       world_to_dict)
+from .worldsim import (Action, Direction, Lookup, Pose, WorldMap, map_object_hook,
+                       world_from_dict, world_to_dict)
 
 UNK = "<unk>"
 UNK_INDEX = 0
@@ -35,22 +36,11 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-_CATEGORIES = {c.value: c for c in TaskCategory}
-_DIRECTIONS = {d.name: d for d in Direction}
-_ACTIONS = {a.value: a for a in Action}
+_CATEGORIES = Lookup({c.value: c for c in TaskCategory}, "unknown category {!r}".format)
+_DIRECTIONS = Lookup({d.name: d for d in Direction}, "unknown direction {!r}".format)
+_ACTIONS = Lookup({a.value: a for a in Action}, "unknown action {!r}".format)
 # Poses are immutable, so read instances share them.
 _pose = functools.lru_cache(maxsize=4096)(Pose)
-
-
-def _unknown_name(category, heading, actions) -> str | None:
-    """The first of these names that is not a known one, as a message."""
-    for kind, known, names in (("category", _CATEGORIES, [category]),
-                               ("direction", _DIRECTIONS, [heading]),
-                               ("action", _ACTIONS, actions)):
-        for name in names:
-            if not isinstance(name, str) or name not in known:
-                return f"unknown {kind} {name!r}"
-    return None
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -60,17 +50,11 @@ def instance_from_dict(data: dict) -> Instance:
     world = data["map"]
     if not isinstance(world, WorldMap):
         world = world_from_dict(world)
-    start, names = data["start"], data["actions"]
+    start = data["start"]
     x, y = start["x"], start["y"]
-    try:
-        category = _CATEGORIES[data["category"]]
-        heading = _DIRECTIONS[start["dir"]]
-        actions = list(map(_ACTIONS.__getitem__, names))
-    except (KeyError, TypeError):
-        cause = _unknown_name(data["category"], start["dir"], names)
-        if cause is None:
-            raise
-        raise ValueError(cause) from None
+    category = _CATEGORIES[data["category"]]
+    heading = _DIRECTIONS[start["dir"]]
+    actions = list(map(_ACTIONS.__getitem__, data["actions"]))
     if type(x) is not int or type(y) is not int or not world.in_bounds((x, y)):
         raise ValueError(f"start ({x!r}, {y!r}) is outside the "
                          f"{world.width}x{world.height} map")
@@ -88,25 +72,42 @@ def instance_from_dict(data: dict) -> Instance:
 def write_instances(instances: Iterable[Instance], path: str) -> int:
     """Write one compact JSON object per line; returns the line count.
 
-    The lines go to a temporary file beside `path`, which then replaces
-    `path` in one step: a failure partway leaves an existing file as it was.
+    The lines go to a temporary file beside the file `path` names (through
+    any symlinks), which then replaces it in one step with the old file's
+    permissions: a failure partway leaves an existing file as it was. A
+    target that is not a regular file, such as a device, is written in place.
     """
-    folder, name = os.path.split(path)
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as fh:
+            return _write_lines(instances, fh)
+    folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{secrets.token_hex(4)}.tmp")
-    n = 0
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            for inst in instances:
-                fh.write(json.dumps(instance_to_dict(inst), separators=(",", ":")))
-                fh.write("\n")
-                n += 1
-        os.replace(tmp, path)
+            n = _write_lines(instances, fh)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     except BaseException:
         try:
             os.unlink(tmp)
         except FileNotFoundError:
             pass
         raise
+    return n
+
+
+def _write_lines(instances: Iterable[Instance], fh: TextIO) -> int:
+    n = 0
+    for inst in instances:
+        fh.write(json.dumps(instance_to_dict(inst), separators=(",", ":")))
+        fh.write("\n")
+        n += 1
     return n
 
 
@@ -120,22 +121,9 @@ def read_instances(path: str) -> Iterator[Instance]:
                 continue
             try:
                 inst = instance_from_dict(json.loads(line, object_hook=map_object_hook))
-            except _LINE_FAULTS as exc:
-                cause = _line_fault(line) or exc
-                raise DatasetError(f"{path}: line {lineno}: {cause}") from cause
+            except (KeyError, ValueError, TypeError, AttributeError) as exc:
+                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
             yield inst
-
-
-_LINE_FAULTS = (json.JSONDecodeError, KeyError, ValueError, TypeError, AttributeError)
-
-
-def _line_fault(line: str) -> Exception | None:
-    """What is wrong with a line, from the slower reading that names causes."""
-    try:
-        instance_from_dict(json.loads(line))
-    except _LINE_FAULTS as exc:
-        return exc
-    return None
 
 
 @dataclass

@@ -11,7 +11,8 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import NamedTuple
+from itertools import chain
+from typing import Callable, NamedTuple
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
@@ -19,11 +20,6 @@ Edge = tuple[Node, Node]
 ITEMS = ("barstool", "chair", "easel", "hatrack", "lamp", "sofa")
 FLOORS = ("blue", "brick", "concrete", "flower", "grass", "gravel", "wood", "yellow")
 WALL_PAINTINGS = ("butterfly", "fish", "tower")
-
-# The (floor, wall painting) value of every edge attribute, shared by all
-# worlds: _EDGE_ATTRS[floor][wall].
-_EDGE_ATTRS = {f: {w: (f, w) for w in WALL_PAINTINGS} for f in FLOORS}
-
 
 class Direction(IntEnum):
     NORTH = 0
@@ -124,6 +120,26 @@ def norm_edge(a: Node, b: Node) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
+class Lookup(dict):
+    """A table whose missing key raises ValueError(fault(key)), so that a
+    lookup of a read entry names what is wrong with it."""
+
+    __slots__ = ("fault",)
+
+    def __init__(self, entries, fault: Callable[[object], str]):
+        super().__init__(entries)
+        self.fault = fault
+
+    def __missing__(self, key):
+        raise ValueError(self.fault(key))
+
+
+# The (floor, wall painting) value of every edge attribute, shared by all
+# worlds: _EDGE_ATTRS[floor][wall].
+_EDGE_ATTRS = Lookup({f: Lookup({w: (f, w) for w in WALL_PAINTINGS}, "unknown wall {!r}".format)
+                     for f in FLOORS}, "unknown floor {!r}".format)
+
+
 class _Grid(NamedTuple):
     """Tables of one width x height grid, indexed by node index y*width + x.
 
@@ -132,6 +148,8 @@ class _Grid(NamedTuple):
     and edge tuples are shared by every world of this size, generated or
     read, so set and dict lookups of them mostly succeed on identity, and
     containers that hold only them drop out of the garbage collector.
+    The tables hold O(width * height) entries; the two hall caches at the
+    end fill as worlds are built or read.
     """
 
     nodes: tuple[Node, ...]
@@ -139,18 +157,22 @@ class _Grid(NamedTuple):
     all_open: tuple[int, ...]  # [node] -> open mask with every link set
     closers: tuple[tuple[tuple[int, int], ...], ...]  # [node] -> (neighbour, mask clearing node's bit there)
     open_nodes: tuple[tuple[tuple[Node, ...], ...], ...]  # [node][open mask] -> neighbour nodes
-    edge_bits: dict[Edge, int]  # edge -> its link's bit in byte i and byte j of the open masks
-    quad_edges: dict[tuple[int, int, int, int], Edge]  # (x0, y0, x1, y1), either way round -> edge
-    key_nodes: dict[str, Node]  # "x,y" -> node
-    pair_nodes: dict[tuple[int, int], Node]  # (x, y) -> node
+    edge_links: Lookup  # edge -> (i, bit of its link in i's open mask, j, bit in j's)
+    quad_edges: Lookup  # (x0, y0, x1, y1), either way round -> edge
+    key_nodes: Lookup  # "x,y" -> node
     # Hall order: horizontal edges by row then column, then vertical edges by
-    # column then row; consecutive edges of a line have consecutive ranks.
+    # column then row. Line k of either kind starts at its offset plus k times
+    # one more than the line holds, so the ranks of a straight run are
+    # consecutive and two lines never touch.
     rank: dict[Edge, int]
+    by_rank: tuple[Edge | None, ...]  # [rank] -> edge; None between lines
     vertical_from: int  # rank of the first vertical edge
-    runs_from: dict[int, tuple[tuple[Edge, ...], ...]]  # rank -> straight runs from it, by length - 1
-    quad_runs: dict[tuple[tuple[int, int, int, int], ...], tuple[Edge, ...]]  # a run's quads -> run
-    strips: dict[tuple[Node, ...], tuple[Node, ...]]  # every strip's nodes -> themselves
-    strip_at: dict[tuple[int, int, int], tuple[Node, ...]]  # (axis, lo, hi) -> nodes of the strip
+    # Hall edges met so far, each kept once so that worlds share them: a world
+    # then keeps no hall tuples of its own, which leaves fewer allocations for
+    # the collector to count and scan. Both grow with the distinct halls in
+    # use (most are a few edges long), not with the grid.
+    runs: dict[tuple[int, int], tuple[Edge, ...]]  # (first, last rank) -> straight run
+    quad_runs: dict[tuple[tuple[int, ...], ...], tuple[Edge, ...]]  # read hall's quads -> edges
 
 
 @functools.lru_cache(maxsize=16)
@@ -176,34 +198,28 @@ def _grid(width: int, height: int) -> _Grid:
         for i, row in enumerate(links))
     open_nodes = tuple(tuple(tuple(nodes[j] for j, _ in opts) for opts in row)
                        for row in candidates)
-    # An edge's open-link bits, byte i for node i; edges add up to the open masks.
-    edge_bits: dict[Edge, int] = {}
+    where = f"the {width}x{height} map"
+    edge_links = Lookup((), lambda e: f"edge {e} does not join grid neighbours of {where}")
     for i, row in enumerate(links):
         for p, (_, e) in enumerate(row):
-            edge_bits[e] = edge_bits.get(e, 0) | 1 << (8 * i + p)
-    quad_edges = {}
-    for e in edge_bits:
+            edge_links[e] = edge_links.get(e, ()) + (i, 1 << p)
+    quad_edges = Lookup((), lambda q: f"edge {list(q)} does not join grid neighbours of {where}")
+    for e in edge_links:
         (x0, y0), (x1, y1) = e
         quad_edges[(x0, y0, x1, y1)] = quad_edges[(x1, y1, x0, y0)] = e
-    rows = [[quad_edges[(x, y, x + 1, y)] for x in range(width - 1)] for y in range(height)]
-    cols = [[quad_edges[(x, y, x, y + 1)] for y in range(height - 1)] for x in range(width)]
+    key_nodes = Lookup({f"{n[0]},{n[1]}": n for n in nodes},
+                       lambda key: f"item node {key!r} is outside {where}")
     vertical_from = width * height
-    # Line k starts at rank offset + k * stride, one more than a line holds.
-    rank = {e: offset + k * stride + pos
-            for lines, offset, stride in ((rows, 0, width), (cols, vertical_from, height))
-            for k, line in enumerate(lines) for pos, e in enumerate(line)}
-    runs_from = {rank[line[i]]: tuple(tuple(line[i:j]) for j in range(i + 1, len(line) + 1))
-                 for line in rows + cols for i in range(len(line))}
-    quad_runs = {tuple((a[0], a[1], b[0], b[1]) for a, b in run): run
-                 for runs in runs_from.values() for run in runs}
-    # Strips of columns (axis 0) or rows (axis 1) [lo, hi), nodes in row-major order.
-    strip_at = {(axis, lo, hi): tuple(n for n in nodes if lo <= n[axis] < hi)
-                for axis, size in ((0, width), (1, height))
-                for lo in range(size) for hi in range(lo + 1, size + 1)}
-    return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_bits, quad_edges,
-                 {f"{n[0]},{n[1]}": n for n in nodes}, {n: n for n in nodes},
-                 rank, vertical_from, runs_from, quad_runs,
-                 {strip: strip for strip in strip_at.values()}, strip_at)
+    by_rank: list[Edge | None] = [None] * (2 * vertical_from)
+    for y in range(height):
+        for x in range(width - 1):
+            by_rank[y * width + x] = quad_edges[(x, y, x + 1, y)]
+    for x in range(width):
+        for y in range(height - 1):
+            by_rank[vertical_from + x * height + y] = quad_edges[(x, y, x, y + 1)]
+    rank = {e: r for r, e in enumerate(by_rank) if e is not None}
+    return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_links, quad_edges,
+                 key_nodes, rank, tuple(by_rank), vertical_from, {}, {})
 
 
 @dataclass
@@ -233,13 +249,10 @@ class WorldMap:
         if name != "neighbors":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         grid = _grid(self.width, self.height)
-        try:
-            masks = sum(map(grid.edge_bits.__getitem__, self.edges))
-        except KeyError:
-            e = next(e for e in self.edges if e not in grid.edge_bits)
-            raise ValueError(f"edge {e} does not join grid neighbours of the "
-                             f"{self.width}x{self.height} map") from None
-        masks = masks.to_bytes(len(grid.nodes), "little")
+        masks = [0] * len(grid.nodes)
+        for i, bit_i, j, bit_j in map(grid.edge_links.__getitem__, self.edges):
+            masks[i] |= bit_i
+            masks[j] |= bit_j
         self.neighbors = {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
         return self.neighbors
 
@@ -334,20 +347,31 @@ def compute_halls(edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
 
 
 def _table_halls(grid: _Grid, edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
-    """compute_halls for edges of `grid`, each hall's edges being one of the
-    table's runs. KeyError for an edge not in the table."""
+    """compute_halls for unit edges of `grid`: sort the edges' hall-order
+    ranks and cut where they skip. KeyError for an edge not in the table."""
     ranks = sorted(map(grid.rank.__getitem__, edges))
     ranks.append(-2)  # closes the last run
-    runs_from, vertical_from = grid.runs_from, grid.vertical_from
+    by_rank, vertical_from, runs = grid.by_rank, grid.vertical_from, grid.runs
     halls: list[Hall] = []
     start, prev = ranks[0], ranks[0] - 1
     for r in ranks:
         if r != prev + 1:
-            halls.append(Hall("horizontal" if start < vertical_from else "vertical",
-                              runs_from[start][prev - start]))
+            run = runs.get((start, prev))
+            if run is None:
+                run = runs[start, prev] = by_rank[start:prev + 1]
+            halls.append(Hall("horizontal" if start < vertical_from else "vertical", run))
             start = r
         prev = r
     return halls
+
+
+def _strip(grid: _Grid, width: int, axis: int, lo: int, hi: int) -> tuple[Node, ...]:
+    """Nodes of columns (axis 0) or rows (axis 1) [lo, hi), in row-major order."""
+    nodes = grid.nodes
+    if axis:
+        return nodes[lo * width:hi * width]
+    return tuple(chain.from_iterable(nodes[row + lo:row + hi]
+                                     for row in range(0, len(nodes), width)))
 
 
 def _cut_bounds(width: int, height: int, n_areas: int,
@@ -379,10 +403,7 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
     for node in grid.nodes:
         if random_() < p_item:
             items[node] = ITEMS[randrange(n_items)]
-    try:
-        halls = _table_halls(grid, edges)
-    except KeyError:  # not unit edges of this grid
-        halls = compute_halls(edges)
+    halls = _table_halls(grid, edges)
     n_floors = len(FLOORS)
     for hall in halls:
         hall.floor = FLOORS[randrange(n_floors)]
@@ -399,8 +420,7 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
         axis, bounds = 0, [0, width]
     n_strips = len(bounds) - 1
     paintings = rng.sample(WALL_PAINTINGS, n_strips)
-    strip_at = grid.strip_at
-    areas = [Area(i, strip_at[axis, bounds[i], bounds[i + 1]], paintings[i])
+    areas = [Area(i, _strip(grid, width, axis, bounds[i], bounds[i + 1]), paintings[i])
              for i in range(n_strips)]
     wall_at = [paintings[i] for i in range(n_strips) for _ in range(bounds[i], bounds[i + 1])]
     edge_attrs = {e: _EDGE_ATTRS[hall.floor][wall_at[e[0][axis]]]
@@ -582,10 +602,10 @@ def world_to_dict(world: WorldMap) -> dict:
 
 
 # Known names, mapped to the module's own strings so that read worlds share them.
-_ITEM_NAMES = {n: n for n in ITEMS}
-_WALL_NAMES = {n: n for n in WALL_PAINTINGS}
-_HALL_FLOORS = {None: None, **{n: n for n in FLOORS}}
-_AXES = {n: n for n in ("horizontal", "vertical")}
+_ITEM_NAMES = Lookup({n: n for n in ITEMS}, "unknown item {!r}".format)
+_WALL_NAMES = Lookup({n: n for n in WALL_PAINTINGS}, "unknown wall {!r}".format)
+_HALL_FLOORS = Lookup({None: None, **{n: n for n in FLOORS}}, "unknown floor {!r}".format)
+_AXES = Lookup({n: n for n in ("horizontal", "vertical")}, "unknown axis {!r}".format)
 
 
 def map_object_hook(obj: dict):
@@ -595,8 +615,7 @@ def map_object_hook(obj: dict):
     parsed, and each map a WorldMap, so the parse tree's many small dicts
     and lists are freed while the line is still being read instead of all
     living until its end (fewer garbage collections per line read). A
-    malformed map raises KeyError, TypeError or ValueError without a named
-    cause; world_from_dict on the plain parse names it.
+    malformed map raises the ValueError of world_from_dict.
     """
     if "edge" in obj:
         return tuple(obj["edge"]), obj["floor"], obj["wall"]
@@ -613,20 +632,15 @@ def world_from_dict(data: dict) -> WorldMap:
     """Inverse of world_to_dict.
 
     Edges and nodes resolve through the per-size table and names through
-    the known-name tables, so a read world holds the same objects as a
-    generated world of its size. An entry off the grid, an unknown name or
-    an edge without attributes raises ValueError naming it.
+    the known-name tables, so a read world holds the same edge, node and
+    name objects as a generated world of its size. An entry off the grid,
+    an unknown name or an edge without attributes raises ValueError
+    naming it.
     """
     compact = dict(data)
-    try:
-        for key in ("halls", "edgeAttrs", "areas"):
-            compact[key] = [map_object_hook(entry) for entry in data[key]]
-        return _world_of(compact)
-    except (KeyError, TypeError, ValueError) as exc:
-        cause = _map_fault(data)
-        if cause is None:
-            raise
-        raise ValueError(cause) from exc
+    for key in ("halls", "edgeAttrs", "areas"):
+        compact[key] = [map_object_hook(entry) for entry in data[key]]
+    return _world_of(compact)
 
 
 def _world_of(data: dict) -> WorldMap:
@@ -636,72 +650,30 @@ def _world_of(data: dict) -> WorldMap:
     if type(width) is not int or type(height) is not int or width < 1 or height < 1:
         raise ValueError(f"map sides must be integers >= 1, got {width!r} x {height!r}")
     grid = _grid(width, height)
-    edge_of, runs, key_nodes = grid.quad_edges.__getitem__, grid.quad_runs, grid.key_nodes
+    edge_of, key_nodes, nodes = grid.quad_edges.__getitem__, grid.key_nodes, grid.nodes
+    quad_runs = grid.quad_runs
+
+    def node_at(pair) -> Node:
+        x, y = pair
+        if 0 <= x < width and 0 <= y < height:
+            return nodes[y * width + x]
+        raise ValueError(f"area node {list(pair)} is outside the {width}x{height} map")
+
     edges = frozenset(map(edge_of, map(tuple, data["edges"])))
     items = {key_nodes[key]: _ITEM_NAMES[item] for key, item in data["items"].items()}
-    halls = [Hall(_AXES[axis], runs.get(quads) or tuple(map(edge_of, quads)), _HALL_FLOORS[floor])
-             for axis, quads, floor in data["halls"]]
+    halls = []
+    for axis, quads, floor in data["halls"]:
+        run = quad_runs.get(quads)
+        if run is None:
+            run = quad_runs[quads] = tuple(map(edge_of, quads))
+        halls.append(Hall(_AXES[axis], run, _HALL_FLOORS[floor]))
     edge_attrs = {edge_of(quad): _EDGE_ATTRS[floor][wall]
                   for quad, floor, wall in data["edgeAttrs"]}
-    areas = []
-    for i, pairs, wall in data["areas"]:
-        nodes = tuple(map(grid.pair_nodes.__getitem__, pairs))
-        areas.append(Area(i, grid.strips.get(nodes, nodes), _WALL_NAMES[wall]))
+    areas = [Area(i, tuple(map(node_at, pairs)), _WALL_NAMES[wall])
+             for i, pairs, wall in data["areas"]]
     if edge_attrs.keys() != edges:
-        raise ValueError("the edge attributes do not match the edges")
-    return WorldMap(width, height, edges, items, halls, edge_attrs, areas)
-
-
-def _map_fault(data: dict) -> str | None:
-    """The first entry of a serialised map that is off its grid, names an
-    unknown item, floor, wall painting or axis, or has no edge attributes
-    (or attributes but no edge); None if there is none."""
-    width, height = data["width"], data["height"]
-    if type(width) is not int or type(height) is not int or width < 1 or height < 1:
-        return None
-    grid = _grid(width, height)
-    where = f"the {width}x{height} map"
-    quads = grid.quad_edges
-
-    def known(table: dict, key) -> bool:
-        try:
-            return key in table
-        except TypeError:  # unhashable
-            return False
-
-    def edge_fault(q) -> str | None:
-        if isinstance(q, list) and known(quads, tuple(q)):
-            return None
-        return f"edge {q!r} does not join grid neighbours of {where}"
-
-    def node_fault(p) -> str | None:
-        if isinstance(p, list) and known(grid.pair_nodes, tuple(p)):
-            return None
-        return f"area node {p!r} is outside {where}"
-
-    def name_fault(kind: str, table: dict, name) -> str | None:
-        return None if known(table, name) else f"unknown {kind} {name!r}"
-
-    faults = [edge_fault(q) for q in data["edges"]]
-    for key, item in data["items"].items():
-        if not known(grid.key_nodes, key):
-            faults.append(f"item node {key!r} is outside {where}")
-        faults.append(name_fault("item", _ITEM_NAMES, item))
-    for h in data["halls"]:
-        faults += [name_fault("axis", _AXES, h["axis"]), *map(edge_fault, h["edges"]),
-                   name_fault("floor", _HALL_FLOORS, h["floor"])]
-    for ea in data["edgeAttrs"]:
-        faults += [edge_fault(ea["edge"]), name_fault("floor", _EDGE_ATTRS, ea["floor"]),
-                   name_fault("wall", _WALL_NAMES, ea["wall"])]
-    for aa in data["areas"]:
-        faults += [*map(node_fault, aa["nodes"]), name_fault("wall", _WALL_NAMES, aa["wall"])]
-    fault = next(filter(None, faults), None)
-    if fault is not None:
-        return fault
-    edges = {quads[tuple(q)] for q in data["edges"]}
-    attributed = {quads[tuple(ea["edge"])] for ea in data["edgeAttrs"]}
-    for e in sorted(edges ^ attributed):
+        e = min(edges ^ edge_attrs.keys())
         quad = [*e[0], *e[1]]
-        return f"edge {quad} has no attributes" if e in edges else \
-            f"edge attributes for {quad}, which is not an edge"
-    return None
+        raise ValueError(f"edge {quad} has no attributes" if e in edges else
+                         f"edge attributes for {quad}, which is not an edge")
+    return WorldMap(width, height, edges, items, halls, edge_attrs, areas)

@@ -5,6 +5,7 @@ against fixtures, so the two route computations must agree everywhere.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -323,3 +324,28 @@ class TestNeighbors:
         world = WorldMap(3, 1, edges, {}, [], {}, [Area(0, ((0, 0), (1, 0), (2, 0)), "fish")])
         with pytest.raises(ValueError, match="does not join grid neighbours of the 3x1 map"):
             world.neighbors
+
+
+class TestGridTable:
+    def kept_bytes(self, width, height):
+        from mazenav.worldsim import _grid
+        tracemalloc.start()
+        try:
+            table = _grid.__wrapped__(width, height)  # a fresh table, not the cached one
+            return tracemalloc.get_traced_memory()[0], table
+        finally:
+            tracemalloc.stop()
+
+    def test_size_grows_with_the_node_count(self):
+        # Four times the nodes may take about four times the memory; a table
+        # holding every sub-run of every line would take about sixteen times.
+        small, _ = self.kept_bytes(20, 21)
+        large, table = self.kept_bytes(40, 42)
+        assert len(table.nodes) == 40 * 42
+        assert large < 6 * small
+
+    def test_large_world_generates(self):
+        world = generate_world(random.Random(0), WorldConfig(100, 100))
+        assert len(world.edges) == 100 * 100 - 1
+        assert sum(len(h.edges) for h in world.halls) == len(world.edges)
+        assert sum(map(len, world.neighbors.values())) == 2 * len(world.edges)

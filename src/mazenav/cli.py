@@ -258,13 +258,19 @@ def cmd_hpo(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     started = time.time()
+    if args.index < 0:
+        raise ValueError(f"--index must be >= 0, got {args.index}")
+    seen = 0  # non-blank lines before the one at --index
     with open(args.map, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{args.map} is empty")
-    if args.index >= len(lines):
-        raise ValueError(f"--index {args.index} out of range ({len(lines)} lines)")
-    data = json.loads(lines[args.index])
+        for line in filter(str.strip, fh):
+            if seen == args.index:
+                break
+            seen += 1
+        else:
+            if not seen:
+                raise ValueError(f"{args.map} is empty")
+            raise ValueError(f"--index {args.index} out of range ({seen} lines)")
+    data = json.loads(line)
     if "map" in data:
         inst = datastore.instance_from_dict(data)
         world, pose = inst.world, inst.start

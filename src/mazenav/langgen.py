@@ -170,11 +170,6 @@ class TemplateBank:
         text = resources.files("mazenav.data").joinpath("templates.txt").read_text("utf-8")
         return cls(parse_templates(text))
 
-    @classmethod
-    def load_file(cls, path: str) -> "TemplateBank":
-        with open(path, encoding="utf-8") as fh:
-            return cls(parse_templates(fh.read()))
-
     def vocabulary(self) -> list[str]:
         """Every token any realization can emit, sorted."""
         words: set[str] = set()
@@ -611,12 +606,14 @@ def realize_binding(binding: Binding, bank: TemplateBank,
 # Instance generation
 
 
-def generate_instance(category: TaskCategory, config: WorldConfig,
+def generate_instance(category: Optional[TaskCategory], config: WorldConfig,
                       rng: random.Random, bank: Optional[TemplateBank] = None,
                       max_attempts: int = 500, instance_id: int = 0,
                       seed: int = 0) -> Instance:
     """Rejection-sample a world and path until `category` binds a prefix.
 
+    A None category is unrestricted: each attempt tries the categories in a
+    freshly shuffled order and keeps the first one that binds.
     Single-turn prefixes are preferred (p=0.7) over two-segment ones for
     the literal category; combination always uses two segments.
     """
@@ -630,33 +627,28 @@ def generate_instance(category: TaskCategory, config: WorldConfig,
             continue
         start = Pose(s[0], s[1], Direction(rng.randrange(4)))
         path = shortest_path(world, s, g)
-        actions = path_to_actions(path, start.dir)
-        segments = segment_path(actions)
-        if category is TaskCategory.LANGUAGE_ONLY:
-            want = 1 if rng.random() < 0.7 else 2
-            prefix = segments[:min(want, len(segments))]
-        elif category is TaskCategory.DESCRIPTION:
-            prefix = []
+        segments = segment_path(path_to_actions(path, start.dir))
+        if category is None:
+            order = list(TaskCategory)
+            rng.shuffle(order)
         else:
-            prefix = segments
-        binding = match_pattern(category, world, start, prefix)
-        if binding is None:
-            continue
-        used = segments[:binding.n_segments]
-        gold = segment_actions(used)
-        tokens = realize_binding(binding, bank, rng)
-        return Instance(
-            id=instance_id,
-            seed=seed,
-            category=category,
-            world=world,
-            start=start,
-            instruction=tokens,
-            actions=gold,
-        )
-    raise GenerationError(
-        f"no {category.value} instance in {max_attempts} attempts"
-    )
+            order = [category]
+        for cat in order:
+            if cat is TaskCategory.LANGUAGE_ONLY:
+                want = 1 if rng.random() < 0.7 else 2
+                prefix = segments[:min(want, len(segments))]
+            elif cat is TaskCategory.DESCRIPTION:
+                prefix = []
+            else:
+                prefix = segments
+            binding = match_pattern(cat, world, start, prefix)
+            if binding is None:
+                continue
+            gold = segment_actions(segments[:binding.n_segments])
+            tokens = realize_binding(binding, bank, rng)
+            return Instance(instance_id, seed, cat, world, start, tokens, gold)
+    raise GenerationError(f"no instance in {max_attempts} attempts" if category is None else
+                          f"no {category.value} instance in {max_attempts} attempts")
 
 
 _BANK_CACHE: Optional[TemplateBank] = None
@@ -717,42 +709,5 @@ def generate_dataset(mix: Optional[dict[TaskCategory, float]], count: int,
     for index in range(count):
         seed = derive_seed(master_seed, index)
         rng = random.Random(seed)
-        if mix is None:
-            inst = _generate_unrestricted(config, rng, bank, index, seed)
-        else:
-            category = _pick_category(mix, rng)
-            inst = generate_instance(category, config, rng, bank,
-                                     instance_id=index, seed=seed)
-        yield inst
-
-
-def _generate_unrestricted(config: WorldConfig, rng: random.Random,
-                           bank: TemplateBank, instance_id: int,
-                           seed: int, max_attempts: int = 500) -> Instance:
-    categories = list(TaskCategory)
-    for _ in range(max_attempts):
-        world = generate_world(rng, config)
-        try:
-            s, g = sample_endpoints(world, rng, config.min_dist)
-        except MapResampleNeeded:
-            continue
-        start = Pose(s[0], s[1], Direction(rng.randrange(4)))
-        path = shortest_path(world, s, g)
-        segments = segment_path(path_to_actions(path, start.dir))
-        order = categories[:]
-        rng.shuffle(order)
-        for category in order:
-            if category is TaskCategory.LANGUAGE_ONLY:
-                want = 1 if rng.random() < 0.7 else 2
-                prefix = segments[:min(want, len(segments))]
-            elif category is TaskCategory.DESCRIPTION:
-                prefix = []
-            else:
-                prefix = segments
-            binding = match_pattern(category, world, start, prefix)
-            if binding is None:
-                continue
-            gold = segment_actions(segments[:binding.n_segments])
-            tokens = realize_binding(binding, bank, rng)
-            return Instance(instance_id, seed, category, world, start, tokens, gold)
-    raise GenerationError(f"no instance in {max_attempts} attempts")
+        category = None if mix is None else _pick_category(mix, rng)
+        yield generate_instance(category, config, rng, bank, instance_id=index, seed=seed)

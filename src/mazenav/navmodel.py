@@ -21,7 +21,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -232,28 +232,33 @@ class NavModel:
 
     # -- losses and training ------------------------------------------------
 
-    def sequence_loss(self, instance: Instance) -> nnet.Tensor:
-        """Summed NLL of the gold actions with teacher forcing.
+    def _teacher_forced(self, instance: Instance) -> Iterator[tuple[nnet.Tensor, int]]:
+        """Decode along the gold actions, yielding P over the actions and the
+        gold action's index at each step.
 
         Percepts are recomputed from the simulator after each gold action,
-        so the decoder always sees the pose the gold prefix produces.
+        so the decoder always sees the pose the gold prefix produces. A gold
+        action into a wall raises InvalidPathError.
         """
-        tokens = self.vocab.encode(instance.instruction)
-        h, cell = self.encode(tokens)
-        state = (h, cell)
+        state = self.encode(self.vocab.encode(instance.instruction))
         prev = Action.STOP
         pose = instance.start
-        loss = nnet.constant(np.asarray(0.0))
         for action in instance.actions:
             c_t = self.percept_vector(instance.world, pose, state)
             state, dist = self.decode_step(state, c_t, prev)
-            loss = nnet.add(loss, nnet.cross_entropy(dist, ACTION_INDEX[action]))
+            yield dist, ACTION_INDEX[action]
             result = step(instance.world, pose, action)
             if result.kind == "wall_hit":
                 raise InvalidPathError(
                     f"gold action hits a wall in instance {instance.id}")
             pose = result.pose
             prev = action
+
+    def sequence_loss(self, instance: Instance) -> nnet.Tensor:
+        """Summed NLL of the gold actions with teacher forcing."""
+        loss = nnet.constant(np.asarray(0.0))
+        for dist, gold in self._teacher_forced(instance):
+            loss = nnet.add(loss, nnet.cross_entropy(dist, gold))
         return loss
 
     def action_accuracy(self, instances: Iterable[Instance]) -> float:
@@ -261,17 +266,9 @@ class NavModel:
         correct = total = 0
         with nnet.no_grad():
             for inst in instances:
-                tokens = self.vocab.encode(inst.instruction)
-                state = self.encode(tokens)
-                prev = Action.STOP
-                pose = inst.start
-                for action in inst.actions:
-                    c_t = self.percept_vector(inst.world, pose, state)
-                    state, dist = self.decode_step(state, c_t, prev)
-                    correct += int(np.argmax(dist.data) == ACTION_INDEX[action])
+                for dist, gold in self._teacher_forced(inst):
+                    correct += int(np.argmax(dist.data) == gold)
                     total += 1
-                    pose = step(inst.world, pose, action).pose
-                    prev = action
         return correct / max(total, 1)
 
     def train_on(self, instance: Instance, lr: float = 1e-3,

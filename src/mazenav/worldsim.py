@@ -33,9 +33,6 @@ class Direction(IntEnum):
     def counterclockwise(self, quarter_turns: int = 1) -> "Direction":
         return Direction((self - quarter_turns) % 4)
 
-    def opposite(self) -> "Direction":
-        return Direction((self + 2) % 4)
-
 
 # (dx, dy) per direction; North decreases y.
 DELTAS: dict[Direction, tuple[int, int]] = {
@@ -148,8 +145,7 @@ class _Grid(NamedTuple):
     and edge tuples are shared by every world of this size, generated or
     read, so set and dict lookups of them mostly succeed on identity, and
     containers that hold only them drop out of the garbage collector.
-    The tables hold O(width * height) entries; the two hall caches at the
-    end fill as worlds are built or read.
+    The tables hold O(width * height) entries.
     """
 
     nodes: tuple[Node, ...]
@@ -167,12 +163,6 @@ class _Grid(NamedTuple):
     rank: dict[Edge, int]
     by_rank: tuple[Edge | None, ...]  # [rank] -> edge; None between lines
     vertical_from: int  # rank of the first vertical edge
-    # Hall edges met so far, each kept once so that worlds share them: a world
-    # then keeps no hall tuples of its own, which leaves fewer allocations for
-    # the collector to count and scan. Both grow with the distinct halls in
-    # use (most are a few edges long), not with the grid.
-    runs: dict[tuple[int, int], tuple[Edge, ...]]  # (first, last rank) -> straight run
-    quad_runs: dict[tuple[tuple[int, ...], ...], tuple[Edge, ...]]  # read hall's quads -> edges
 
 
 @functools.lru_cache(maxsize=16)
@@ -219,24 +209,24 @@ def _grid(width: int, height: int) -> _Grid:
             by_rank[vertical_from + x * height + y] = quad_edges[(x, y, x, y + 1)]
     rank = {e: r for r, e in enumerate(by_rank) if e is not None}
     return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_links, quad_edges,
-                 key_nodes, rank, tuple(by_rank), vertical_from, {}, {})
+                 key_nodes, rank, tuple(by_rank), vertical_from)
 
 
 @dataclass
 class WorldMap:
     """A decorated maze. Edges are normalised unit edges between grid nodes.
 
-    Hall edges, area nodes and neighbour lists are tuples and the node and
-    edge tuples come from the per-size table, so the garbage collector
-    stops tracking them (and the dicts that hold only them) at its first
-    pass over the world.
+    Area nodes and neighbour lists are tuples and the node and edge tuples
+    come from the per-size table, so the garbage collector stops tracking
+    them (and the dicts that hold only them) at its first pass over the
+    world. Halls are not stored: `halls` derives them from the edges and
+    their floors.
     """
 
     width: int
     height: int
     edges: frozenset[Edge]
     items: dict[Node, str]
-    halls: list[Hall]
     edge_attrs: dict[Edge, tuple[str, str]]  # edge -> (floor, wall painting)
     areas: list[Area]
 
@@ -255,6 +245,14 @@ class WorldMap:
             masks[j] |= bit_j
         self.neighbors = {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
         return self.neighbors
+
+    @property
+    def halls(self) -> list[Hall]:
+        """compute_halls of the edges, each hall with the floor of its first
+        edge (decorate gives all edges of a hall one floor)."""
+        edge_attrs = self.edge_attrs
+        return [Hall(axis, run, edge_attrs[run[0]][0])
+                for axis, run in _table_runs(_grid(self.width, self.height), self.edges)]
 
     def in_bounds(self, node: Node) -> bool:
         return 0 <= node[0] < self.width and 0 <= node[1] < self.height
@@ -346,23 +344,23 @@ def compute_halls(edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
     return halls
 
 
-def _table_halls(grid: _Grid, edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
-    """compute_halls for unit edges of `grid`: sort the edges' hall-order
-    ranks and cut where they skip. KeyError for an edge not in the table."""
+def _table_runs(grid: _Grid,
+                edges: set[Edge] | frozenset[Edge]) -> list[tuple[str, tuple[Edge, ...]]]:
+    """The (axis, edges) of compute_halls for unit edges of `grid`: sort the
+    edges' hall-order ranks and cut where they skip. KeyError for an edge
+    not in the table."""
     ranks = sorted(map(grid.rank.__getitem__, edges))
     ranks.append(-2)  # closes the last run
-    by_rank, vertical_from, runs = grid.by_rank, grid.vertical_from, grid.runs
-    halls: list[Hall] = []
+    by_rank, vertical_from = grid.by_rank, grid.vertical_from
+    runs = []
     start, prev = ranks[0], ranks[0] - 1
     for r in ranks:
         if r != prev + 1:
-            run = runs.get((start, prev))
-            if run is None:
-                run = runs[start, prev] = by_rank[start:prev + 1]
-            halls.append(Hall("horizontal" if start < vertical_from else "vertical", run))
+            runs.append(("horizontal" if start < vertical_from else "vertical",
+                         by_rank[start:prev + 1]))
             start = r
         prev = r
-    return halls
+    return runs
 
 
 def _strip(grid: _Grid, width: int, axis: int, lo: int, hi: int) -> tuple[Node, ...]:
@@ -403,10 +401,8 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
     for node in grid.nodes:
         if random_() < p_item:
             items[node] = ITEMS[randrange(n_items)]
-    halls = _table_halls(grid, edges)
     n_floors = len(FLOORS)
-    for hall in halls:
-        hall.floor = FLOORS[randrange(n_floors)]
+    floored = [(run, FLOORS[randrange(n_floors)]) for _, run in _table_runs(grid, edges)]
 
     n_areas = min(rng.choice((2, 3)), max(width, height), max(len(edges), 1))
     # Per axis, the coordinates of the smaller endpoints of the edges: a strip
@@ -423,9 +419,8 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
     areas = [Area(i, _strip(grid, width, axis, bounds[i], bounds[i + 1]), paintings[i])
              for i in range(n_strips)]
     wall_at = [paintings[i] for i in range(n_strips) for _ in range(bounds[i], bounds[i + 1])]
-    edge_attrs = {e: _EDGE_ATTRS[hall.floor][wall_at[e[0][axis]]]
-                  for hall in halls for e in hall.edges}
-    return WorldMap(width, height, frozenset(edges), items, halls, edge_attrs, areas)
+    edge_attrs = {e: _EDGE_ATTRS[floor][wall_at[e[0][axis]]] for run, floor in floored for e in run}
+    return WorldMap(width, height, frozenset(edges), items, edge_attrs, areas)
 
 
 def generate_world(rng: random.Random, config: WorldConfig | None = None) -> WorldMap:
@@ -573,24 +568,25 @@ def sample_endpoints(world: WorldMap, rng: random.Random, min_dist: int = 4,
 def world_to_dict(world: WorldMap) -> dict:
     """Canonical JSON-ready form with stable key and element order."""
     edges = sorted(world.edges)
+    edge_attrs = world.edge_attrs
     return {
         "width": world.width,
         "height": world.height,
         "edges": [[a[0], a[1], b[0], b[1]] for a, b in edges],
         "items": {f"{x},{y}": world.items[(x, y)] for x, y in sorted(world.items)},
-        "halls": [
+        "halls": [  # world.halls, without building Hall objects
             {
-                "axis": h.axis,
-                "edges": [[a[0], a[1], b[0], b[1]] for a, b in h.edges],
-                "floor": h.floor,
+                "axis": axis,
+                "edges": [[a[0], a[1], b[0], b[1]] for a, b in run],
+                "floor": edge_attrs[run[0]][0],
             }
-            for h in world.halls
+            for axis, run in _table_runs(_grid(world.width, world.height), world.edges)
         ],
         "edgeAttrs": [
             {
                 "edge": [a[0], a[1], b[0], b[1]],
-                "floor": world.edge_attrs[(a, b)][0],
-                "wall": world.edge_attrs[(a, b)][1],
+                "floor": edge_attrs[(a, b)][0],
+                "wall": edge_attrs[(a, b)][1],
             }
             for a, b in edges
         ],
@@ -620,7 +616,7 @@ def map_object_hook(obj: dict):
     if "edge" in obj:
         return tuple(obj["edge"]), obj["floor"], obj["wall"]
     if "axis" in obj:
-        return obj["axis"], tuple(map(tuple, obj["edges"])), obj["floor"]
+        return obj["axis"], obj["edges"], obj["floor"]
     if "nodes" in obj:
         return obj["id"], tuple(map(tuple, obj["nodes"])), obj["wall"]
     if "edgeAttrs" in obj:
@@ -633,9 +629,10 @@ def world_from_dict(data: dict) -> WorldMap:
 
     Edges and nodes resolve through the per-size table and names through
     the known-name tables, so a read world holds the same edge, node and
-    name objects as a generated world of its size. An entry off the grid,
-    an unknown name or an edge without attributes raises ValueError
-    naming it.
+    name objects as a generated world of its size. Halls are checked but
+    not kept, since a world derives them from its edges and floors. An
+    entry off the grid, an unknown name or an edge without attributes
+    raises ValueError naming it.
     """
     compact = dict(data)
     for key in ("halls", "edgeAttrs", "areas"):
@@ -651,7 +648,6 @@ def _world_of(data: dict) -> WorldMap:
         raise ValueError(f"map sides must be integers >= 1, got {width!r} x {height!r}")
     grid = _grid(width, height)
     edge_of, key_nodes, nodes = grid.quad_edges.__getitem__, grid.key_nodes, grid.nodes
-    quad_runs = grid.quad_runs
 
     def node_at(pair) -> Node:
         x, y = pair
@@ -661,12 +657,11 @@ def _world_of(data: dict) -> WorldMap:
 
     edges = frozenset(map(edge_of, map(tuple, data["edges"])))
     items = {key_nodes[key]: _ITEM_NAMES[item] for key, item in data["items"].items()}
-    halls = []
-    for axis, quads, floor in data["halls"]:
-        run = quad_runs.get(quads)
-        if run is None:
-            run = quad_runs[quads] = tuple(map(edge_of, quads))
-        halls.append(Hall(_AXES[axis], run, _HALL_FLOORS[floor]))
+    for axis, quads, floor in data["halls"]:  # each lookup raises on a bad entry
+        for quad in quads:
+            edge_of(tuple(quad))
+        _AXES[axis]
+        _HALL_FLOORS[floor]
     edge_attrs = {edge_of(quad): _EDGE_ATTRS[floor][wall]
                   for quad, floor, wall in data["edgeAttrs"]}
     areas = [Area(i, tuple(map(node_at, pairs)), _WALL_NAMES[wall])
@@ -676,4 +671,4 @@ def _world_of(data: dict) -> WorldMap:
         quad = [*e[0], *e[1]]
         raise ValueError(f"edge {quad} has no attributes" if e in edges else
                          f"edge attributes for {quad}, which is not an edge")
-    return WorldMap(width, height, edges, items, halls, edge_attrs, areas)
+    return WorldMap(width, height, edges, items, edge_attrs, areas)

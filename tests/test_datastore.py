@@ -323,13 +323,12 @@ class TestGcBudget:
         objects = [("neighbors", world.neighbors), ("edge_attrs", world.edge_attrs),
                    ("items", world.items)]
         objects += [("neighbors value", v) for v in world.neighbors.values()]
-        objects += [("hall edges", h.edges) for h in world.halls]
         objects += [("area nodes", a.nodes) for a in world.areas]
         return [name for name, obj in objects if gc.is_tracked(obj)]
 
     def test_world_data_drops_out_of_the_collector(self, tmp_path):
         # A collection untracks a tuple only if its items are untracked when
-        # it is visited, so a hall made from an edge table built since the
+        # it is visited, so a tuple made from an edge table built since the
         # last collection can need a second one. Outside a fresh process the
         # table is older than the worlds, as it is made old here (earlier
         # tests may have pushed the 8x8 table out of the cache).
@@ -348,7 +347,19 @@ class TestGcBudget:
             grid = _grid(inst.world.width, inst.world.height)
             for e in inst.world.edges:
                 assert grid.quad_edges[(*e[0], *e[1])] is e
-            for hall in inst.world.halls:
-                assert all(grid.quad_edges[(*e[0], *e[1])] is e for e in hall.edges)
             width = inst.world.width
             assert all(k is grid.nodes[k[1] * width + k[0]] for k in inst.world.items)
+
+    def test_read_instances_keep_few_tracked_objects(self, tmp_path):
+        # Objects a kept read instance leaves for the collector to scan at
+        # each full collection: the instance, its world and their few
+        # mutable parts (about 8). Stored halls would add about 37 more.
+        path = str(tmp_path / "kept.jsonl")
+        write_instances(sample_instances(40, seed=3), path)
+        _grid(8, 8)
+        gc.collect()
+        before = len(gc.get_objects())
+        back = list(read_instances(path))
+        gc.collect()
+        per_instance = (len(gc.get_objects()) - before) / len(back)
+        assert per_instance < 20

@@ -154,13 +154,10 @@ class TestGridEncoding:
 
     def test_overflow_guard(self):
         # a 12-node straight corridor yields 23 cells > 20 columns
-        from mazenav.worldsim import Area, WorldMap, compute_halls
+        from mazenav.worldsim import Area, WorldMap
 
         edges = frozenset(norm_edge((x, 0), (x + 1, 0)) for x in range(11))
-        halls = compute_halls(edges)
-        for h in halls:
-            h.floor = "blue"
-        world = WorldMap(12, 1, edges, {}, halls,
+        world = WorldMap(12, 1, edges, {},
                          {e: ("blue", "fish") for e in edges},
                          [Area(0, [(x, 0) for x in range(12)], "fish")])
         with pytest.raises(GridOverflowError):

@@ -7,6 +7,7 @@ checked cheaply; one subprocess test confirms the module entry point.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -417,7 +418,13 @@ class TestCliErrors:
     def test_render_index_out_of_range_exits_2(self, workspace, capsys):
         rc = main(["render", "--map", str(workspace["data"]), "--index", "99"])
         assert rc == 2
-        assert "out of range" in capsys.readouterr().err
+        assert re.search(r"out of range \(\d+ lines\)", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("index", ["-1", "-100"])
+    def test_render_negative_index_exits_2(self, workspace, capsys, index):
+        rc = main(["render", "--map", str(workspace["data"]), "--index", index])
+        assert rc == 2
+        assert f"--index must be >= 0, got {index}" in capsys.readouterr().err
 
 
     def test_corrupt_dataset_exits_2(self, tmp_path, capsys):

@@ -165,12 +165,9 @@ class TestDynamics:
     def build_line_world(self):
         # 3x1 corridor: (0,0)-(1,0)-(2,0)
         edges = frozenset({norm_edge((0, 0), (1, 0)), norm_edge((1, 0), (2, 0))})
-        halls = compute_halls(edges)
-        for h in halls:
-            h.floor = "blue"
         attrs = {e: ("blue", "fish") for e in edges}
         from mazenav.worldsim import Area
-        return WorldMap(3, 1, edges, {}, halls, attrs, [Area(0, [(0, 0), (1, 0), (2, 0)], "fish")])
+        return WorldMap(3, 1, edges, {}, attrs, [Area(0, [(0, 0), (1, 0), (2, 0)], "fish")])
 
     def test_turns_rotate_in_place(self):
         world = self.build_line_world()
@@ -226,9 +223,7 @@ class TestPathfinding:
     def test_no_path_raises(self):
         from mazenav.worldsim import Area
         edges = frozenset({norm_edge((0, 0), (1, 0))})
-        halls = compute_halls(edges)
-        halls[0].floor = "blue"
-        world = WorldMap(2, 2, edges, {}, halls, {e: ("blue", "fish") for e in edges},
+        world = WorldMap(2, 2, edges, {}, {e: ("blue", "fish") for e in edges},
                          [Area(0, [(0, 0), (1, 0), (0, 1), (1, 1)], "fish")])
         with pytest.raises(NoPathError):
             shortest_path(world, (0, 0), (1, 1))
@@ -276,9 +271,7 @@ class TestEndpointSampling:
     def test_impossible_distance_raises(self):
         from mazenav.worldsim import Area
         edges = frozenset({norm_edge((0, 0), (1, 0))})
-        halls = compute_halls(edges)
-        halls[0].floor = "blue"
-        world = WorldMap(2, 1, edges, {}, halls, {e: ("blue", "fish") for e in edges},
+        world = WorldMap(2, 1, edges, {}, {e: ("blue", "fish") for e in edges},
                          [Area(0, [(0, 0), (1, 0)], "fish")])
         with pytest.raises(MapResampleNeeded):
             sample_endpoints(world, random.Random(0), min_dist=4)
@@ -321,7 +314,7 @@ class TestNeighbors:
     def test_edge_off_the_grid_is_named(self):
         from mazenav.worldsim import Area
         edges = frozenset({((0, 0), (2, 0))})
-        world = WorldMap(3, 1, edges, {}, [], {}, [Area(0, ((0, 0), (1, 0), (2, 0)), "fish")])
+        world = WorldMap(3, 1, edges, {}, {}, [Area(0, ((0, 0), (1, 0), (2, 0)), "fish")])
         with pytest.raises(ValueError, match="does not join grid neighbours of the 3x1 map"):
             world.neighbors
 

@@ -68,7 +68,7 @@ def write_manifest(artifact: str, command: str, args: argparse.Namespace,
         "artifacts": [artifact, *extra_artifacts],
         "timestamps": {"start": started, "end": time.time()},
     }
-    with open(artifact + ".manifest.json", "w", encoding="utf-8") as fh:
+    with datastore.atomic_write(artifact + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
 
@@ -165,7 +165,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     summary = {"instances": len(instances), "mode": mode,
                "beam": args.beam, "successRate": rate}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with datastore.atomic_write(args.out) as fh:
             json.dump(summary, fh, indent=2)
         write_manifest(args.out, "eval", args, started)
     print(json.dumps(summary))
@@ -249,7 +249,7 @@ def cmd_hpo(args: argparse.Namespace) -> int:
                "score": -result.value, "evals": result.evals,
                "converged": result.converged}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with datastore.atomic_write(args.out) as fh:
             json.dump(summary, fh, indent=2)
         write_manifest(args.out, "hpo", args, started)
     print(json.dumps(summary))
@@ -262,7 +262,9 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ValueError(f"--index must be >= 0, got {args.index}")
     seen = 0  # non-blank lines before the one at --index
     with open(args.map, encoding="utf-8") as fh:
-        for line in filter(str.strip, fh):
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
             if seen == args.index:
                 break
             seen += 1
@@ -270,13 +272,11 @@ def cmd_render(args: argparse.Namespace) -> int:
             if not seen:
                 raise ValueError(f"{args.map} is empty")
             raise ValueError(f"--index {args.index} out of range ({seen} lines)")
-    data = json.loads(line)
-    if "map" in data:
-        inst = datastore.instance_from_dict(data)
-        world, pose = inst.world, inst.start
-        gold = inst.actions
+    parsed = datastore.parse_line(args.map, lineno, line)
+    if isinstance(parsed, worldsim.WorldMap):
+        world, pose, gold = parsed, None, []
     else:
-        world, pose, gold = worldsim.world_from_dict(data), None, []
+        world, pose, gold = parsed.world, parsed.start, parsed.actions
     actions: list[worldsim.Action] = []
     if args.path:
         actions = [worldsim.Action(tok.strip().upper())
@@ -289,7 +289,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         text = render.render_svg(world, pose, overlay)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with datastore.atomic_write(args.out) as fh:
             fh.write(text + "\n")
         write_manifest(args.out, "render", args, started)
     else:
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-checkpoint", required=True, dest="out_checkpoint")
     p.add_argument("--max-epochs", type=int, default=200, dest="max_epochs")
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--dev-limit", type=int, default=None, dest="dev_limit")
+    p.add_argument("--limit", type=_positive_int, default=None)
+    p.add_argument("--dev-limit", type=_positive_int, default=None, dest="dev_limit")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate checkpoints (ensemble) on a dataset")
@@ -349,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, nargs="+")
     p.add_argument("--mode", choices=("single", "paragraph"), default="single")
     p.add_argument("--beam", type=_positive_int, default=4)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="streaming learning-efficiency benchmark")
     p.add_argument("--mix", default="sail")
     p.add_argument("--threshold", type=float, default=0.90)
-    p.add_argument("--cap", type=int, default=250000)
-    p.add_argument("--eval-batch", type=int, default=100, dest="eval_batch")
+    p.add_argument("--cap", type=_positive_int, default=250000)
+    p.add_argument("--eval-batch", type=_positive_int, default=100, dest="eval_batch")
     p.add_argument("--seed", type=int, default=default_seed())
     p.add_argument("--variant", default="full")
     p.add_argument("--config", default=None,
@@ -374,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument("--max-evals", type=int, default=20, dest="max_evals")
-    p.add_argument("--budget", type=int, default=2000,
+    p.add_argument("--budget", type=_positive_int, default=2000,
                    help="instance cap per probe run")
     p.add_argument("--mix", default="sail")
     p.add_argument("--threshold", type=float, default=0.90)
-    p.add_argument("--eval-batch", type=int, default=100, dest="eval_batch")
+    p.add_argument("--eval-batch", type=_positive_int, default=100, dest="eval_batch")
     p.add_argument("--seed", type=int, default=default_seed())
     p.add_argument("--variant", default="full")
     p.add_argument("--config", default=None,

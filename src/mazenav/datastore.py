@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -69,13 +70,16 @@ def instance_from_dict(data: dict) -> Instance:
     )
 
 
-def write_instances(instances: Iterable[Instance], path: str) -> int:
-    """Write one compact JSON object per line; returns the line count.
+@contextlib.contextmanager
+def atomic_write(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file whose contents replace the file `path` names only once
+    the `with` block completes.
 
-    The lines go to a temporary file beside the file `path` names (through
-    any symlinks), which then replaces it in one step with the old file's
-    permissions: a failure partway leaves an existing file as it was. A
-    target that is not a regular file, such as a device, is written in place.
+    The text goes to a temporary file beside the target (through any
+    symlinks), which then replaces it in one step with the old file's
+    permissions: a failure partway leaves an existing file as it was and
+    no new one. A target that is not a regular file, such as a device, is
+    written in place.
     """
     target = os.path.realpath(path)
     try:
@@ -83,13 +87,14 @@ def write_instances(instances: Iterable[Instance], path: str) -> int:
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8") as fh:
-            return _write_lines(instances, fh)
+        with open(target, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
     folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            n = _write_lines(instances, fh)
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, target)
@@ -99,30 +104,42 @@ def write_instances(instances: Iterable[Instance], path: str) -> int:
         except FileNotFoundError:
             pass
         raise
-    return n
 
 
-def _write_lines(instances: Iterable[Instance], fh: TextIO) -> int:
+def write_instances(instances: Iterable[Instance], path: str) -> int:
+    """Write one compact JSON object per line, atomically; returns the line
+    count."""
     n = 0
-    for inst in instances:
-        fh.write(json.dumps(instance_to_dict(inst), separators=(",", ":")))
-        fh.write("\n")
-        n += 1
+    with atomic_write(path) as fh:
+        for inst in instances:
+            fh.write(json.dumps(instance_to_dict(inst), separators=(",", ":")))
+            fh.write("\n")
+            n += 1
     return n
+
+
+def parse_line(path: str, lineno: int, line: str) -> Instance | WorldMap:
+    """The instance, or the bare map, that line `lineno` of file `path`
+    holds; a malformed line raises DatasetError naming the file, the line
+    and the cause."""
+    try:
+        data = json.loads(line, object_hook=map_object_hook)
+        return data if isinstance(data, WorldMap) else instance_from_dict(data)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def read_instances(path: str) -> Iterator[Instance]:
-    """Instances of a JSONL file, one per non-blank line; a malformed line
-    raises DatasetError naming the file, the line and the cause."""
+    """Instances of a JSONL file, one per non-blank line; a malformed line,
+    or one holding a bare map, raises DatasetError naming the file, the
+    line and the cause."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            try:
-                inst = instance_from_dict(json.loads(line, object_hook=map_object_hook))
-            except (KeyError, ValueError, TypeError, AttributeError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
+            inst = parse_line(path, lineno, line)
+            if isinstance(inst, WorldMap):
+                raise DatasetError(f"{path}: line {lineno}: a bare map, not an instance")
             yield inst
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
+from .datastore import atomic_write
 from .langgen import Instance, TaskCategory, generate_dataset
 from .worldsim import Action, Outcome, Pose, WorldConfig, execute
 
@@ -94,7 +95,7 @@ class EfficiencyReport:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, indent=2)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import nnet
-from .datastore import Vocabulary
+from .datastore import Vocabulary, atomic_write
 from .langgen import Instance
 from .percept import BOF_BITS, CELL_BITS, GRID_COLS, GRID_ROWS, encode_bof, encode_grid
 from .worldsim import (
@@ -364,7 +364,7 @@ def train(model: NavModel, train_set: Sequence[Instance],
                 break
     model.load_state_dict(best.best_state)
     if log_path:
-        with open(log_path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(log_path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["epoch", "trainLoss", "devSuccess"])
             writer.writeheader()
             writer.writerows(best.history)

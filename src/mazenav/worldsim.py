@@ -11,7 +11,6 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from itertools import chain
 from typing import Callable, NamedTuple
 
 Node = tuple[int, int]
@@ -83,13 +82,6 @@ class Hall:
     axis: str  # "horizontal" | "vertical"
     edges: tuple[Edge, ...]
     floor: str | None = None
-
-
-@dataclass
-class Area:
-    id: int
-    nodes: tuple[Node, ...]
-    wall: str
 
 
 @dataclass
@@ -216,11 +208,11 @@ def _grid(width: int, height: int) -> _Grid:
 class WorldMap:
     """A decorated maze. Edges are normalised unit edges between grid nodes.
 
-    Area nodes and neighbour lists are tuples and the node and edge tuples
-    come from the per-size table, so the garbage collector stops tracking
-    them (and the dicts that hold only them) at its first pass over the
-    world. Halls are not stored: `halls` derives them from the edges and
-    their floors.
+    Neighbour lists are tuples and the node and edge tuples come from the
+    per-size table, so the garbage collector stops tracking them (and the
+    dicts that hold only them) at its first pass over the world. Halls and
+    the areas that paint the walls are not stored: each edge's floor and
+    wall painting are in `edge_attrs`.
     """
 
     width: int
@@ -228,7 +220,6 @@ class WorldMap:
     edges: frozenset[Edge]
     items: dict[Node, str]
     edge_attrs: dict[Edge, tuple[str, str]]  # edge -> (floor, wall painting)
-    areas: list[Area]
 
     # Open neighbours of every node in N, E, S, W order, built on first use.
     neighbors: dict[Node, tuple[Node, ...]] = field(init=False, repr=False, compare=False)
@@ -245,14 +236,6 @@ class WorldMap:
             masks[j] |= bit_j
         self.neighbors = {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
         return self.neighbors
-
-    @property
-    def halls(self) -> list[Hall]:
-        """compute_halls of the edges, each hall with the floor of its first
-        edge (decorate gives all edges of a hall one floor)."""
-        edge_attrs = self.edge_attrs
-        return [Hall(axis, run, edge_attrs[run[0]][0])
-                for axis, run in _table_runs(_grid(self.width, self.height), self.edges)]
 
     def in_bounds(self, node: Node) -> bool:
         return 0 <= node[0] < self.width and 0 <= node[1] < self.height
@@ -363,15 +346,6 @@ def _table_runs(grid: _Grid,
     return runs
 
 
-def _strip(grid: _Grid, width: int, axis: int, lo: int, hi: int) -> tuple[Node, ...]:
-    """Nodes of columns (axis 0) or rows (axis 1) [lo, hi), in row-major order."""
-    nodes = grid.nodes
-    if axis:
-        return nodes[lo * width:hi * width]
-    return tuple(chain.from_iterable(nodes[row + lo:row + hi]
-                                     for row in range(0, len(nodes), width)))
-
-
 def _cut_bounds(width: int, height: int, n_areas: int,
                 rng: random.Random) -> tuple[int, list[int]]:
     """Draw n_areas - 1 parallel axis-aligned cuts, n_areas being at most the
@@ -416,11 +390,9 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
         axis, bounds = 0, [0, width]
     n_strips = len(bounds) - 1
     paintings = rng.sample(WALL_PAINTINGS, n_strips)
-    areas = [Area(i, _strip(grid, width, axis, bounds[i], bounds[i + 1]), paintings[i])
-             for i in range(n_strips)]
     wall_at = [paintings[i] for i in range(n_strips) for _ in range(bounds[i], bounds[i + 1])]
     edge_attrs = {e: _EDGE_ATTRS[floor][wall_at[e[0][axis]]] for run, floor in floored for e in run}
-    return WorldMap(width, height, frozenset(edges), items, edge_attrs, areas)
+    return WorldMap(width, height, frozenset(edges), items, edge_attrs)
 
 
 def generate_world(rng: random.Random, config: WorldConfig | None = None) -> WorldMap:
@@ -574,14 +546,6 @@ def world_to_dict(world: WorldMap) -> dict:
         "height": world.height,
         "edges": [[a[0], a[1], b[0], b[1]] for a, b in edges],
         "items": {f"{x},{y}": world.items[(x, y)] for x, y in sorted(world.items)},
-        "halls": [  # world.halls, without building Hall objects
-            {
-                "axis": axis,
-                "edges": [[a[0], a[1], b[0], b[1]] for a, b in run],
-                "floor": edge_attrs[run[0]][0],
-            }
-            for axis, run in _table_runs(_grid(world.width, world.height), world.edges)
-        ],
         "edgeAttrs": [
             {
                 "edge": [a[0], a[1], b[0], b[1]],
@@ -590,35 +554,24 @@ def world_to_dict(world: WorldMap) -> dict:
             }
             for a, b in edges
         ],
-        "areas": [
-            {"id": ar.id, "nodes": [[x, y] for x, y in ar.nodes], "wall": ar.wall}
-            for ar in world.areas
-        ],
     }
 
 
 # Known names, mapped to the module's own strings so that read worlds share them.
 _ITEM_NAMES = Lookup({n: n for n in ITEMS}, "unknown item {!r}".format)
-_WALL_NAMES = Lookup({n: n for n in WALL_PAINTINGS}, "unknown wall {!r}".format)
-_HALL_FLOORS = Lookup({None: None, **{n: n for n in FLOORS}}, "unknown floor {!r}".format)
-_AXES = Lookup({n: n for n in ("horizontal", "vertical")}, "unknown axis {!r}".format)
 
 
 def map_object_hook(obj: dict):
     """`object_hook` for json.loads of text holding world_to_dict maps.
 
-    Each edge attribute, hall and area becomes a tuple as soon as it is
-    parsed, and each map a WorldMap, so the parse tree's many small dicts
-    and lists are freed while the line is still being read instead of all
-    living until its end (fewer garbage collections per line read). A
-    malformed map raises the ValueError of world_from_dict.
+    Each edge attribute becomes a tuple as soon as it is parsed, and each
+    map a WorldMap, so the parse tree's many small dicts and lists are freed
+    while the line is still being read instead of all living until its end
+    (fewer garbage collections per line read). A malformed map raises the
+    ValueError of world_from_dict.
     """
     if "edge" in obj:
         return tuple(obj["edge"]), obj["floor"], obj["wall"]
-    if "axis" in obj:
-        return obj["axis"], obj["edges"], obj["floor"]
-    if "nodes" in obj:
-        return obj["id"], tuple(map(tuple, obj["nodes"])), obj["wall"]
     if "edgeAttrs" in obj:
         return _world_of(obj)
     return obj
@@ -629,46 +582,32 @@ def world_from_dict(data: dict) -> WorldMap:
 
     Edges and nodes resolve through the per-size table and names through
     the known-name tables, so a read world holds the same edge, node and
-    name objects as a generated world of its size. Halls are checked but
-    not kept, since a world derives them from its edges and floors. An
-    entry off the grid, an unknown name or an edge without attributes
-    raises ValueError naming it.
+    name objects as a generated world of its size. Keys the world is not
+    built from, such as the `halls` and `areas` blocks of files written
+    before worlds stopped storing them, are ignored. An entry off the grid,
+    an unknown name or an edge without attributes raises ValueError naming
+    it.
     """
     compact = dict(data)
-    for key in ("halls", "edgeAttrs", "areas"):
-        compact[key] = [map_object_hook(entry) for entry in data[key]]
+    compact["edgeAttrs"] = [map_object_hook(entry) for entry in data["edgeAttrs"]]
     return _world_of(compact)
 
 
 def _world_of(data: dict) -> WorldMap:
-    """A serialised map whose halls, edge attributes and areas are the
-    tuples map_object_hook makes of them."""
+    """A serialised map whose edge attributes are the tuples
+    map_object_hook makes of them."""
     width, height = data["width"], data["height"]
     if type(width) is not int or type(height) is not int or width < 1 or height < 1:
         raise ValueError(f"map sides must be integers >= 1, got {width!r} x {height!r}")
     grid = _grid(width, height)
-    edge_of, key_nodes, nodes = grid.quad_edges.__getitem__, grid.key_nodes, grid.nodes
-
-    def node_at(pair) -> Node:
-        x, y = pair
-        if 0 <= x < width and 0 <= y < height:
-            return nodes[y * width + x]
-        raise ValueError(f"area node {list(pair)} is outside the {width}x{height} map")
-
+    edge_of, key_nodes = grid.quad_edges.__getitem__, grid.key_nodes
     edges = frozenset(map(edge_of, map(tuple, data["edges"])))
     items = {key_nodes[key]: _ITEM_NAMES[item] for key, item in data["items"].items()}
-    for axis, quads, floor in data["halls"]:  # each lookup raises on a bad entry
-        for quad in quads:
-            edge_of(tuple(quad))
-        _AXES[axis]
-        _HALL_FLOORS[floor]
     edge_attrs = {edge_of(quad): _EDGE_ATTRS[floor][wall]
                   for quad, floor, wall in data["edgeAttrs"]}
-    areas = [Area(i, tuple(map(node_at, pairs)), _WALL_NAMES[wall])
-             for i, pairs, wall in data["areas"]]
     if edge_attrs.keys() != edges:
         e = min(edges ^ edge_attrs.keys())
         quad = [*e[0], *e[1]]
         raise ValueError(f"edge {quad} has no attributes" if e in edges else
                          f"edge attributes for {quad}, which is not an edge")
-    return WorldMap(width, height, edges, items, edge_attrs, areas)
+    return WorldMap(width, height, edges, items, edge_attrs)

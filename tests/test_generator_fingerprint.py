@@ -4,8 +4,8 @@ The digests below were computed from the generator before its table-driven
 rewrite. Any change to the RNG call order, the rejection loop, the world
 layout or the serialized form moves them. Two digests are kept:
 
-- the compact JSONL bytes `datastore.write_instances` produces (halls and
-  areas included), which pins the file format byte for byte;
+- the compact JSONL bytes `datastore.write_instances` produces, which
+  pins the file format byte for byte;
 - a semantic digest of what a navigator can observe (category,
   instruction, gold actions, start pose, edges, items and edge
   attributes), which a leaner file format must keep unchanged.

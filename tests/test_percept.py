@@ -154,12 +154,10 @@ class TestGridEncoding:
 
     def test_overflow_guard(self):
         # a 12-node straight corridor yields 23 cells > 20 columns
-        from mazenav.worldsim import Area, WorldMap
+        from mazenav.worldsim import WorldMap
 
         edges = frozenset(norm_edge((x, 0), (x + 1, 0)) for x in range(11))
-        world = WorldMap(12, 1, edges, {},
-                         {e: ("blue", "fish") for e in edges},
-                         [Area(0, [(x, 0) for x in range(12)], "fish")])
+        world = WorldMap(12, 1, edges, {}, {e: ("blue", "fish") for e in edges})
         with pytest.raises(GridOverflowError):
             encode_grid(world, Pose(0, 0, Direction.EAST))
 

@@ -402,6 +402,23 @@ class TestCliErrors:
         assert "--count" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--data", "d.jsonl", "--out-checkpoint", "m", "--limit", "-3"], "--limit"),
+        (["train", "--data", "d.jsonl", "--out-checkpoint", "m", "--dev-limit", "-1"],
+         "--dev-limit"),
+        (["eval", "--data", "d.jsonl", "--checkpoint", "m", "--limit", "0"], "--limit"),
+        (["bench", "--eval-batch", "-1"], "--eval-batch"),
+        (["bench", "--cap", "0"], "--cap"),
+        (["hpo", "--param", "lr", "--lo", "1", "--hi", "2", "--eval-batch", "0"],
+         "--eval-batch"),
+        (["hpo", "--param", "lr", "--lo", "1", "--hi", "2", "--budget", "-10"], "--budget"),
+    ])
+    def test_nonpositive_count_flags_rejected(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
     def test_missing_data_exits_2(self, capsys):
         rc = main(["eval", "--data", "/nonexistent.jsonl",
                    "--checkpoint", "also-missing"])
@@ -433,6 +450,23 @@ class TestCliErrors:
         rc = main(["render", "--map", str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, cause", [
+        (lambda m: m.update(items=[]), "'list' object has no attribute 'items'"),
+        (lambda m: [1, 2], "list indices must be integers"),
+    ])
+    def test_render_malformed_line_names_file_and_line(self, tmp_path, capsys,
+                                                       mutate, cause):
+        import random
+
+        bare = world_to_dict(generate_world(random.Random(3), WorldConfig(4, 4)))
+        good = json.dumps(bare)
+        bad = json.dumps(mutate(bare) or bare)
+        path = tmp_path / "map.jsonl"
+        path.write_text(f"\n{good}\n{bad}\n")
+        rc = main(["render", "--map", str(path), "--index", "1"])
+        assert rc == 2
+        assert f"error: {path}: line 3: {cause}" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mazenav.cli", "--help"],

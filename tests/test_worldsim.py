@@ -19,6 +19,8 @@ from mazenav.worldsim import (
     Pose,
     WorldConfig,
     WorldMap,
+    _grid,
+    _table_runs,
     bfs_distances,
     compute_halls,
     decorate,
@@ -104,14 +106,34 @@ class TestHalls:
         assert compute_halls(set()) == []
 
     def test_decorated_halls_match_compute_halls(self):
-        # decorate takes halls from the per-size table; compute_halls is the reference
+        # decorate floors the halls of the per-size table; compute_halls is the reference
         for width, height in [(1, 1), (1, 6), (6, 1), (2, 3), (8, 8), (10, 7)]:
             for seed in range(20):
                 edges = generate_maze(width, height, random.Random(seed))
                 world = decorate(edges, random.Random(seed), WorldConfig(width, height))
                 expected = compute_halls(edges)
-                assert [(h.axis, h.edges) for h in world.halls] == \
+                assert _table_runs(_grid(width, height), edges) == \
                        [(h.axis, h.edges) for h in expected]
+                for hall in expected:
+                    assert len({world.edge_attrs[e][0] for e in hall.edges}) == 1
+
+
+def painted_strips(world):
+    """The wall paintings of the strips of columns or of rows that the
+    smaller endpoints of the edges fall in, in strip order, or None when
+    neither cut axis explains the paintings: along it every coordinate must
+    hold one painting, and each painting one run of coordinates."""
+    for axis in (0, 1):
+        at: dict[int, set[str]] = {}
+        for e, (_, wall) in world.edge_attrs.items():
+            at.setdefault(min(e)[axis], set()).add(wall)
+        if any(len(walls) > 1 for walls in at.values()):
+            continue
+        runs = [w for _, (w,) in sorted(at.items())]
+        strips = [w for i, w in enumerate(runs) if i == 0 or runs[i - 1] != w]
+        if len(set(strips)) == len(strips):
+            return strips
+    return None
 
 
 class TestDecoration:
@@ -120,30 +142,16 @@ class TestDecoration:
         for seed in range(50):
             world = generate_world(random.Random(seed), config)
             # one floor per hall, shared by all edges of the hall
-            for hall in world.halls:
-                assert hall.floor in FLOORS
-                for e in hall.edges:
-                    assert world.edge_attrs[e][0] == hall.floor
-            # areas partition the nodes; every area owns at least one edge
-            all_nodes = [n for ar in world.areas for n in ar.nodes]
-            assert sorted(all_nodes) == sorted(
-                (x, y) for x in range(8) for y in range(8))
-            assert 1 <= len(world.areas) <= 3
-            owner = {}
-            for ar in world.areas:
-                for n in ar.nodes:
-                    owner[n] = ar.id
-            owned = {ar.id: 0 for ar in world.areas}
-            for a, b in world.edges:
-                owned[min(owner[a], owner[b])] += 1
-            assert all(c > 0 for c in owned.values())
-            # distinct wall painting per area
-            walls = [ar.wall for ar in world.areas]
-            assert len(set(walls)) == len(walls)
-            # edge painting comes from the lexicographically smaller endpoint's area
-            wall_of = {ar.id: ar.wall for ar in world.areas}
-            for a, b in world.edges:
-                assert world.edge_attrs[(a, b)][1] == wall_of[owner[min(a, b)]]
+            for hall in compute_halls(world.edges):
+                floors = {world.edge_attrs[e][0] for e in hall.edges}
+                assert len(floors) == 1 and floors <= set(FLOORS)
+            # an edge's painting is fixed by the strip of its smaller
+            # endpoint; 1-3 strips, each with its own painting and each
+            # owning at least one edge
+            strips = painted_strips(world)
+            assert strips is not None
+            assert 1 <= len(strips) <= 3
+            assert set(strips) == {w for _, w in world.edge_attrs.values()}
 
     def test_item_rate_roughly_quarter(self):
         total = nodes = 0
@@ -157,7 +165,7 @@ class TestDecoration:
         counts = {1: 0, 2: 0, 3: 0}
         for seed in range(60):
             world = generate_world(random.Random(seed))
-            counts[len(world.areas)] += 1
+            counts[len({w for _, w in world.edge_attrs.values()})] += 1
         assert counts[2] + counts[3] > counts[1]
 
 
@@ -166,8 +174,7 @@ class TestDynamics:
         # 3x1 corridor: (0,0)-(1,0)-(2,0)
         edges = frozenset({norm_edge((0, 0), (1, 0)), norm_edge((1, 0), (2, 0))})
         attrs = {e: ("blue", "fish") for e in edges}
-        from mazenav.worldsim import Area
-        return WorldMap(3, 1, edges, {}, attrs, [Area(0, [(0, 0), (1, 0), (2, 0)], "fish")])
+        return WorldMap(3, 1, edges, {}, attrs)
 
     def test_turns_rotate_in_place(self):
         world = self.build_line_world()
@@ -221,10 +228,8 @@ class TestPathfinding:
                 assert world.has_edge(a, b)
 
     def test_no_path_raises(self):
-        from mazenav.worldsim import Area
         edges = frozenset({norm_edge((0, 0), (1, 0))})
-        world = WorldMap(2, 2, edges, {}, {e: ("blue", "fish") for e in edges},
-                         [Area(0, [(0, 0), (1, 0), (0, 1), (1, 1)], "fish")])
+        world = WorldMap(2, 2, edges, {}, {e: ("blue", "fish") for e in edges})
         with pytest.raises(NoPathError):
             shortest_path(world, (0, 0), (1, 1))
 
@@ -269,10 +274,8 @@ class TestEndpointSampling:
             assert bfs_distances(world, start)[goal] >= 4
 
     def test_impossible_distance_raises(self):
-        from mazenav.worldsim import Area
         edges = frozenset({norm_edge((0, 0), (1, 0))})
-        world = WorldMap(2, 1, edges, {}, {e: ("blue", "fish") for e in edges},
-                         [Area(0, [(0, 0), (1, 0)], "fish")])
+        world = WorldMap(2, 1, edges, {}, {e: ("blue", "fish") for e in edges})
         with pytest.raises(MapResampleNeeded):
             sample_endpoints(world, random.Random(0), min_dist=4)
 
@@ -287,10 +290,6 @@ class TestSerialization:
             assert clone.edges == world.edges
             assert clone.items == world.items
             assert clone.edge_attrs == world.edge_attrs
-            assert [(h.axis, sorted(h.edges), h.floor) for h in clone.halls] == \
-                   [(h.axis, sorted(h.edges), h.floor) for h in world.halls]
-            assert [(a.id, sorted(a.nodes), a.wall) for a in clone.areas] == \
-                   [(a.id, sorted(a.nodes), a.wall) for a in world.areas]
 
     def test_dict_form_is_stable(self):
         world = generate_world(random.Random(21))
@@ -312,16 +311,14 @@ class TestNeighbors:
                                          for a, b in world.edges if node in (a, b))
 
     def test_edge_off_the_grid_is_named(self):
-        from mazenav.worldsim import Area
         edges = frozenset({((0, 0), (2, 0))})
-        world = WorldMap(3, 1, edges, {}, {}, [Area(0, ((0, 0), (1, 0), (2, 0)), "fish")])
+        world = WorldMap(3, 1, edges, {}, {})
         with pytest.raises(ValueError, match="does not join grid neighbours of the 3x1 map"):
             world.neighbors
 
 
 class TestGridTable:
     def kept_bytes(self, width, height):
-        from mazenav.worldsim import _grid
         tracemalloc.start()
         try:
             table = _grid.__wrapped__(width, height)  # a fresh table, not the cached one
@@ -340,5 +337,6 @@ class TestGridTable:
     def test_large_world_generates(self):
         world = generate_world(random.Random(0), WorldConfig(100, 100))
         assert len(world.edges) == 100 * 100 - 1
-        assert sum(len(h.edges) for h in world.halls) == len(world.edges)
+        assert [run for _, run in _table_runs(_grid(100, 100), world.edges)] == \
+               [h.edges for h in compute_halls(world.edges)]
         assert sum(map(len, world.neighbors.values())) == 2 * len(world.edges)

@@ -22,9 +22,9 @@ MASTER_SEEDS = (0, 1, 20240607)
 COUNT = 500
 
 JSONL_SHA256 = {
-    "sail": "d338511bfb4d46bbdfa158145de1f50d0264c35cb1bc9e12996db9af1d978072",
-    "uniform": "2b71f903b05007f65cdbc574a0e3932763752b43ad48d1f1084fa0dc2e098406",
-    "norestriction": "0a4abaeefd8516f08f7fa26c05fbba4ce100ae0c5632d2131ead57e70fbd04cd",
+    "sail": "422270ec7e7e9810776ea6338f0bf383d203ce1d7a952d11e08647a65d45d323",
+    "uniform": "d6d20c4287ada9deb332820e57121223948a437cbedde2e02b0eab4782dc184d",
+    "norestriction": "2b15d9f85db12f43da443920be442bef4f891f52c62e51a0fccfe28f9f1fa290",
 }
 
 SEMANTIC_SHA256 = {

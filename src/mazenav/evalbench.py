@@ -276,7 +276,7 @@ def run_fixed_experiment(instances: Sequence[Instance],
             "testEnsemble": evaluate_ensemble(models, test_eval),
         })
     if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(csv_path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)

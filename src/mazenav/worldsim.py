@@ -77,11 +77,11 @@ class StepResult:
 
 @dataclass
 class Hall:
-    """Maximal run of collinear consecutive edges sharing one floor pattern."""
+    """Maximal run of collinear consecutive edges; decorate gives all edges
+    of a hall one floor pattern."""
 
     axis: str  # "horizontal" | "vertical"
     edges: tuple[Edge, ...]
-    floor: str | None = None
 
 
 @dataclass

@@ -146,8 +146,7 @@ class TestDecoration:
                 floors = {world.edge_attrs[e][0] for e in hall.edges}
                 assert len(floors) == 1 and floors <= set(FLOORS)
             # an edge's painting is fixed by the strip of its smaller
-            # endpoint; 1-3 strips, each with its own painting and each
-            # owning at least one edge
+            # endpoint; 1-3 strips own edges, each with its own painting
             strips = painted_strips(world)
             assert strips is not None
             assert 1 <= len(strips) <= 3

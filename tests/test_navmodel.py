@@ -315,6 +315,113 @@ def greedy_rollout(model, inst, budget):
     return out
 
 
+def oracle_beam_search(world, start, sentences, models, width, budget):
+    """Independent per-hypothesis beam search: each hypothesis keeps its own
+    per-member states and is advanced through percept_vector + decode_step,
+    one member at a time. The reference that beam_search must match."""
+    beam = [(start, 0.0, [])]  # pose, score, actions
+    with nnet.no_grad():
+        for sentence in sentences:
+            encoded = [m.encode(m.vocab.encode(list(sentence))) for m in models]
+            live = [(pose, score, acts, encoded, Action.STOP)
+                    for pose, score, acts in beam]
+            finished, failed = [], []
+            for _ in range(budget):
+                if not live:
+                    break
+                candidates = []
+                for k, (pose, score, _, states, prev) in enumerate(live):
+                    dists, advanced = [], []
+                    for model, state in zip(models, states):
+                        c_t = model.percept_vector(world, pose, state)
+                        new_state, dist = model.decode_step(state, c_t, prev)
+                        dists.append(dist.data)
+                        advanced.append(new_state)
+                    avg = np.mean(dists, axis=0)
+                    for a in range(len(ACTIONS)):
+                        candidates.append((score + float(np.log(avg[a])), k, a, advanced))
+                candidates.sort(key=lambda cand: (-cand[0], cand[1], cand[2]))
+                next_live = []
+                for score, k, a, advanced in candidates[:width]:
+                    pose, acts = live[k][0], live[k][2]
+                    result = step(world, pose, ACTIONS[a])
+                    hyp = (result.pose, score, acts + [ACTIONS[a]], advanced, ACTIONS[a])
+                    if result.kind == "stopped":
+                        finished.append(hyp)
+                    elif result.kind == "wall_hit":
+                        failed.append(hyp)
+                    else:
+                        next_live.append(hyp)
+                live = next_live
+            finished.extend(live)  # ran out of the per-sentence budget
+            pool = finished if finished else failed
+            pool.sort(key=lambda hyp: -hyp[1])
+            beam = [(pose, score, acts) for pose, score, acts, _, _ in pool[:width]]
+    return beam[0][2]
+
+
+def steer(model):
+    """Sharpen the output layer and make STOP unlikely, so that beams run
+    for the whole budget and the best hypothesis depends on every step."""
+    for name in ("out_W1", "out_W2"):
+        if name in model._params:
+            model.param(name).data *= 10.0
+    model.param("out_b").data[ACTION_INDEX[Action.STOP]] = -4.0
+    return model
+
+
+class TestBeamOracle:
+    """beam_search returns the oracle's actions, variant by variant, for
+    ensembles and for chained sentences; each case runs with the models as
+    initialized (beams end after a step or two) and steered (beams use the
+    whole budget)."""
+
+    def check(self, models, instances, width, steered, budget=10, chained=False):
+        if steered:
+            models = [steer(m) for m in models]
+        for inst, other in zip(instances, instances[1:] + instances[:1]):
+            sentences = [inst.instruction, other.instruction] if chained else [inst.instruction]
+            expected = oracle_beam_search(inst.world, inst.start, sentences, models,
+                                          width, budget)
+            got = beam_search(inst.world, inst.start, sentences, models,
+                              beam_width=width, max_actions=budget)
+            assert got == expected, inst.id
+
+    @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_single_model(self, shared_vocab, lo_instances, variant, width, steered):
+        self.check([make_model(shared_vocab, variant=variant, seed=21)], lo_instances,
+                   width, steered)
+
+    @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_two_member_ensemble(self, shared_vocab, lo_instances, variant, width, steered):
+        models = [make_model(shared_vocab, variant=variant, seed=s) for s in (22, 23)]
+        self.check(models, lo_instances, width, steered)
+
+    @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_mixed_variant_ensemble(self, shared_vocab, lo_instances, width, steered):
+        models = [make_model(shared_vocab, variant="full", seed=24),
+                  make_model(shared_vocab, variant="bagOfFeatures", seed=25)]
+        self.check(models, lo_instances, width, steered)
+
+    @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_chained_sentences(self, shared_vocab, lo_instances, width, steered):
+        models = [make_model(shared_vocab, variant="full", seed=s) for s in (26, 27)]
+        self.check(models, lo_instances[:6], width, steered, budget=6, chained=True)
+
+    def test_default_size_members(self, lo_instances):
+        # the default widths (64 attention channels, 256-wide decoder) reduce
+        # over more elements than the tiny configs do
+        vocab = build_vocab(lo_instances)
+        models = [NavModel(ModelConfig(vocab_size=len(vocab)), vocab, seed=s) for s in (0, 1)]
+        self.check(models, lo_instances[:3], 4, steered=True, budget=6)
+
+
 class TestBeamSearch:
     def test_beam_one_equals_greedy(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, seed=5)

@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw a map (ascii or svg)")
     p.add_argument("--map", required=True,
-                   help="instance JSONL or a bare map JSON file")
+                   help="JSONL file; each line holds an instance or a bare map")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     overlay = p.add_mutually_exclusive_group()

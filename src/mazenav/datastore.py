@@ -10,7 +10,7 @@ import random
 import secrets
 import stat
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence
 
 from .langgen import Instance, TaskCategory
 from .worldsim import (Action, Direction, Lookup, Pose, WorldMap, map_object_hook,
@@ -71,29 +71,35 @@ def instance_from_dict(data: dict) -> Instance:
 
 
 @contextlib.contextmanager
-def atomic_write(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """A text file whose contents replace the file `path` names only once
-    the `with` block completes.
+def atomic_write(path: str, newline: str | None = None,
+                 binary: bool = False) -> Iterator[IO]:
+    """A file whose contents replace the file `path` names only once the
+    `with` block completes; a UTF-8 text file, or a binary one if `binary`.
 
-    The text goes to a temporary file beside the target (through any
+    The data goes to a temporary file beside the target (through any
     symlinks), which then replaces it in one step with the old file's
     permissions: a failure partway leaves an existing file as it was and
     no new one. A target that is not a regular file, such as a device, is
     written in place.
     """
+    def open_file(name: str, mode: str) -> IO:
+        if binary:
+            return open(name, mode + "b")
+        return open(name, mode, encoding="utf-8", newline=newline)
+
     target = os.path.realpath(path)
     try:
         mode = os.stat(target).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8", newline=newline) as fh:
+        with open_file(target, "w") as fh:
             yield fh
         return
     folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+        with open_file(tmp, "x") as fh:
             yield fh
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))

@@ -11,11 +11,16 @@ percept vector jointly score the four actions.
 Variants: "full" (grid percepts through the attention CNN),
 "languageOnly" (no percepts at all), "bagOfFeatures" (order-free 74-bit
 world summary instead of the CNN output).
+
+Training runs the model on nnet's tape. Beam search decodes through
+Rollout, which steps all live hypotheses of a member without a tape and
+reproduces the tape's numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -375,27 +380,157 @@ def train(model: NavModel, train_set: Sequence[Instance],
 # Beam-search inference
 
 
+def _gemv_rows(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W @ x[j] for every row j of x, one GEMV each."""
+    out = np.empty((x.shape[0], W.shape[0]))
+    for j in range(x.shape[0]):
+        np.matmul(W, x[j], out=out[j])
+    return out
+
+
+class Percepts:
+    """The percept inputs of one world's poses for one decode: each pose's
+    grid and bag-of-features vector are encoded once and shared by every
+    member and hypothesis that visits it."""
+
+    def __init__(self, world: WorldMap):
+        self.world = world
+        self._grids: dict[Pose, np.ndarray] = {}
+        self._bofs: dict[Pose, np.ndarray] = {}
+
+    def grid(self, pose: Pose) -> np.ndarray:
+        grid = self._grids.get(pose)
+        if grid is None:
+            grid = self._grids[pose] = encode_grid(self.world, pose).astype(np.float64)
+        return grid
+
+    def bof(self, pose: Pose) -> np.ndarray:
+        bof = self._bofs.get(pose)
+        if bof is None:
+            bof = self._bofs[pose] = encode_bof(self.world, pose).astype(np.float64)
+        return bof
+
+
+class Rollout:
+    """One model's decoder, stepped for a batch of hypotheses without a tape.
+
+    Row j of the (n, D) state arrays `h` and `c` is hypothesis j's state.
+    A step computes percept_vector + decode_step for every row with the
+    same numpy operations on the same operands: one GEMV per row for each
+    matrix-vector product, one GEMM per row for each convolution, and
+    transcendentals and softmax sums over contiguous rows. Every row is
+    therefore bit-identical to the tape path, whatever the other rows hold.
+    The first convolution does not depend on the state, so its output is
+    kept per pose. The model's parameters must not change while a Rollout
+    is in use.
+    """
+
+    def __init__(self, model: NavModel, percepts: Percepts):
+        self.config = model.config
+        self.percepts = percepts
+        self.c_dim = model.config.percept_dim()
+        self.p = {name: par.data for name, par in model._params.items()}
+        self.convs = []
+        self._first_layer: dict[Pose, np.ndarray] = {}
+        if self.config.variant == "full":
+            kernels = [(1, self.config.conv_width)]
+            kernels += [(kh, kw) for kh, kw, _ in self.config.extra_convs]
+            self.convs = [(nnet._filter_matrix(self.p[f"conv{i}_filters"]),
+                           self.p[f"conv{i}_bias"], kh, kw)
+                          for i, (kh, kw) in enumerate(kernels)]
+
+    def start(self, token_indices: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """`n` rows, each holding the encoder's (h, cell) for the instruction:
+        NavModel.encode without a tape."""
+        if len(token_indices) == 0:
+            raise ValueError("cannot encode an empty instruction")
+        H = self.config.encoder_hidden
+        xs = self.p["token_embedding"][np.asarray(token_indices, dtype=np.int64)]
+        hs, cs = [], []
+        for name, rows in (("enc_fwd", xs), ("enc_bwd", xs[::-1])):
+            W, b = self.p[name + "_W"], self.p[name + "_b"]
+            h = c = np.zeros(H)
+            for x in rows:
+                gates = W @ np.concatenate([x, h])
+                gates += b
+                i, f, g, o = nnet._lstm_gates(gates, H)
+                c, _, h = nnet._lstm_update(i, f, g, o, c)
+            hs.append(h)
+            cs.append(c)
+        return np.tile(np.concatenate(hs), (n, 1)), np.tile(np.concatenate(cs), (n, 1))
+
+    def _conv(self, layer: int, x: np.ndarray) -> np.ndarray:
+        """Valid convolution plus bias of every (rows, cols, cin) image in x,
+        one GEMM each."""
+        filt, bias, kh, kw = self.convs[layer]
+        n, rows, cols, _ = x.shape
+        windows = nnet._im2col(x, kh, kw)
+        out = np.empty((n, windows.shape[1], filt.shape[1]))
+        for j in range(n):
+            np.matmul(windows[j], filt, out=out[j])
+        out += bias
+        return out.reshape(n, rows - kh + 1, cols - kw + 1, filt.shape[1])
+
+    def _feature(self, pose: Pose) -> np.ndarray:
+        """relu(conv0 + bias) of the pose's grid, before attention."""
+        feat = self._first_layer.get(pose)
+        if feat is None:
+            feat = self._conv(0, self.percepts.grid(pose)[None])[0]
+            feat = self._first_layer[pose] = np.where(feat > 0, feat, 0.0)
+        return feat
+
+    def _percept_rows(self, h: np.ndarray, poses: Sequence[Pose]) -> np.ndarray:
+        if self.config.variant == "bagOfFeatures":
+            return np.stack([self.percepts.bof(pose) for pose in poses])
+        p = self.p
+        hidden = _gemv_rows(p["attn_W1"], h)
+        hidden += p["attn_b1"]
+        scores = _gemv_rows(p["attn_W2"], np.tanh(hidden))
+        scores += p["attn_b2"]
+        beta = nnet._softmax_rows(scores)
+        feat = np.stack([self._feature(pose) for pose in poses])
+        feat *= beta[:, None, None, :]  # broadcast over the channel axis
+        for layer in range(1, len(self.convs)):
+            feat = self._conv(layer, feat)
+            if layer == len(self.convs) - 1:
+                nnet._logistic(feat, out=feat)
+            else:
+                feat = np.where(feat > 0, feat, 0.0)
+        return feat.reshape(len(poses), -1)
+
+    def step(self, h: np.ndarray, c: np.ndarray, poses: Sequence[Pose],
+             prev: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance every row: row j stands at poses[j] after the action of
+        index prev[j]. Returns the new h and c and P over the actions, one
+        row each."""
+        n, D = h.shape
+        n_act = self.config.action_count
+        p = self.p
+        c_dim = self.c_dim
+        z = np.zeros((n, c_dim + n_act + D))
+        if c_dim:
+            percept = self._percept_rows(h, poses)
+            z[:, :c_dim] = percept
+        z[np.arange(n), c_dim + np.asarray(prev, dtype=np.intp)] = 1.0
+        z[:, c_dim + n_act:] = h
+        gates = _gemv_rows(p["dec_W"], z)
+        gates += p["dec_b"]
+        i, f, g, o = nnet._lstm_gates(gates, D)
+        c_new, _, h_new = nnet._lstm_update(i, f, g, o, c)
+        logits = _gemv_rows(p["out_W1"], h_new)
+        logits += p["out_b"]
+        if c_dim:
+            logits += _gemv_rows(p["out_W2"], percept)
+        return h_new, c_new, nnet._softmax_rows(logits)
+
+
 @dataclass
 class _Hypothesis:
     pose: Pose
     score: float
     actions: list[Action]
-    states: list[tuple[nnet.Tensor, nnet.Tensor]]
     prev: Action
     outcome: Optional[str] = None  # None while live; "stopped"/"wall_hit"/"exhausted"
-
-
-def _ensemble_distribution(models: Sequence[NavModel], hyp: _Hypothesis,
-                           world: WorldMap) -> tuple[np.ndarray, list]:
-    """Average P(a|s,c) over the ensemble; also returns the advanced states."""
-    dists = []
-    new_states = []
-    for model, state in zip(models, hyp.states):
-        c_t = model.percept_vector(world, hyp.pose, state)
-        new_state, dist = model.decode_step(state, c_t, hyp.prev)
-        dists.append(dist.data)
-        new_states.append(new_state)
-    return np.mean(dists, axis=0), new_states
 
 
 def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]],
@@ -410,6 +545,9 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
     Between sentences the surviving poses and scores are kept and the next
     sentence is freshly encoded. Ties break toward the lower action index,
     so beam_width=1 reproduces a greedy argmax rollout exactly.
+
+    Each member advances its live hypotheses together through a Rollout,
+    whose rows equal percept_vector + decode_step bit for bit.
     """
     if not models:
         raise ValueError("beam_search needs at least one model")
@@ -418,13 +556,19 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
     config = models[0].config
     width = beam_width if beam_width is not None else config.beam_width
     budget = max_actions if max_actions is not None else config.max_actions
+    if width < 1:
+        raise ValueError(f"beam_width must be at least 1, got {width}")
+    if budget < 1:
+        raise ValueError(f"max_actions must be at least 1, got {budget}")
 
-    beam = [_Hypothesis(start, 0.0, [], [], Action.STOP)]
+    percepts = Percepts(world)
+    rollouts = [Rollout(m, percepts) for m in models]
+    beam = [_Hypothesis(start, 0.0, [], Action.STOP)]
     with nnet.no_grad():
         for sentence in sentences:
-            encoded = [m.encode(m.vocab.encode(list(sentence))) for m in models]
+            states = [r.start(m.vocab.encode(list(sentence)), len(beam))
+                      for r, m in zip(rollouts, models)]
             for hyp in beam:
-                hyp.states = [(h, c) for h, c in encoded]
                 hyp.prev = Action.STOP
                 hyp.outcome = None
             finished: list[_Hypothesis] = []
@@ -433,24 +577,27 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
             for _ in range(budget):
                 if not live:
                     break
-                candidates: list[tuple[float, int, int, _Hypothesis, list]] = []
+                poses = [hyp.pose for hyp in live]
+                prev = [ACTION_INDEX[hyp.prev] for hyp in live]
+                dists = []
+                for k, rollout in enumerate(rollouts):
+                    h, c, dist = rollout.step(*states[k], poses, prev)
+                    states[k] = (h, c)
+                    dists.append(dist)
+                avg_p = np.mean(dists, axis=0)
+                candidates: list[tuple[float, int, int]] = []
                 for hyp_idx, hyp in enumerate(live):
-                    avg_p, new_states = _ensemble_distribution(models, hyp, world)
                     for a_idx in range(len(ACTIONS)):
-                        score = hyp.score + float(np.log(avg_p[a_idx]))
-                        candidates.append((score, hyp_idx, a_idx, hyp, new_states))
+                        score = hyp.score + float(np.log(avg_p[hyp_idx, a_idx]))
+                        candidates.append((score, hyp_idx, a_idx))
                 candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
                 next_live: list[_Hypothesis] = []
-                taken = 0
-                for score, _, a_idx, hyp, new_states in candidates:
-                    if taken >= width:
-                        break
-                    taken += 1
+                rows: list[int] = []  # the state row each next_live entry continues
+                for score, hyp_idx, a_idx in candidates[:width]:
+                    hyp = live[hyp_idx]
                     action = ACTIONS[a_idx]
                     result = step(world, hyp.pose, action)
-                    new_hyp = _Hypothesis(result.pose, score,
-                                          hyp.actions + [action], new_states,
-                                          action)
+                    new_hyp = _Hypothesis(result.pose, score, hyp.actions + [action], action)
                     if result.kind == "stopped":
                         new_hyp.outcome = "stopped"
                         finished.append(new_hyp)
@@ -459,7 +606,9 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
                         failed.append(new_hyp)
                     else:
                         next_live.append(new_hyp)
+                        rows.append(hyp_idx)
                 live = next_live
+                states = [(h[rows], c[rows]) for h, c in states]
             for hyp in live:  # ran out of the per-sentence budget
                 hyp.outcome = "exhausted"
                 finished.append(hyp)
@@ -487,16 +636,28 @@ def checkpoint_paths(handle: str) -> tuple[str, str, str]:
     return base + ".npz", base + ".npz.json", base + ".json"
 
 
+def _sha256_of(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def save_checkpoint(model: NavModel, path: str) -> None:
-    """Write parameters as npz plus a JSON sidecar (config + vocabulary)."""
+    """Write parameters as npz, then a JSON sidecar with the config, the
+    vocabulary and the npz's sha256, each file atomically. A crash between
+    the two leaves a pair whose digest does not match."""
     npz_path, sidecar_path, _ = checkpoint_paths(path)
-    np.savez(npz_path, **model.state_dict())
+    with atomic_write(npz_path, binary=True) as fh:
+        np.savez(fh, **model.state_dict())
     sidecar = {
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
         "vocab": model.vocab.to_list(),
+        "npz_sha256": _sha256_of(npz_path),
     }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
+    with atomic_write(sidecar_path) as fh:
         json.dump(sidecar, fh, indent=2)
 
 
@@ -505,7 +666,9 @@ def load_checkpoint(path: str) -> NavModel:
 
     The sidecar is read from its current name or else from the older
     `run/m.json`; a JSON file there without a "version" key is not a
-    checkpoint sidecar and is passed over.
+    checkpoint sidecar and is passed over. A sidecar that records the
+    npz's sha256 must match the npz; one without it (older checkpoints)
+    is not checked.
     """
     npz_path, *candidates = checkpoint_paths(path)
     sidecar = None
@@ -521,6 +684,11 @@ def load_checkpoint(path: str) -> NavModel:
             f"checkpoint {path!r}: no sidecar at {' or '.join(candidates)}")
     if sidecar["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {sidecar['version']}")
+    digest = sidecar.get("npz_sha256")
+    if digest is not None and _sha256_of(npz_path) != digest:
+        raise ValueError(
+            f"checkpoint {path!r}: {npz_path} does not match the sha256 "
+            f"recorded in {candidate}; the pair was not saved together")
     config = ModelConfig.from_dict(sidecar["config"])
     vocab = Vocabulary.from_list(sidecar["vocab"])
     model = NavModel(config, vocab, seed=0)

@@ -16,6 +16,7 @@ that composition as the reference).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from contextlib import contextmanager
@@ -296,11 +297,17 @@ def tanh(t: Tensor) -> Tensor:
     return _node(out_data, (t,), backward)
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a C-contiguous array. Each row is
+    summed on its own along contiguous memory, so a row of a matrix comes
+    out bit-identical to the same values as a vector."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(t: Tensor) -> Tensor:
     """Softmax over the last axis; strictly positive, sums to 1."""
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax_rows(t.data)
 
     def backward(out: Tensor) -> None:
         if t.requires_grad:
@@ -354,6 +361,25 @@ def embed(We: Tensor, indices: Sequence[int]) -> Tensor:
     return _node(out_data, (We,), backward)
 
 
+def _lstm_gates(gates: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """Activate pre-activation gates (..., 4*hidden) in place: sigmoid for
+    the input, forget and output gates, tanh for the candidate. Returns
+    views of the activated i, f, g, o."""
+    candidate = np.tanh(gates[..., 2 * hidden:3 * hidden])
+    _logistic(gates, out=gates)  # one call for i, f and o; g is overwritten next
+    gates[..., 2 * hidden:3 * hidden] = candidate
+    return tuple(gates[..., k * hidden:(k + 1) * hidden] for k in range(4))
+
+
+def _lstm_update(i: np.ndarray, f: np.ndarray, g: np.ndarray, o: np.ndarray,
+                 c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The new cell f*c_prev + i*g, its tanh, and the new hidden state."""
+    c = f * c_prev
+    c += i * g
+    tc = np.tanh(c)
+    return c, tc, o * tc
+
+
 def lstm_cell(W: Tensor, b: Tensor, x: Tensor,
               state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
     """Standard 4-gate LSTM cell (input, forget, candidate, output).
@@ -379,14 +405,8 @@ def lstm_cell(W: Tensor, b: Tensor, x: Tensor,
     z = np.concatenate([x.data, h_prev.data])
     gates = W.data @ z
     gates += b.data
-    candidate = np.tanh(gates[2 * hidden:3 * hidden])
-    _logistic(gates, out=gates)  # one call for i, f and o; g is overwritten next
-    gates[2 * hidden:3 * hidden] = candidate
-    i, f, g, o = (gates[k * hidden:(k + 1) * hidden] for k in range(4))
-    c_data = f * c_prev.data
-    c_data += i * g
-    tc = np.tanh(c_data)
-    h_data = o * tc
+    i, f, g, o = _lstm_gates(gates, hidden)
+    c_data, tc, h_data = _lstm_update(i, f, g, o, c_prev.data)
 
     def gates_grad() -> np.ndarray:
         if act.grad is None:
@@ -436,6 +456,36 @@ def lstm_cell(W: Tensor, b: Tensor, x: Tensor,
     return h, c
 
 
+@functools.lru_cache(maxsize=32)
+def _im2col_index(rows: int, cols: int, cin: int, kh: int, kw: int) -> np.ndarray:
+    """Positions in a flattened (rows, cols, cin) array of every valid
+    kh x kw window: one row per window, in (channel, di, dj) order."""
+    oh, ow = rows - kh + 1, cols - kw + 1
+    r = np.arange(oh).reshape(oh, 1, 1, 1, 1) + np.arange(kh).reshape(1, 1, 1, kh, 1)
+    q = np.arange(ow).reshape(1, ow, 1, 1, 1) + np.arange(kw).reshape(1, 1, 1, 1, kw)
+    index = (r * cols + q) * cin + np.arange(cin).reshape(1, 1, cin, 1, 1)
+    index = index.reshape(oh * ow, cin * kh * kw)
+    index.flags.writeable = False
+    return index
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Window matrix of a valid convolution: (..., rows, cols, cin) ->
+    C-contiguous (..., oh*ow, cin*kh*kw), the values and layout of
+    sliding_window_view(x, (kh, kw), axis=(-3, -2)) reshaped, gathered
+    through a cached index in a fraction of the time."""
+    *lead, rows, cols, cin = x.shape
+    return np.take(x.reshape(*lead, rows * cols * cin),
+                   _im2col_index(rows, cols, cin, kh, kw), axis=-1)
+
+
+def _filter_matrix(filters: np.ndarray) -> np.ndarray:
+    """(kh, kw, cin, cout) filters as the (cin*kh*kw, cout) matrix that
+    multiplies _im2col's window rows."""
+    kh, kw, cin, cout = filters.shape
+    return filters.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
+
+
 def conv2d_valid(filters: Tensor, x: Tensor) -> Tensor:
     """Valid (no padding) cross-correlation.
 
@@ -449,11 +499,8 @@ def conv2d_valid(filters: Tensor, x: Tensor) -> Tensor:
     if kh > rows or kw > cols:
         raise ValueError(f"kernel ({kh},{kw}) larger than input ({rows},{cols})")
     oh, ow = rows - kh + 1, cols - kw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(0, 1))
-    # windows: (oh, ow, cin, kh, kw) -> (oh*ow, cin*kh*kw)
-    win_mat = windows.reshape(oh * ow, cin * kh * kw)
-    filt_mat = filters.data.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
-    out_data = (win_mat @ filt_mat).reshape(oh, ow, cout)
+    win_mat = _im2col(x.data, kh, kw)
+    out_data = (win_mat @ _filter_matrix(filters.data)).reshape(oh, ow, cout)
 
     def backward(out: Tensor) -> None:
         g = out.grad.reshape(oh * ow, cout)

@@ -13,6 +13,8 @@ from mazenav.langgen import TaskCategory, generate_dataset
 from mazenav.navmodel import (
     ModelConfig,
     NavModel,
+    Percepts,
+    Rollout,
     beam_search,
     load_checkpoint,
     save_checkpoint,
@@ -422,6 +424,52 @@ class TestBeamOracle:
         self.check(models, lo_instances[:3], 4, steered=True, budget=6)
 
 
+class TestRollout:
+    """Each row of a Rollout's start equals NavModel.encode, and each row
+    of its step equals percept_vector + decode_step for that row alone, bit
+    for bit: first for one to four sibling poses sharing one state, then
+    for a second step from the rows' now different states. Both sides run
+    here, so no float digest is pinned."""
+
+    def check(self, model, inst):
+        tokens = model.vocab.encode(inst.instruction)
+        state = model.encode(tokens)
+        siblings = [step(inst.world, inst.start, a).pose for a in ACTIONS]
+        prev = [Action.STOP, Action.MOVE, Action.RIGHT, Action.LEFT]
+        with nnet.no_grad():
+            for n in range(1, 5):
+                rollout = Rollout(model, Percepts(inst.world))
+                h, c = rollout.start(tokens, n)
+                assert all(np.array_equal(row, state[0].data) for row in h)
+                assert all(np.array_equal(row, state[1].data) for row in c)
+                tape_states = [state] * n
+                for depth in range(2):
+                    h, c, dist = rollout.step(h, c, siblings[:n],
+                                              [ACTION_INDEX[a] for a in prev[:n]])
+                    assert dist.shape == (n, 4)
+                    assert h.shape == c.shape == (n, state[0].shape[0])
+                    for j in range(n):
+                        c_t = model.percept_vector(inst.world, siblings[j], tape_states[j])
+                        tape_states[j], dist_ref = model.decode_step(tape_states[j], c_t,
+                                                                     prev[j])
+                        where = (n, depth, j)
+                        assert np.array_equal(dist[j], dist_ref.data), where
+                        assert np.array_equal(h[j], tape_states[j][0].data), where
+                        assert np.array_equal(c[j], tape_states[j][1].data), where
+
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_rows_match_tape_step(self, shared_vocab, lo_instances, variant):
+        for seed, inst in enumerate(lo_instances[:4]):
+            self.check(make_model(shared_vocab, variant=variant, seed=seed), inst)
+
+    @pytest.mark.parametrize("variant", ["full", "bagOfFeatures"])
+    def test_rows_match_tape_step_at_default_size(self, lo_instances, variant):
+        vocab = build_vocab(lo_instances)
+        model = NavModel(ModelConfig(vocab_size=len(vocab), variant=variant), vocab, seed=3)
+        for inst in lo_instances[:2]:
+            self.check(model, inst)
+
+
 class TestBeamSearch:
     def test_beam_one_equals_greedy(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, seed=5)
@@ -487,6 +535,21 @@ class TestBeamSearch:
         assert len(combined) <= 12
         assert all(isinstance(x, Action) for x in combined)
 
+    @pytest.mark.parametrize("name, value", [("beam_width", 0), ("beam_width", -2),
+                                             ("max_actions", 0), ("max_actions", -1)])
+    def test_nonpositive_width_or_budget_rejected(self, shared_vocab, lo_instances,
+                                                  name, value):
+        inst = lo_instances[0]
+        model = make_model(shared_vocab)
+        message = f"{name} must be at least 1, got {value}"
+        with pytest.raises(ValueError, match=message):
+            beam_search(inst.world, inst.start, [inst.instruction], [model],
+                        **{name: value})
+        # the same check applies to the model config's defaults
+        model = make_model(shared_vocab, **{name: value})
+        with pytest.raises(ValueError, match=message):
+            beam_search(inst.world, inst.start, [inst.instruction], [model])
+
     def test_requires_models_and_sentences(self, shared_vocab, lo_instances):
         inst = lo_instances[0]
         model = make_model(shared_vocab)
@@ -536,6 +599,45 @@ class TestCheckpoints:
         bad_shape["out_b"] = np.zeros(7)
         with pytest.raises(ValueError, match="shape"):
             model.load_state_dict(bad_shape)
+
+    def test_mismatched_pair_rejected(self, shared_vocab, tmp_path):
+        save_checkpoint(make_model(shared_vocab, seed=1), str(tmp_path / "a"))
+        save_checkpoint(make_model(shared_vocab, seed=2), str(tmp_path / "b"))
+        (tmp_path / "a.npz").write_bytes((tmp_path / "b.npz").read_bytes())
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(str(tmp_path / "a"))
+        assert str(tmp_path / "a.npz") in str(err.value)
+        assert str(tmp_path / "a.npz.json") in str(err.value)
+
+    def test_sidecar_without_digest_loads(self, shared_vocab, tmp_path):
+        import json
+
+        model = make_model(shared_vocab, seed=3)
+        save_checkpoint(model, str(tmp_path / "m"))
+        sidecar_path = tmp_path / "m.npz.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        assert len(sidecar.pop("npz_sha256")) == 64
+        sidecar_path.write_text(json.dumps(sidecar))
+        again = load_checkpoint(str(tmp_path / "m"))
+        for name, value in model.state_dict().items():
+            assert np.array_equal(again.state_dict()[name], value)
+
+    def test_failed_save_keeps_previous_pair(self, shared_vocab, tmp_path, monkeypatch):
+        model = make_model(shared_vocab, seed=4)
+        save_checkpoint(model, str(tmp_path / "m"))
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+
+        def broken_savez(fh, **arrays):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(make_model(shared_vocab, seed=5), str(tmp_path / "m"))
+        monkeypatch.undo()
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+        again = load_checkpoint(str(tmp_path / "m"))
+        assert np.array_equal(again.param("dec_W").data, model.param("dec_W").data)
 
     def test_version_guard(self, shared_vocab, tmp_path):
         import json

@@ -468,6 +468,22 @@ class TestCliErrors:
         assert rc == 2
         assert f"error: {path}: line 3: {cause}" in capsys.readouterr().err
 
+    def test_render_indented_map_exits_2_naming_line_1(self, tmp_path, capsys):
+        import random
+
+        world = generate_world(random.Random(3), WorldConfig(4, 4))
+        path = tmp_path / "pretty.json"
+        path.write_text(json.dumps(world_to_dict(world), indent=2))
+        rc = main(["render", "--map", str(path)])
+        assert rc == 2
+        assert f"error: {path}: line 1: " in capsys.readouterr().err
+
+    def test_render_help_names_the_line_format(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["render", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "each line holds an instance or a bare map" in help_text
+
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mazenav.cli", "--help"],
                               capture_output=True, text=True)

@@ -365,9 +365,9 @@ def oracle_beam_search(world, start, sentences, models, width, budget):
 def steer(model):
     """Sharpen the output layer and make STOP unlikely, so that beams run
     for the whole budget and the best hypothesis depends on every step."""
-    for name in ("out_W1", "out_W2"):
-        if name in model._params:
-            model.param(name).data *= 10.0
+    for p in model.params():
+        if p.name in ("out_W1", "out_W2"):
+            p.data *= 10.0
     model.param("out_b").data[ACTION_INDEX[Action.STOP]] = -4.0
     return model
 

@@ -462,6 +462,14 @@ class TestRollout:
         for seed, inst in enumerate(lo_instances[:4]):
             self.check(make_model(shared_vocab, variant=variant, seed=seed), inst)
 
+    @pytest.mark.parametrize("extra_convs", [(), ((3, 3, 4), (1, 3, 2))])
+    def test_rows_match_tape_step_for_other_conv_stacks(self, shared_vocab, lo_instances,
+                                                         extra_convs):
+        # no layer after the attention, or a relu layer before the sigmoid one
+        model = make_model(shared_vocab, seed=9, extra_convs=extra_convs)
+        for inst in lo_instances[:2]:
+            self.check(model, inst)
+
     @pytest.mark.parametrize("variant", ["full", "bagOfFeatures"])
     def test_rows_match_tape_step_at_default_size(self, lo_instances, variant):
         vocab = build_vocab(lo_instances)

@@ -420,9 +420,7 @@ class Rollout:
     matrix-vector product, one GEMM per row for each convolution, and
     transcendentals and softmax sums over contiguous rows. Every row is
     therefore bit-identical to the tape path, whatever the other rows hold.
-    The first convolution does not depend on the state, so its output is
-    kept per pose. The model's parameters must not change while a Rollout
-    is in use.
+    The model's parameters must not change while a Rollout is in use.
     """
 
     def __init__(self, model: NavModel, percepts: Percepts):
@@ -431,33 +429,12 @@ class Rollout:
         self.c_dim = model.config.percept_dim()
         self.p = {name: par.data for name, par in model._params.items()}
         self.convs = []
-        self._first_layer: dict[Pose, np.ndarray] = {}
         if self.config.variant == "full":
             kernels = [(1, self.config.conv_width)]
             kernels += [(kh, kw) for kh, kw, _ in self.config.extra_convs]
             self.convs = [(nnet._filter_matrix(self.p[f"conv{i}_filters"]),
                            self.p[f"conv{i}_bias"], kh, kw)
                           for i, (kh, kw) in enumerate(kernels)]
-
-    def start(self, token_indices: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-        """`n` rows, each holding the encoder's (h, cell) for the instruction:
-        NavModel.encode without a tape."""
-        if len(token_indices) == 0:
-            raise ValueError("cannot encode an empty instruction")
-        H = self.config.encoder_hidden
-        xs = self.p["token_embedding"][np.asarray(token_indices, dtype=np.int64)]
-        hs, cs = [], []
-        for name, rows in (("enc_fwd", xs), ("enc_bwd", xs[::-1])):
-            W, b = self.p[name + "_W"], self.p[name + "_b"]
-            h = c = np.zeros(H)
-            for x in rows:
-                gates = W @ np.concatenate([x, h])
-                gates += b
-                i, f, g, o = nnet._lstm_gates(gates, H)
-                c, _, h = nnet._lstm_update(i, f, g, o, c)
-            hs.append(h)
-            cs.append(c)
-        return np.tile(np.concatenate(hs), (n, 1)), np.tile(np.concatenate(cs), (n, 1))
 
     def _conv(self, layer: int, x: np.ndarray) -> np.ndarray:
         """Valid convolution plus bias of every (rows, cols, cin) image in x,
@@ -471,14 +448,6 @@ class Rollout:
         out += bias
         return out.reshape(n, rows - kh + 1, cols - kw + 1, filt.shape[1])
 
-    def _feature(self, pose: Pose) -> np.ndarray:
-        """relu(conv0 + bias) of the pose's grid, before attention."""
-        feat = self._first_layer.get(pose)
-        if feat is None:
-            feat = self._conv(0, self.percepts.grid(pose)[None])[0]
-            feat = self._first_layer[pose] = np.where(feat > 0, feat, 0.0)
-        return feat
-
     def _percept_rows(self, h: np.ndarray, poses: Sequence[Pose]) -> np.ndarray:
         if self.config.variant == "bagOfFeatures":
             return np.stack([self.percepts.bof(pose) for pose in poses])
@@ -488,7 +457,8 @@ class Rollout:
         scores = _gemv_rows(p["attn_W2"], np.tanh(hidden))
         scores += p["attn_b2"]
         beta = nnet._softmax_rows(scores)
-        feat = np.stack([self._feature(pose) for pose in poses])
+        feat = self._conv(0, np.stack([self.percepts.grid(pose) for pose in poses]))
+        feat = np.where(feat > 0, feat, 0.0)
         feat *= beta[:, None, None, :]  # broadcast over the channel axis
         for layer in range(1, len(self.convs)):
             feat = self._conv(layer, feat)
@@ -566,8 +536,11 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
     beam = [_Hypothesis(start, 0.0, [], Action.STOP)]
     with nnet.no_grad():
         for sentence in sentences:
-            states = [r.start(m.vocab.encode(list(sentence)), len(beam))
-                      for r, m in zip(rollouts, models)]
+            states = []
+            for m in models:
+                h, c = m.encode(m.vocab.encode(list(sentence)))
+                states.append((np.tile(h.data, (len(beam), 1)),
+                               np.tile(c.data, (len(beam), 1))))
             for hyp in beam:
                 hyp.prev = Action.STOP
                 hyp.outcome = None

@@ -12,6 +12,13 @@ clipping and Adam are updated in place. Every fused or in-place expression
 keeps the per-element operation order of the plain composition of
 primitives, so results are bit-identical to it (tests/test_nnet.py keeps
 that composition as the reference).
+
+One exception: the rank-1 products that matmul and the LSTM cell add to a
+Param's gradient (one per use of a weight matrix on a vector) are recorded
+during the backward sweep and summed by one GEMM per Param when the sweep
+ends. The GEMM adds them in its own order, so a weight gradient can differ
+in the last bits from adding the products one step at a time
+(tests/test_nnet.py keeps that per-step sum as the reference).
 """
 
 from __future__ import annotations
@@ -26,11 +33,17 @@ import numpy as np
 
 _GRAD_ENABLED = True
 
-# Work space for in-place gradient products, the gradient norm and the
-# optimizer update. It grows to the largest request (one array of the largest
-# parameter's size, or Adam's two block buffers) and is shared by every
-# caller, so this module is not thread-safe.
+# Work space for the gradient products that are added to an existing
+# gradient (a rank-1 product into a non-leaf tensor, or a Param's summed
+# products when the Param already holds a gradient), the gradient norm and
+# the optimizer update. It grows to the largest request (one array of the
+# largest parameter's size, or Adam's two block buffers) and is shared by
+# every caller, so this module is not thread-safe.
 _SCRATCH = np.empty(0)
+
+# The rank-1 weight-gradient products of the running backward pass, as the
+# factor lists (us, vs) of each Param; None outside a backward pass.
+_OUTER: Optional[dict["Param", tuple[list, list]]] = None
 
 # Adam updates a parameter this many elements at a time, so its two work
 # arrays stay small and in cache.
@@ -118,13 +131,25 @@ class Param(Tensor):
         self.t = 0
         self._grad_buffer: Optional[np.ndarray] = None
 
+    def _buffer(self) -> np.ndarray:
+        if self._grad_buffer is None:
+            self._grad_buffer = np.empty_like(self.data)
+        return self._grad_buffer
+
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            if self._grad_buffer is None:
-                self._grad_buffer = np.empty_like(self.data)
-            self.grad = np.add(g, 0.0, out=self._grad_buffer)
+            self.grad = np.add(g, 0.0, out=self._buffer())
         else:
             self.grad += g
+
+    def accumulate_outers(self, us: Sequence[np.ndarray],
+                          vs: Sequence[np.ndarray]) -> None:
+        """grad += sum over k of outer(us[k], vs[k]), as one GEMM."""
+        u, v = np.stack(us).T, np.stack(vs)
+        if self.grad is None:
+            self.grad = np.matmul(u, v, out=self._buffer())
+        else:
+            self.grad += np.matmul(u, v, out=_scratch(self.data.shape)[0])
 
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -138,12 +163,22 @@ def constant(data) -> Tensor:
 
 
 def _accumulate_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
-    """t.grad += outer(u, v), with the product formed in the scratch array.
+    """t.grad += outer(u, v).
 
+    During a backward pass a Param only records the pair; backward adds the
+    recorded products with one GEMM when the sweep ends, so u and v must not
+    be overwritten before then (node gradients and forward data are not;
+    scratch arrays are). Any other tensor's gradient is read later in the
+    sweep, so it gets the product at once, formed in the scratch array:
     einsum forms each u[i]*v[j] with one rounding, as np.outer does, at
     about twice the speed of a broadcast multiply on the model's shapes.
     """
-    t.accumulate(np.einsum("i,j->ij", u, v, out=_scratch(t.data.shape)[0]))
+    if _OUTER is not None and isinstance(t, Param):
+        us, vs = _OUTER.setdefault(t, ([], []))
+        us.append(u)
+        vs.append(v)
+    else:
+        t.accumulate(np.einsum("i,j->ij", u, v, out=_scratch(t.data.shape)[0]))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -524,7 +559,13 @@ def conv2d_valid(filters: Tensor, x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates Param gradients."""
+    """Reverse-mode sweep from a scalar loss; accumulates Param gradients.
+
+    Each Param's rank-1 products are added after the sweep, one GEMM per
+    Param. A sweep that raises adds none of them: they are dropped, and the
+    Params keep whatever the sweep had added before it raised.
+    """
+    global _OUTER
     if loss.data.ndim != 0:
         raise ValueError("backward expects a scalar loss")
     topo: list[Tensor] = []
@@ -542,9 +583,15 @@ def backward(loss: Tensor) -> None:
         for p in node.parents:
             stack.append((p, False))
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node.backward_fn is not None:
-            node.backward_fn(node)
+    _OUTER = outers = {}
+    try:
+        for node in reversed(topo):
+            if node.backward_fn is not None:
+                node.backward_fn(node)
+        for p, (us, vs) in outers.items():
+            p.accumulate_outers(us, vs)
+    finally:
+        _OUTER = None
 
 
 def zero_grad(params: Iterable[Param]) -> None:

@@ -4,7 +4,8 @@ Every primitive's backward pass is verified against central finite
 differences computed in 64-bit; the analytic and numeric routes are kept
 fully independent. The fused LSTM cell and the in-place optimizer are
 compared bit for bit with the composed cell and the allocating textbook
-formulas they replace.
+formulas they replace. Weight gradients, which backward sums with one GEMM
+per parameter, are compared with the per-step sum of rank-1 products.
 """
 
 import math
@@ -495,6 +496,109 @@ class TestFusedLstmCell:
             assert p.t == ref.t == 2 * len(data)
             for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
                 assert np.array_equal(a, r), p.name
+
+
+def per_step_outer(t, u, v):
+    """Reference rank-1 accumulation: each product formed on its own and
+    added to the gradient at once, the sum the GEMM in backward replaces."""
+    t.accumulate(np.einsum("i,j->ij", u, v))
+
+
+class TestWeightGradientGemm:
+    def shared_weight_loss(self):
+        """W (5x5) steps a recurrence 6 times, V (5x3) reads every state from
+        the left, and W also gets a dense gradient through mul."""
+        rng = np.random.default_rng(8)
+        W = Param("W", rng.normal(size=(5, 5)) * 0.6)
+        V = Param("V", rng.normal(size=(5, 3)))
+        U = Param("U", rng.normal(size=(5, 2)))
+        mask = constant(rng.normal(size=(5, 5)))
+        xs = [constant(x) for x in rng.normal(size=(6, 2))]
+        head = constant(rng.normal(size=3))
+
+        def loss():
+            total = matmul(reshape(mul(W, mask), (25,)), constant(np.ones(25)))
+            h = constant(np.zeros(5))
+            for x in xs:
+                h = tanh(add(matmul(W, h), matmul(U, x)))
+                total = add(total, matmul(matmul(h, V), head))
+            return total
+
+        return [W, V, U], loss
+
+    def grads(self, params, loss):
+        zero_grad(params)
+        backward(loss())
+        return [p.grad.copy() for p in params]
+
+    def test_matches_per_step_sum(self, monkeypatch):
+        params, loss = self.shared_weight_loss()
+        grads = self.grads(params, loss)
+        monkeypatch.setattr(nnet, "_accumulate_outer", per_step_outer)
+        ref = self.grads(params, loss)
+        for p, g, r in zip(params, grads, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=0, err_msg=p.name)
+
+    def test_non_leaf_matrix_gets_its_product_before_its_backward(self):
+        rng = np.random.default_rng(9)
+        flat = Param("flat", rng.normal(size=12))
+        x = constant(rng.normal(size=4))
+        up = rng.normal(size=3)
+        zero_grad([flat])
+        W = reshape(flat, (3, 4))
+        y = add(matmul(W, x), matmul(W, constant(2.0 * x.data)))
+        backward(matmul(y, constant(up)))
+        expected = np.outer(up, 2.0 * x.data)
+        expected += np.outer(up, x.data)
+        assert np.array_equal(flat.grad, expected.reshape(-1))
+
+    def test_raising_sweep_leaves_no_products_behind(self, monkeypatch):
+        params, loss = self.shared_weight_loss()
+        W, V, U = params
+
+        def raises(out):
+            raise RuntimeError("injected fault")
+
+        # V's product is recorded when its matmul runs, before the sweep
+        # reaches the faulty node upstream of it.
+        bad = Tensor(np.ones(5), parents=(U,), backward_fn=raises)
+        zero_grad(params)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            backward(matmul(matmul(bad, V), constant(np.ones(3))))
+        assert V.grad is None
+        grads = self.grads(params, loss)
+        monkeypatch.setattr(nnet, "_accumulate_outer", per_step_outer)
+        ref = self.grads(params, loss)
+        for p, g, r in zip(params, grads, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=0, err_msg=p.name)
+
+    def test_training_matches_per_step_sum(self, monkeypatch):
+        from mazenav.datastore import Vocabulary
+        from mazenav.langgen import TemplateBank
+
+        bank = TemplateBank.load_default()
+        vocab = Vocabulary(bank.vocabulary())
+        data = list(generate_dataset({TaskCategory.LANGUAGE_ONLY: 1.0}, 50,
+                                     master_seed=0, bank=bank))
+        # the criterion-10 model
+        config = ModelConfig(vocab_size=len(vocab), embed_dim=32,
+                             encoder_hidden=64, attention_hidden=32,
+                             conv_width=5, conv_channels=16,
+                             extra_convs=((5, 5, 8),), variant="full")
+
+        def train():
+            model = NavModel(config, vocab, seed=0)
+            return [model.train_on(inst)[0] for inst in data], model
+
+        losses, model = train()
+        monkeypatch.setattr(nnet, "_accumulate_outer", per_step_outer)
+        ref_losses, ref_model = train()
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        for p, ref in zip(model.params(), ref_model.params()):
+            assert p.t == ref.t == len(data)
+            for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
+                np.testing.assert_allclose(a, r, rtol=1e-9, atol=1e-12,
+                                           err_msg=p.name)
 
 
 def reference_grad_norm(grads):

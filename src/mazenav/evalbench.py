@@ -120,7 +120,6 @@ def learning_efficiency(model_factory: Callable[[], object],
     report = EfficiencyReport(mix_id, threshold, cap, eval_batch, None, False)
     ma = 0.0
     consumed = 0
-    evaluated_ids: set[int] = set()
     trained_ids: set[int] = set()
     while consumed < cap:
         batch = list(islice(stream, min(eval_batch, cap - consumed)))
@@ -128,8 +127,9 @@ def learning_efficiency(model_factory: Callable[[], object],
             break
         wins = 0
         for inst in batch:
-            assert inst.id not in trained_ids, "evaluation must precede training"
-            evaluated_ids.add(inst.id)
+            if inst.id in trained_ids:
+                raise RuntimeError(f"instance {inst.id} was trained on before its "
+                                   "evaluation; evaluation must precede training")
             wins += int(success(inst, model.predict(inst), "singleSentence"))
         acc = wins / len(batch)
         ma = 0.95 * ma + 0.05 * acc
@@ -262,8 +262,7 @@ def run_fixed_experiment(instances: Sequence[Instance],
         models = []
         for k in range(n_models):
             model = NavModel(cfg, vocab, seed=seed * 1000 + k)
-            train(model, train_set, dev_set[:dev_limit] if dev_limit else dev_set,
-                  max_epochs=max_epochs, seed=seed * 1000 + k)
+            train(model, train_set, dev_eval, max_epochs=max_epochs, seed=seed * 1000 + k)
             models.append(model)
         dev_single = [evaluate_ensemble([m], dev_eval) for m in models]
         test_single = [evaluate_ensemble([m], test_eval) for m in models]

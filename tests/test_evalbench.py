@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mazenav import evalbench
 from mazenav.datastore import build_vocab
 from mazenav.evalbench import (
     GOLDEN_RATIO,
@@ -169,6 +170,22 @@ class TestLearningEfficiency:
         assert [c for c, _, _ in seen] == [10, 20, 30]
         assert seen[0][1] == 1.0
         assert seen[0][2] == pytest.approx(0.05)
+
+    def test_stream_repeating_a_trained_instance_raises(self, monkeypatch):
+        first = list(generate_dataset(LO_MIX, 10, 4, config=SMALL_WORLD))
+
+        def repeating(mix, count, seed, config=None, bank=None):
+            yield from first
+            yield first[3]  # already trained on with the first batch
+
+        monkeypatch.setattr(evalbench, "generate_dataset", repeating)
+        oracle = _Oracle()
+        with pytest.raises(RuntimeError, match=f"instance {first[3].id} "):
+            learning_efficiency(lambda: oracle, LO_MIX, threshold=0.90, cap=30,
+                                eval_batch=10, seed=4, world_config=SMALL_WORLD)
+        # the repeat is rejected before it is evaluated a second time
+        assert oracle.log == ([("eval", inst.id) for inst in first]
+                              + [("train", inst.id) for inst in first])
 
     def test_report_round_trip(self, tmp_path):
         import json

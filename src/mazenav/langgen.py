@@ -18,6 +18,9 @@ from importlib import resources
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .worldsim import (
+    FLOORS,
+    ITEMS,
+    WALL_PAINTINGS,
     Action,
     Direction,
     MapResampleNeeded,
@@ -61,10 +64,10 @@ COUNT_WORDS = (
 )
 
 _SLOT_FILLERS: dict[str, tuple[str, ...]] = {
-    "item": ("barstool", "chair", "easel", "hatrack", "lamp", "sofa"),
-    "floor": ("blue", "brick", "concrete", "flower", "grass", "gravel", "wood", "yellow"),
-    "floor2": ("blue", "brick", "concrete", "flower", "grass", "gravel", "wood", "yellow"),
-    "wall": ("butterfly", "fish", "tower"),
+    "item": ITEMS,
+    "floor": FLOORS,
+    "floor2": FLOORS,
+    "wall": WALL_PAINTINGS,
     "side": ("left", "right", "back"),
     "count": COUNT_WORDS,
     "step": ("step", "steps"),

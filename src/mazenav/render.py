@@ -63,9 +63,9 @@ def render_ascii(world: WorldMap, pose: Optional[Pose] = None,
             else:
                 row.append("+")
             if x + 1 < world.width:
-                edge = norm_edge((x, y), (x + 1, y))
-                if edge in world.edges:
-                    floor, wall = world.edge_attrs[edge]
+                attrs = world.edge_attrs.get(norm_edge((x, y), (x + 1, y)))
+                if attrs:
+                    floor, wall = attrs
                     row.append(FLOOR_CHARS[floor] + WALL_CHARS[wall] + FLOOR_CHARS[floor])
                 else:
                     row.append("   ")
@@ -73,9 +73,9 @@ def render_ascii(world: WorldMap, pose: Optional[Pose] = None,
         if y + 1 < world.height:
             row = []
             for x in range(world.width):
-                edge = norm_edge((x, y), (x, y + 1))
-                if edge in world.edges:
-                    floor, wall = world.edge_attrs[edge]
+                attrs = world.edge_attrs.get(norm_edge((x, y), (x, y + 1)))
+                if attrs:
+                    floor, wall = attrs
                     row.append(FLOOR_CHARS[floor] + WALL_CHARS[wall])
                 else:
                     row.append("  ")
@@ -104,8 +104,7 @@ def render_svg(world: WorldMap, pose: Optional[Pose] = None,
         f'viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
-    for (a, b) in sorted(world.edges):
-        floor, wall = world.edge_attrs[(a, b)]
+    for (a, b), (floor, wall) in sorted(world.edge_attrs.items()):
         color = FLOOR_COLORS[floor]
         parts.append(
             f'<line x1="{cx(a[0])}" y1="{cy(a[1])}" x2="{cx(b[0])}" y2="{cy(b[1])}" '

@@ -11,7 +11,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 Node = tuple[int, int]
 Edge = tuple[Node, Node]
@@ -206,18 +206,18 @@ def _grid(width: int, height: int) -> _Grid:
 
 @dataclass
 class WorldMap:
-    """A decorated maze. Edges are normalised unit edges between grid nodes.
+    """A decorated maze. Its open edges are the keys of `edge_attrs`,
+    normalised unit edges between grid nodes, and each maps to the edge's
+    floor and wall painting; no other record of the edges is kept.
 
     Neighbour lists are tuples and the node and edge tuples come from the
     per-size table, so the garbage collector stops tracking them (and the
     dicts that hold only them) at its first pass over the world. Halls and
-    the areas that paint the walls are not stored: each edge's floor and
-    wall painting are in `edge_attrs`.
+    the areas that paint the walls are not stored.
     """
 
     width: int
     height: int
-    edges: frozenset[Edge]
     items: dict[Node, str]
     edge_attrs: dict[Edge, tuple[str, str]]  # edge -> (floor, wall painting)
 
@@ -231,7 +231,7 @@ class WorldMap:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         grid = _grid(self.width, self.height)
         masks = [0] * len(grid.nodes)
-        for i, bit_i, j, bit_j in map(grid.edge_links.__getitem__, self.edges):
+        for i, bit_i, j, bit_j in map(grid.edge_links.__getitem__, self.edge_attrs):
             masks[i] |= bit_i
             masks[j] |= bit_j
         self.neighbors = {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
@@ -240,14 +240,11 @@ class WorldMap:
     def in_bounds(self, node: Node) -> bool:
         return 0 <= node[0] < self.width and 0 <= node[1] < self.height
 
-    def has_edge(self, a: Node, b: Node) -> bool:
-        return norm_edge(a, b) in self.edges
-
     def neighbor_toward(self, node: Node, direction: Direction) -> Node | None:
         """Adjacent node in `direction` if the connecting edge is open."""
         dx, dy = DELTAS[direction]
         nxt = (node[0] + dx, node[1] + dy)
-        return nxt if norm_edge(node, nxt) in self.edges else None
+        return nxt if norm_edge(node, nxt) in self.edge_attrs else None
 
     def degree(self, node: Node) -> int:
         return len(self.neighbors[node])
@@ -288,7 +285,7 @@ def generate_maze(width: int, height: int, rng: random.Random) -> set[Edge]:
     return edges
 
 
-def compute_halls(edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
+def compute_halls(edges: Collection[Edge]) -> list[Hall]:
     """Partition edges into maximal collinear consecutive runs: horizontal
     halls by row then column, then vertical halls by column then row.
 
@@ -327,8 +324,7 @@ def compute_halls(edges: set[Edge] | frozenset[Edge]) -> list[Hall]:
     return halls
 
 
-def _table_runs(grid: _Grid,
-                edges: set[Edge] | frozenset[Edge]) -> list[tuple[str, tuple[Edge, ...]]]:
+def _table_runs(grid: _Grid, edges: Collection[Edge]) -> list[tuple[str, tuple[Edge, ...]]]:
     """The (axis, edges) of compute_halls for unit edges of `grid`: sort the
     edges' hall-order ranks and cut where they skip. KeyError for an edge
     not in the table."""
@@ -357,7 +353,7 @@ def _cut_bounds(width: int, height: int, n_areas: int,
     return axis, [0, *sorted(rng.sample(range(1, size), n_areas - 1)), size]
 
 
-def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
+def decorate(edges: Collection[Edge], rng: random.Random,
              config: WorldConfig | None = None) -> WorldMap:
     """Dress a maze: items on random nodes, one floor per hall, and 2-3 areas
     each painting its edges with a distinct wall painting.
@@ -392,7 +388,7 @@ def decorate(edges: set[Edge] | frozenset[Edge], rng: random.Random,
     paintings = rng.sample(WALL_PAINTINGS, n_strips)
     wall_at = [paintings[i] for i in range(n_strips) for _ in range(bounds[i], bounds[i + 1])]
     edge_attrs = {e: _EDGE_ATTRS[floor][wall_at[e[0][axis]]] for run, floor in floored for e in run}
-    return WorldMap(width, height, frozenset(edges), items, edge_attrs)
+    return WorldMap(width, height, items, edge_attrs)
 
 
 def generate_world(rng: random.Random, config: WorldConfig | None = None) -> WorldMap:
@@ -538,21 +534,15 @@ def sample_endpoints(world: WorldMap, rng: random.Random, min_dist: int = 4,
 
 
 def world_to_dict(world: WorldMap) -> dict:
-    """Canonical JSON-ready form with stable key and element order."""
-    edges = sorted(world.edges)
-    edge_attrs = world.edge_attrs
+    """Canonical JSON-ready form with stable key and element order; the
+    edge attribute entries are sorted by edge."""
     return {
         "width": world.width,
         "height": world.height,
-        "edges": [[a[0], a[1], b[0], b[1]] for a, b in edges],
         "items": {f"{x},{y}": world.items[(x, y)] for x, y in sorted(world.items)},
         "edgeAttrs": [
-            {
-                "edge": [a[0], a[1], b[0], b[1]],
-                "floor": edge_attrs[(a, b)][0],
-                "wall": edge_attrs[(a, b)][1],
-            }
-            for a, b in edges
+            {"edge": [a[0], a[1], b[0], b[1]], "floor": floor, "wall": wall}
+            for (a, b), (floor, wall) in sorted(world.edge_attrs.items())
         ],
     }
 
@@ -582,11 +572,12 @@ def world_from_dict(data: dict) -> WorldMap:
 
     Edges and nodes resolve through the per-size table and names through
     the known-name tables, so a read world holds the same edge, node and
-    name objects as a generated world of its size. Keys the world is not
-    built from, such as the `halls` and `areas` blocks of files written
-    before worlds stopped storing them, are ignored. An entry off the grid,
-    an unknown name or an edge without attributes raises ValueError naming
-    it.
+    name objects as a generated world of its size. The edges are those of
+    `edgeAttrs`. Keys the world is not built from are ignored: the `edges`
+    list of files written before `edgeAttrs` became the one record of the
+    edges, and the `halls` and `areas` blocks of files written before
+    worlds stopped storing them. An entry off the grid or an unknown name
+    raises ValueError naming it.
     """
     compact = dict(data)
     compact["edgeAttrs"] = [map_object_hook(entry) for entry in data["edgeAttrs"]]
@@ -600,14 +591,8 @@ def _world_of(data: dict) -> WorldMap:
     if type(width) is not int or type(height) is not int or width < 1 or height < 1:
         raise ValueError(f"map sides must be integers >= 1, got {width!r} x {height!r}")
     grid = _grid(width, height)
-    edge_of, key_nodes = grid.quad_edges.__getitem__, grid.key_nodes
-    edges = frozenset(map(edge_of, map(tuple, data["edges"])))
+    quad_edges, key_nodes = grid.quad_edges, grid.key_nodes
     items = {key_nodes[key]: _ITEM_NAMES[item] for key, item in data["items"].items()}
-    edge_attrs = {edge_of(quad): _EDGE_ATTRS[floor][wall]
+    edge_attrs = {quad_edges[quad]: _EDGE_ATTRS[floor][wall]
                   for quad, floor, wall in data["edgeAttrs"]}
-    if edge_attrs.keys() != edges:
-        e = min(edges ^ edge_attrs.keys())
-        quad = [*e[0], *e[1]]
-        raise ValueError(f"edge {quad} has no attributes" if e in edges else
-                         f"edge attributes for {quad}, which is not an edge")
-    return WorldMap(width, height, edges, items, edge_attrs)
+    return WorldMap(width, height, items, edge_attrs)

@@ -9,6 +9,10 @@ layout or the serialized form moves them. Two digests are kept:
 - a semantic digest of what a navigator can observe (category,
   instruction, gold actions, start pose, edges, items and edge
   attributes), which a leaner file format must keep unchanged.
+
+The JSONL digests were re-pinned when map lines stopped holding halls and
+areas, and again when they stopped holding an edge list besides
+`edgeAttrs`. The semantic digests have not moved since they were pinned.
 """
 
 import hashlib
@@ -36,7 +40,7 @@ SEMANTIC_SHA256 = {
 
 def semantic_record(inst: langgen.Instance) -> str:
     world = inst.world
-    edges = sorted(world.edges)
+    edges = sorted(world.edge_attrs)
     return json.dumps([
         inst.category.value,
         inst.instruction,

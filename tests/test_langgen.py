@@ -261,7 +261,7 @@ class TestGeneration:
             assert x.instruction == y.instruction
             assert x.actions == y.actions
             assert x.seed == y.seed
-            assert x.world.edges == y.world.edges
+            assert x.world.edge_attrs == y.world.edge_attrs
 
     def test_dataset_seed_changes_content(self):
         a = list(generate_dataset(DEFAULT_MIX, 20, master_seed=1))

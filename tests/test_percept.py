@@ -156,8 +156,8 @@ class TestGridEncoding:
         # a 12-node straight corridor yields 23 cells > 20 columns
         from mazenav.worldsim import WorldMap
 
-        edges = frozenset(norm_edge((x, 0), (x + 1, 0)) for x in range(11))
-        world = WorldMap(12, 1, edges, {}, {e: ("blue", "fish") for e in edges})
+        world = WorldMap(12, 1, {}, {norm_edge((x, 0), (x + 1, 0)): ("blue", "fish")
+                                     for x in range(11)})
         with pytest.raises(GridOverflowError):
             encode_grid(world, Pose(0, 0, Direction.EAST))
 

@@ -76,7 +76,7 @@ class TestRenderAscii:
             for y in range(world.height):
                 seg = lines[2 * y][4 * x + 1:4 * x + 4]
                 edge = norm_edge((x, y), (x + 1, y))
-                if edge in world.edges:
+                if edge in world.edge_attrs:
                     floor, wall = world.edge_attrs[edge]
                     assert seg == FLOOR_CHARS[floor] + WALL_CHARS[wall] + FLOOR_CHARS[floor]
                 else:
@@ -85,7 +85,7 @@ class TestRenderAscii:
             for y in range(world.height - 1):
                 seg = lines[2 * y + 1][4 * x:4 * x + 2]
                 edge = norm_edge((x, y), (x, y + 1))
-                if edge in world.edges:
+                if edge in world.edge_attrs:
                     floor, wall = world.edge_attrs[edge]
                     assert seg == FLOOR_CHARS[floor] + WALL_CHARS[wall]
                 else:
@@ -125,7 +125,7 @@ class TestRenderSvg:
         svg = render_svg(inst.world, inst.start, visited)
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
-        assert svg.count("<line ") >= len(inst.world.edges)
+        assert svg.count("<line ") >= len(inst.world.edge_attrs)
         assert svg.count("<circle ") >= inst.world.width * inst.world.height
         if len(visited) > 1:
             assert "<polyline " in svg
@@ -384,7 +384,7 @@ class TestCliErrors:
         data = tmp_path / "bad.jsonl"
         inst = next(iter(generate_dataset(DEFAULT_MIX, 1, 3, config=WorldConfig(3, 1, min_dist=1))))
         line = datastore.instance_to_dict(inst)
-        line["map"]["edges"].append([0, 0, 2, 0])
+        line["map"]["edgeAttrs"].append({"edge": [0, 0, 2, 0], "floor": "blue", "wall": "fish"})
         data.write_text(json.dumps(line) + "\n")
         ckpt = tmp_path / "m.npz"
         rc = main(["train", "--data", str(data), "--out-checkpoint", str(ckpt),

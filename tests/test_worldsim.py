@@ -142,7 +142,7 @@ class TestDecoration:
         for seed in range(50):
             world = generate_world(random.Random(seed), config)
             # one floor per hall, shared by all edges of the hall
-            for hall in compute_halls(world.edges):
+            for hall in compute_halls(world.edge_attrs):
                 floors = {world.edge_attrs[e][0] for e in hall.edges}
                 assert len(floors) == 1 and floors <= set(FLOORS)
             # an edge's painting is fixed by the strip of its smaller
@@ -171,9 +171,8 @@ class TestDecoration:
 class TestDynamics:
     def build_line_world(self):
         # 3x1 corridor: (0,0)-(1,0)-(2,0)
-        edges = frozenset({norm_edge((0, 0), (1, 0)), norm_edge((1, 0), (2, 0))})
-        attrs = {e: ("blue", "fish") for e in edges}
-        return WorldMap(3, 1, edges, {}, attrs)
+        edges = (norm_edge((0, 0), (1, 0)), norm_edge((1, 0), (2, 0)))
+        return WorldMap(3, 1, {}, {e: ("blue", "fish") for e in edges})
 
     def test_turns_rotate_in_place(self):
         world = self.build_line_world()
@@ -224,11 +223,10 @@ class TestPathfinding:
             assert len(path) - 1 == oracle
             assert path[0] == start and path[-1] == goal
             for a, b in zip(path, path[1:]):
-                assert world.has_edge(a, b)
+                assert norm_edge(a, b) in world.edge_attrs
 
     def test_no_path_raises(self):
-        edges = frozenset({norm_edge((0, 0), (1, 0))})
-        world = WorldMap(2, 2, edges, {}, {e: ("blue", "fish") for e in edges})
+        world = WorldMap(2, 2, {}, {norm_edge((0, 0), (1, 0)): ("blue", "fish")})
         with pytest.raises(NoPathError):
             shortest_path(world, (0, 0), (1, 1))
 
@@ -273,8 +271,7 @@ class TestEndpointSampling:
             assert bfs_distances(world, start)[goal] >= 4
 
     def test_impossible_distance_raises(self):
-        edges = frozenset({norm_edge((0, 0), (1, 0))})
-        world = WorldMap(2, 1, edges, {}, {e: ("blue", "fish") for e in edges})
+        world = WorldMap(2, 1, {}, {norm_edge((0, 0), (1, 0)): ("blue", "fish")})
         with pytest.raises(MapResampleNeeded):
             sample_endpoints(world, random.Random(0), min_dist=4)
 
@@ -286,7 +283,6 @@ class TestSerialization:
             world = generate_world(rng)
             clone = world_from_dict(world_to_dict(world))
             assert clone.width == world.width and clone.height == world.height
-            assert clone.edges == world.edges
             assert clone.items == world.items
             assert clone.edge_attrs == world.edge_attrs
 
@@ -307,11 +303,10 @@ class TestNeighbors:
             order = [(0, -1), (1, 0), (0, 1), (-1, 0)]
             assert dirs == [d for d in order if d in dirs]
             assert sorted(nbs) == sorted(b if a == node else a
-                                         for a, b in world.edges if node in (a, b))
+                                         for a, b in world.edge_attrs if node in (a, b))
 
     def test_edge_off_the_grid_is_named(self):
-        edges = frozenset({((0, 0), (2, 0))})
-        world = WorldMap(3, 1, edges, {}, {})
+        world = WorldMap(3, 1, {}, {((0, 0), (2, 0)): ("blue", "fish")})
         with pytest.raises(ValueError, match="does not join grid neighbours of the 3x1 map"):
             world.neighbors
 
@@ -335,7 +330,8 @@ class TestGridTable:
 
     def test_large_world_generates(self):
         world = generate_world(random.Random(0), WorldConfig(100, 100))
-        assert len(world.edges) == 100 * 100 - 1
-        assert [run for _, run in _table_runs(_grid(100, 100), world.edges)] == \
-               [h.edges for h in compute_halls(world.edges)]
-        assert sum(map(len, world.neighbors.values())) == 2 * len(world.edges)
+        edges = world.edge_attrs.keys()
+        assert len(edges) == 100 * 100 - 1
+        assert [run for _, run in _table_runs(_grid(100, 100), edges)] == \
+               [h.edges for h in compute_halls(edges)]
+        assert sum(map(len, world.neighbors.values())) == 2 * len(edges)

@@ -26,9 +26,9 @@ MASTER_SEEDS = (0, 1, 20240607)
 COUNT = 500
 
 JSONL_SHA256 = {
-    "sail": "422270ec7e7e9810776ea6338f0bf383d203ce1d7a952d11e08647a65d45d323",
-    "uniform": "d6d20c4287ada9deb332820e57121223948a437cbedde2e02b0eab4782dc184d",
-    "norestriction": "2b15d9f85db12f43da443920be442bef4f891f52c62e51a0fccfe28f9f1fa290",
+    "sail": "1ebc4d62973f8247b835f27cccca437532bd558a92ed295e56d8cfe325c0b1dd",
+    "uniform": "50e57a206fe2a2c991fa2299808d64682f54508944902d5791ee1521be68c549",
+    "norestriction": "f98ddb2b6025774acaf471ed22a5424ac437e7a4d19bddbef26d7961b98ff34c",
 }
 
 SEMANTIC_SHA256 = {

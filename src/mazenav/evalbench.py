@@ -57,8 +57,8 @@ class ModelRunner:
 
         self._model = model
         self._beam_search = beam_search
-        self.beam_width = beam_width if beam_width is not None else model.config.beam_width
-        self.max_actions = max_actions if max_actions is not None else model.config.max_actions
+        self.beam_width = beam_width  # None: beam_search takes the model's default
+        self.max_actions = max_actions
 
     def predict(self, instance: Instance) -> list[Action]:
         return self._beam_search(instance.world, instance.start,

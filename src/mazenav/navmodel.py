@@ -332,7 +332,7 @@ def train(model: NavModel, train_set: Sequence[Instance],
     training stops after `patience` consecutive epochs without
     improvement and the best-scoring parameters are restored.
     """
-    from .evalbench import success  # circular at import time only
+    from .evalbench import evaluate_ensemble  # circular at import time only
 
     rng = random.Random(seed)
     order = list(range(len(train_set)))
@@ -344,16 +344,7 @@ def train(model: NavModel, train_set: Sequence[Instance],
         for i in order:
             loss, _ = model.train_on(train_set[i], lr=lr)
             total_loss += loss
-        dev_success = 0.0
-        if dev_set:
-            wins = 0
-            for inst in dev_set:
-                predicted = beam_search(inst.world, inst.start,
-                                        [inst.instruction], [model],
-                                        beam_width=1,
-                                        max_actions=model.config.max_actions)
-                wins += int(success(inst, predicted, "singleSentence"))
-            dev_success = wins / len(dev_set)
+        dev_success = evaluate_ensemble([model], dev_set, beam_width=1)
         record = {"epoch": epoch,
                   "trainLoss": total_loss / max(len(train_set), 1),
                   "devSuccess": dev_success}

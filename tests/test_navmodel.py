@@ -9,6 +9,7 @@ import pytest
 
 from mazenav import langgen, nnet
 from mazenav.datastore import Vocabulary, build_vocab
+from mazenav.evalbench import evaluate_ensemble
 from mazenav.langgen import TaskCategory, generate_dataset
 from mazenav.navmodel import (
     ModelConfig,
@@ -286,6 +287,8 @@ class TestTraining:
         restored = model.state_dict()
         best = result.best_state
         assert all(np.array_equal(restored[k], best[k]) for k in best)
+        assert result.best_dev_success == evaluate_ensemble([model], lo_instances[:6],
+                                                            beam_width=1)
 
     def test_history_csv(self, shared_vocab, lo_instances, tmp_path):
         model = make_model(shared_vocab, variant="languageOnly")

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
-from .datastore import atomic_write
+from . import navmodel
+from .datastore import atomic_write, build_vocab, split_dataset
 from .langgen import Instance, TaskCategory, generate_dataset
 from .worldsim import Action, Outcome, Pose, WorldConfig, execute
 
@@ -53,18 +54,15 @@ class ModelRunner:
 
     def __init__(self, model, beam_width: Optional[int] = None,
                  max_actions: Optional[int] = None):
-        from .navmodel import beam_search  # avoid import cycle at module load
-
         self._model = model
-        self._beam_search = beam_search
         self.beam_width = beam_width  # None: beam_search takes the model's default
         self.max_actions = max_actions
 
     def predict(self, instance: Instance) -> list[Action]:
-        return self._beam_search(instance.world, instance.start,
-                                 [instance.instruction], [self._model],
-                                 beam_width=self.beam_width,
-                                 max_actions=self.max_actions)
+        return navmodel.beam_search(instance.world, instance.start,
+                                    [instance.instruction], [self._model],
+                                    beam_width=self.beam_width,
+                                    max_actions=self.max_actions)
 
     def train_on(self, instance: Instance) -> float:
         loss, _ = self._model.train_on(instance)
@@ -213,16 +211,14 @@ def evaluate_ensemble(models: Sequence, instances: Iterable[Instance],
                       beam_width: Optional[int] = None,
                       max_actions: Optional[int] = None) -> float:
     """Success rate of an ensemble (averaged distributions) on a set."""
-    from .navmodel import beam_search
-
     instances = list(instances)
     if not instances:
         return 0.0
     wins = 0
     for inst in instances:
-        predicted = beam_search(inst.world, inst.start, [inst.instruction],
-                                models, beam_width=beam_width,
-                                max_actions=max_actions)
+        predicted = navmodel.beam_search(inst.world, inst.start, [inst.instruction],
+                                         models, beam_width=beam_width,
+                                         max_actions=max_actions)
         wins += int(success(inst, predicted, mode))
     return wins / len(instances)
 
@@ -241,11 +237,6 @@ def run_fixed_experiment(instances: Sequence[Instance],
     cap the scored subset for desk-scale runs. Returns the score rows and
     optionally writes them as CSV.
     """
-    from dataclasses import replace
-
-    from .datastore import build_vocab, split_dataset
-    from .navmodel import ModelConfig, NavModel, train
-
     split = split_dataset(instances, seed=seed)
     by_id = {inst.id: inst for inst in instances}
     train_set = [by_id[i] for i in split.train]
@@ -255,14 +246,14 @@ def run_fixed_experiment(instances: Sequence[Instance],
     dev_eval = dev_set[:dev_limit] if dev_limit else dev_set
     test_eval = test_set[:test_limit] if test_limit else test_set
 
-    base = config if config is not None else ModelConfig()
+    base = config if config is not None else navmodel.ModelConfig()
     rows = []
     for variant in variants:
         cfg = replace(base, variant=variant, vocab_size=len(vocab))
         models = []
         for k in range(n_models):
-            model = NavModel(cfg, vocab, seed=seed * 1000 + k)
-            train(model, train_set, dev_eval, max_epochs=max_epochs, seed=seed * 1000 + k)
+            model = navmodel.NavModel(cfg, vocab, seed=seed * 1000 + k)
+            navmodel.train(model, train_set, dev_eval, max_epochs=max_epochs, seed=seed * 1000 + k)
             models.append(model)
         dev_single = [evaluate_ensemble([m], dev_eval) for m in models]
         test_single = [evaluate_ensemble([m], test_eval) for m in models]

@@ -24,9 +24,11 @@ from .worldsim import (
     Action,
     Direction,
     MapResampleNeeded,
+    Outcome,
     Pose,
     WorldConfig,
     WorldMap,
+    execute,
     generate_world,
     norm_edge,
     path_to_actions,
@@ -244,21 +246,6 @@ def _apply_turns(direction: Direction, seg: Segment) -> Direction:
     for act in seg.actions:
         direction = direction.clockwise() if act is Action.RIGHT else direction.counterclockwise()
     return direction
-
-
-def _pose_after(world: WorldMap, pose: Pose, segments: Sequence[Segment]) -> Optional[Pose]:
-    """Pose after executing segments; None if a move crosses a missing edge."""
-    x, y, d = pose.x, pose.y, pose.dir
-    for seg in segments:
-        if seg.kind == "turn":
-            d = _apply_turns(d, seg)
-        else:
-            for _ in seg.actions:
-                nxt = world.neighbor_toward((x, y), d)
-                if nxt is None:
-                    return None
-                x, y = nxt
-    return Pose(x, y, d)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +537,8 @@ def match_pattern(category: TaskCategory, world: WorldMap, start: Pose,
         first = _combo_sub_binding(world, start, segments[0])
         if first is None:
             return None
-        mid = _pose_after(world, start, segments[:1])
-        if mid is None:
+        mid, outcome = execute(world, start, segments[0].actions)
+        if outcome is Outcome.WALL_HIT:
             return None
         second = _combo_sub_binding(world, mid, segments[1])
         if second is None:

@@ -26,6 +26,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field, asdict
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -252,11 +253,10 @@ class NavModel:
             c_t = self.percept_vector(instance.world, pose, state)
             state, dist = self.decode_step(state, c_t, prev)
             yield dist, ACTION_INDEX[action]
-            result = step(instance.world, pose, action)
-            if result.kind == "wall_hit":
+            pose = step(instance.world, pose, action)
+            if pose is None:
                 raise InvalidPathError(
                     f"gold action hits a wall in instance {instance.id}")
-            pose = result.pose
             prev = action
 
     def sequence_loss(self, instance: Instance) -> nnet.Tensor:
@@ -485,15 +485,6 @@ class Rollout:
         return h_new, c_new, nnet._softmax_rows(logits)
 
 
-@dataclass
-class _Hypothesis:
-    pose: Pose
-    score: float
-    actions: list[Action]
-    prev: Action
-    outcome: Optional[str] = None  # None while live; "stopped"/"wall_hit"/"exhausted"
-
-
 def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]],
                 models: Sequence[NavModel], beam_width: Optional[int] = None,
                 max_actions: Optional[int] = None) -> list[Action]:
@@ -507,8 +498,9 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
     sentence is freshly encoded. Ties break toward the lower action index,
     so beam_width=1 reproduces a greedy argmax rollout exactly.
 
-    Each member advances its live hypotheses together through a Rollout,
-    whose rows equal percept_vector + decode_step bit for bit.
+    The live hypotheses are rows: row j has score scores[j], stands at
+    poses[j] after the actions paths[j], and is row j of every member's
+    Rollout state, whose rows equal percept_vector + decode_step bit for bit.
     """
     if not models:
         raise ValueError("beam_search needs at least one model")
@@ -524,64 +516,58 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
 
     percepts = Percepts(world)
     rollouts = [Rollout(m, percepts) for m in models]
-    beam = [_Hypothesis(start, 0.0, [], Action.STOP)]
+    n_act = len(ACTIONS)
+    scores = np.zeros(1)
+    poses = [start]
+    paths: list[list[Action]] = [[]]
     with nnet.no_grad():
         for sentence in sentences:
             states = []
             for m in models:
                 h, c = m.encode(m.vocab.encode(list(sentence)))
-                states.append((np.tile(h.data, (len(beam), 1)),
-                               np.tile(c.data, (len(beam), 1))))
-            for hyp in beam:
-                hyp.prev = Action.STOP
-                hyp.outcome = None
-            finished: list[_Hypothesis] = []
-            failed: list[_Hypothesis] = []
-            live = beam
+                states.append((np.tile(h.data, (len(poses), 1)),
+                               np.tile(c.data, (len(poses), 1))))
+            prev = np.full(len(poses), ACTION_INDEX[Action.STOP])
+            finished: list[tuple[float, Pose, list[Action]]] = []
+            failed: list[tuple[float, Pose, list[Action]]] = []
             for _ in range(budget):
-                if not live:
+                if not poses:
                     break
-                poses = [hyp.pose for hyp in live]
-                prev = [ACTION_INDEX[hyp.prev] for hyp in live]
                 dists = []
                 for k, rollout in enumerate(rollouts):
                     h, c, dist = rollout.step(*states[k], poses, prev)
                     states[k] = (h, c)
                     dists.append(dist)
-                avg_p = np.mean(dists, axis=0)
-                candidates: list[tuple[float, int, int]] = []
-                for hyp_idx, hyp in enumerate(live):
-                    for a_idx in range(len(ACTIONS)):
-                        score = hyp.score + float(np.log(avg_p[hyp_idx, a_idx]))
-                        candidates.append((score, hyp_idx, a_idx))
-                candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-                next_live: list[_Hypothesis] = []
-                rows: list[int] = []  # the state row each next_live entry continues
-                for score, hyp_idx, a_idx in candidates[:width]:
-                    hyp = live[hyp_idx]
+                totals = (scores[:, None] + np.log(np.mean(dists, axis=0))).ravel()
+                # Best first; the stable sort breaks ties by row, then action.
+                best = np.argsort(-totals, kind="stable")[:width]
+                kept: list[int] = []  # flat indices of the candidates that stay live
+                next_poses, next_paths = [], []
+                for flat in best.tolist():
+                    row, a_idx = divmod(flat, n_act)
                     action = ACTIONS[a_idx]
-                    result = step(world, hyp.pose, action)
-                    new_hyp = _Hypothesis(result.pose, score, hyp.actions + [action], action)
-                    if result.kind == "stopped":
-                        new_hyp.outcome = "stopped"
-                        finished.append(new_hyp)
-                    elif result.kind == "wall_hit":
-                        new_hyp.outcome = "wall_hit"
-                        failed.append(new_hyp)
+                    pose = step(world, poses[row], action)
+                    path = paths[row] + [action]
+                    if action is Action.STOP:
+                        finished.append((totals[flat], poses[row], path))
+                    elif pose is None:
+                        failed.append((totals[flat], poses[row], path))
                     else:
-                        next_live.append(new_hyp)
-                        rows.append(hyp_idx)
-                live = next_live
+                        kept.append(flat)
+                        next_poses.append(pose)
+                        next_paths.append(path)
+                rows, prev = np.divmod(np.array(kept, dtype=np.intp), n_act)
+                scores, poses, paths = totals[kept], next_poses, next_paths
                 states = [(h[rows], c[rows]) for h, c in states]
-            for hyp in live:  # ran out of the per-sentence budget
-                hyp.outcome = "exhausted"
-                finished.append(hyp)
-            pool = finished if finished else failed
-            pool.sort(key=lambda h: -h.score)
-            beam = pool[:width]
-            if not beam:
+            finished += zip(scores, poses, paths)  # ran out of the per-sentence budget
+            # reverse=True keeps hypotheses of equal score in the order they ended
+            pool = sorted(finished or failed, key=itemgetter(0), reverse=True)[:width]
+            if not pool:
                 raise RuntimeError("beam search lost every hypothesis")
-    return beam[0].actions
+            scores = np.array([score for score, _, _ in pool])
+            poses = [pose for _, pose, _ in pool]
+            paths = [path for _, _, path in pool]
+    return paths[0]
 
 
 # ---------------------------------------------------------------------------

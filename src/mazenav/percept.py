@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .render import FLOOR_CHARS, ITEM_CHARS, WALL_CHARS
 from .worldsim import FLOORS, ITEMS, WALL_PAINTINGS, Direction, Pose, WorldMap, norm_edge
 
 CELL_BITS = 20
@@ -114,21 +113,3 @@ def encode_bof(world: WorldMap, pose: Pose) -> np.ndarray:
         vec[4 * MATERIAL_BITS + ITEM_BIT[here]] = 1
     return vec
 
-
-def grid_to_text(grid: np.ndarray) -> str:
-    """Debug dump: one 2-char mnemonic per cell (.x node, fW hall, ## blocked)."""
-    lines = []
-    for row in grid:
-        tokens = []
-        for cell in row:
-            if cell[BIT_BLOCKED]:
-                tokens.append("##")
-            elif cell[BIT_NODE]:
-                item_bits = np.flatnonzero(cell[ITEM_OFFSET:ITEM_OFFSET + len(ITEMS)])
-                tokens.append("." + (ITEM_CHARS[ITEMS[item_bits[0]]] if len(item_bits) else "."))
-            else:
-                floor = FLOORS[int(np.flatnonzero(cell[FLOOR_OFFSET:FLOOR_OFFSET + len(FLOORS)])[0])]
-                wall = WALL_PAINTINGS[int(np.flatnonzero(cell[WALL_OFFSET:WALL_OFFSET + len(WALL_PAINTINGS)])[0])]
-                tokens.append(FLOOR_CHARS[floor] + WALL_CHARS[wall])
-        lines.append(" ".join(tokens))
-    return "\n".join(lines)

@@ -10,8 +10,8 @@ from typing import Optional, Sequence
 
 from .worldsim import Action, DELTAS, Direction, Pose, WorldMap, norm_edge, step
 
-# Single-letter mnemonics, also used by the percept debug dump; grass/gravel
-# and blue/brick are disambiguated (gravel=v, brick=k).
+# Single-letter mnemonics; grass/gravel and blue/brick are disambiguated
+# (gravel=v, brick=k).
 FLOOR_CHARS = {"blue": "b", "brick": "k", "concrete": "c", "flower": "f",
                "grass": "g", "gravel": "v", "wood": "w", "yellow": "y"}
 WALL_CHARS = {"butterfly": "B", "fish": "F", "tower": "T"}
@@ -30,11 +30,10 @@ def trace_path(world: WorldMap, pose: Pose,
     """Nodes visited while executing `actions` (stops on STOP or wall hit)."""
     visited = [(pose.x, pose.y)]
     for action in actions:
-        result = step(world, pose, action)
-        if result.kind in ("stopped", "wall_hit"):
+        pose = step(world, pose, action)
+        if pose is None or action is Action.STOP:
             break
-        pose = result.pose
-        if result.kind == "moved":
+        if action is Action.MOVE:
             visited.append((pose.x, pose.y))
     return visited
 

@@ -66,15 +66,6 @@ class Outcome(Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One of moved/turned/stopped/wall_hit; `pose` is the resulting pose
-    (unchanged for stopped and wall_hit, which are terminal)."""
-
-    kind: str  # "moved" | "turned" | "stopped" | "wall_hit"
-    pose: Pose
-
-
 @dataclass
 class Hall:
     """Maximal run of collinear consecutive edges; decorate gives all edges
@@ -154,7 +145,6 @@ class _Grid(NamedTuple):
     # consecutive and two lines never touch.
     rank: dict[Edge, int]
     by_rank: tuple[Edge | None, ...]  # [rank] -> edge; None between lines
-    vertical_from: int  # rank of the first vertical edge
 
 
 @functools.lru_cache(maxsize=16)
@@ -201,7 +191,7 @@ def _grid(width: int, height: int) -> _Grid:
             by_rank[vertical_from + x * height + y] = quad_edges[(x, y, x, y + 1)]
     rank = {e: r for r, e in enumerate(by_rank) if e is not None}
     return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_links, quad_edges,
-                 key_nodes, rank, tuple(by_rank), vertical_from)
+                 key_nodes, rank, tuple(by_rank))
 
 
 @dataclass
@@ -324,19 +314,18 @@ def compute_halls(edges: Collection[Edge]) -> list[Hall]:
     return halls
 
 
-def _table_runs(grid: _Grid, edges: Collection[Edge]) -> list[tuple[str, tuple[Edge, ...]]]:
-    """The (axis, edges) of compute_halls for unit edges of `grid`: sort the
-    edges' hall-order ranks and cut where they skip. KeyError for an edge
-    not in the table."""
+def _table_runs(grid: _Grid, edges: Collection[Edge]) -> list[tuple[Edge, ...]]:
+    """The edges of each hall of compute_halls for unit edges of `grid`: sort
+    the edges' hall-order ranks and cut where they skip. KeyError for an
+    edge not in the table."""
     ranks = sorted(map(grid.rank.__getitem__, edges))
     ranks.append(-2)  # closes the last run
-    by_rank, vertical_from = grid.by_rank, grid.vertical_from
+    by_rank = grid.by_rank
     runs = []
     start, prev = ranks[0], ranks[0] - 1
     for r in ranks:
         if r != prev + 1:
-            runs.append(("horizontal" if start < vertical_from else "vertical",
-                         by_rank[start:prev + 1]))
+            runs.append(by_rank[start:prev + 1])
             start = r
         prev = r
     return runs
@@ -372,7 +361,7 @@ def decorate(edges: Collection[Edge], rng: random.Random,
         if random_() < p_item:
             items[node] = ITEMS[randrange(n_items)]
     n_floors = len(FLOORS)
-    floored = [(run, FLOORS[randrange(n_floors)]) for _, run in _table_runs(grid, edges)]
+    floored = [(run, FLOORS[randrange(n_floors)]) for run in _table_runs(grid, edges)]
 
     n_areas = min(rng.choice((2, 3)), max(width, height), max(len(edges), 1))
     # Per axis, the coordinates of the smaller endpoints of the edges: a strip
@@ -396,35 +385,33 @@ def generate_world(rng: random.Random, config: WorldConfig | None = None) -> Wor
     return decorate(generate_maze(cfg.width, cfg.height, rng), rng, cfg)
 
 
-def step(world: WorldMap, pose: Pose, action: Action) -> StepResult:
-    """Apply one action. Turns rotate in place, MOVE advances through an open
-    edge or reports wall_hit, STOP is terminal."""
+def step(world: WorldMap, pose: Pose, action: Action) -> Pose | None:
+    """The pose after one action, or None for a MOVE into a wall. Turns
+    rotate in place, MOVE advances through an open edge, and STOP leaves
+    the pose as it is; the caller, holding the action, knows that it ends
+    the run."""
     if action is Action.RIGHT:
-        return StepResult("turned", Pose(pose.x, pose.y, pose.dir.clockwise()))
+        return Pose(pose.x, pose.y, pose.dir.clockwise())
     if action is Action.LEFT:
-        return StepResult("turned", Pose(pose.x, pose.y, pose.dir.counterclockwise()))
+        return Pose(pose.x, pose.y, pose.dir.counterclockwise())
     if action is Action.STOP:
-        return StepResult("stopped", pose)
+        return pose
     nxt = world.neighbor_toward((pose.x, pose.y), pose.dir)
-    if nxt is None:
-        return StepResult("wall_hit", pose)
-    return StepResult("moved", Pose(nxt[0], nxt[1], pose.dir))
+    return None if nxt is None else Pose(nxt[0], nxt[1], pose.dir)
 
 
 def execute(world: WorldMap, pose: Pose, actions: list[Action],
             max_actions: int = 1_000_000) -> tuple[Pose, Outcome]:
     """Run actions until STOP, a wall hit, or the list/budget runs out."""
-    taken = 0
-    for action in actions:
+    for taken, action in enumerate(actions):
         if taken >= max_actions:
             return pose, Outcome.EXHAUSTED
-        result = step(world, pose, action)
-        taken += 1
-        if result.kind == "stopped":
-            return pose, Outcome.STOPPED
-        if result.kind == "wall_hit":
+        nxt = step(world, pose, action)
+        if nxt is None:
             return pose, Outcome.WALL_HIT
-        pose = result.pose
+        if action is Action.STOP:
+            return pose, Outcome.STOPPED
+        pose = nxt
     return pose, Outcome.EXHAUSTED
 
 

@@ -404,10 +404,9 @@ def test_criterion_12_beam_and_ensemble_identities():
                 state, dist = model.decode_step(state, c_t, prev)
                 action = ACTIONS[int(np.argmax(dist.data))]
                 out.append(action)
-                result = step(inst.world, pose, action)
-                if result.kind in ("stopped", "wall_hit"):
+                pose = step(inst.world, pose, action)
+                if pose is None or action is Action.STOP:
                     break
-                pose = result.pose
                 prev = action
         return out
 

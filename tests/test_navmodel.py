@@ -312,10 +312,9 @@ def greedy_rollout(model, inst, budget):
             state, dist = model.decode_step(state, c_t, prev)
             action = ACTIONS[int(np.argmax(dist.data))]
             out.append(action)
-            result = step(inst.world, pose, action)
-            if result.kind in ("stopped", "wall_hit"):
+            pose = step(inst.world, pose, action)
+            if pose is None or action is Action.STOP:
                 break
-            pose = result.pose
             prev = action
     return out
 
@@ -349,11 +348,11 @@ def oracle_beam_search(world, start, sentences, models, width, budget):
                 next_live = []
                 for score, k, a, advanced in candidates[:width]:
                     pose, acts = live[k][0], live[k][2]
-                    result = step(world, pose, ACTIONS[a])
-                    hyp = (result.pose, score, acts + [ACTIONS[a]], advanced, ACTIONS[a])
-                    if result.kind == "stopped":
+                    nxt = step(world, pose, ACTIONS[a])
+                    hyp = (nxt or pose, score, acts + [ACTIONS[a]], advanced, ACTIONS[a])
+                    if ACTIONS[a] is Action.STOP:
                         finished.append(hyp)
-                    elif result.kind == "wall_hit":
+                    elif nxt is None:
                         failed.append(hyp)
                     else:
                         next_live.append(hyp)
@@ -401,6 +400,18 @@ class TestBeamOracle:
         self.check(models, lo_instances, width, steered)
 
     @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_zeroed_members_tie_exactly(self, shared_vocab, lo_instances, variant, width,
+                                        steered):
+        # A pair of identical zeroed members gives every row the same
+        # distribution, so candidates tie within and across rows and the
+        # order of the ties alone decides the beam.
+        models = [zero_model(make_model(shared_vocab, variant=variant, seed=s))
+                  for s in (28, 29)]
+        self.check(models, lo_instances, width, steered)
+
+    @pytest.mark.parametrize("steered", [False, True])
     @pytest.mark.parametrize("width", [1, 4])
     def test_mixed_variant_ensemble(self, shared_vocab, lo_instances, width, steered):
         models = [make_model(shared_vocab, variant="full", seed=24),
@@ -429,7 +440,7 @@ class TestRollout:
 
     def check(self, model, inst):
         state = model.encode(model.vocab.encode(inst.instruction))
-        siblings = [step(inst.world, inst.start, a).pose for a in ACTIONS]
+        siblings = [step(inst.world, inst.start, a) or inst.start for a in ACTIONS]
         prev = [Action.STOP, Action.MOVE, Action.RIGHT, Action.LEFT]
         with nnet.no_grad():
             for n in range(1, 5):
@@ -513,14 +524,14 @@ class TestBeamSearch:
                     new_state, dist = model.decode_step(state, None, prev)
                     for idx, action in enumerate(ACTIONS):
                         s = score + math.log(dist.data[idx])
-                        result = step(inst.world, pose, action)
+                        nxt = step(inst.world, pose, action)
                         seq = acts + [action]
-                        if result.kind == "stopped":
+                        if action is Action.STOP:
                             best = max(best, (s, seq))
-                        elif result.kind == "wall_hit":
+                        elif nxt is None:
                             fallback = max(fallback, (s, seq))
                         else:
-                            stack.append((result.pose, new_state, action, s, seq))
+                            stack.append((nxt, new_state, action, s, seq))
             return best if best[1] is not None else fallback
 
         expected_score, expected = brute_force()

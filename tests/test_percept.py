@@ -21,7 +21,6 @@ from mazenav.percept import (
     WALL_BIT,
     encode_bof,
     encode_grid,
-    grid_to_text,
     line_of_sight,
 )
 from mazenav.worldsim import (
@@ -167,11 +166,6 @@ class TestGridEncoding:
         for _ in range(100):
             world = generate_world(rng)
             encode_grid(world, random_pose(world, rng))
-
-    def test_text_dump_runs(self):
-        world = generate_world(random.Random(9))
-        text = grid_to_text(encode_grid(world, Pose(0, 0, Direction.NORTH)))
-        assert len(text.splitlines()) == GRID_ROWS
 
 
 class TestBagOfFeatures:

@@ -113,7 +113,7 @@ class TestHalls:
                 world = decorate(edges, random.Random(seed), WorldConfig(width, height))
                 expected = compute_halls(edges)
                 assert _table_runs(_grid(width, height), edges) == \
-                       [(h.axis, h.edges) for h in expected]
+                       [h.edges for h in expected]
                 for hall in expected:
                     assert len({world.edge_attrs[e][0] for e in hall.edges}) == 1
 
@@ -177,20 +177,21 @@ class TestDynamics:
     def test_turns_rotate_in_place(self):
         world = self.build_line_world()
         pose = Pose(1, 0, Direction.NORTH)
-        right = step(world, pose, Action.RIGHT)
-        assert right.kind == "turned" and right.pose == Pose(1, 0, Direction.EAST)
-        left = step(world, pose, Action.LEFT)
-        assert left.pose == Pose(1, 0, Direction.WEST)
+        assert step(world, pose, Action.RIGHT) == Pose(1, 0, Direction.EAST)
+        assert step(world, pose, Action.LEFT) == Pose(1, 0, Direction.WEST)
 
     def test_move_through_open_edge(self):
         world = self.build_line_world()
-        result = step(world, Pose(0, 0, Direction.EAST), Action.MOVE)
-        assert result.kind == "moved" and result.pose == Pose(1, 0, Direction.EAST)
+        assert step(world, Pose(0, 0, Direction.EAST), Action.MOVE) == Pose(1, 0, Direction.EAST)
 
     def test_move_into_wall_reports_wall_hit(self):
         world = self.build_line_world()
-        result = step(world, Pose(0, 0, Direction.NORTH), Action.MOVE)
-        assert result.kind == "wall_hit" and result.pose == Pose(0, 0, Direction.NORTH)
+        assert step(world, Pose(0, 0, Direction.NORTH), Action.MOVE) is None
+
+    def test_stop_keeps_the_pose(self):
+        world = self.build_line_world()
+        pose = Pose(1, 0, Direction.WEST)
+        assert step(world, pose, Action.STOP) == pose
 
     def test_execute_outcomes(self):
         world = self.build_line_world()
@@ -332,6 +333,6 @@ class TestGridTable:
         world = generate_world(random.Random(0), WorldConfig(100, 100))
         edges = world.edge_attrs.keys()
         assert len(edges) == 100 * 100 - 1
-        assert [run for _, run in _table_runs(_grid(100, 100), edges)] == \
+        assert _table_runs(_grid(100, 100), edges) == \
                [h.edges for h in compute_halls(edges)]
         assert sum(map(len, world.neighbors.values())) == 2 * len(edges)

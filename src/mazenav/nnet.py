@@ -9,16 +9,21 @@ of replaying the recurrence.
 
 The LSTM cell is one fused kernel, and parameter gradients, their norm,
 clipping and Adam are updated in place. Every fused or in-place expression
-keeps the per-element operation order of the plain composition of
-primitives, so results are bit-identical to it (tests/test_nnet.py keeps
-that composition as the reference).
+of the forward and backward passes keeps the per-element operation order of
+the plain composition of primitives, so results are bit-identical to it
+(tests/test_nnet.py keeps that composition as the reference).
 
-One exception: the rank-1 products that matmul and the LSTM cell add to a
-Param's gradient (one per use of a weight matrix on a vector) are recorded
-during the backward sweep and summed by one GEMM per Param when the sweep
-ends. The GEMM adds them in its own order, so a weight gradient can differ
-in the last bits from adding the products one step at a time
-(tests/test_nnet.py keeps that per-step sum as the reference).
+Three kernels are exact rewrites that round differently, and
+tests/test_nnet.py keeps the plain form of each as the reference:
+- the rank-1 products that matmul and the LSTM cell add to a Param's
+  gradient (one per use of a weight matrix on a vector) are recorded
+  during the backward sweep and summed by one GEMM per Param when the
+  sweep ends, not added one step at a time;
+- the gradient norm sums one BLAS dot product per gradient, not the sum
+  of its elementwise squares;
+- Adam takes Kingma & Ba's efficient form (arXiv 1412.6980, end of
+  section 2), which folds both bias corrections into a step size and an
+  epsilon, not the textbook bias-corrected moments.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ _GRAD_ENABLED = True
 
 # Work space for the gradient products that are added to an existing
 # gradient (a rank-1 product into a non-leaf tensor, or a Param's summed
-# products when the Param already holds a gradient), the gradient norm and
-# the optimizer update. It grows to the largest request (one array of the
-# largest parameter's size, or Adam's two block buffers) and is shared by
-# every caller, so this module is not thread-safe.
+# products when the Param already holds a gradient), the optimizer update
+# and the overflow fallback of the gradient norm. It grows to the largest
+# request (Adam's block buffer, or an array of the largest tensor's size)
+# and is shared by every caller, so this module is not thread-safe.
 _SCRATCH = np.empty(0)
 
 # The rank-1 weight-gradient products of the running backward pass, as the
@@ -600,18 +605,21 @@ def zero_grad(params: Iterable[Param]) -> None:
 
 
 def global_grad_norm(params: Iterable[Param]) -> float:
-    """L2 norm of all gradients together.
+    """L2 norm of all gradients together, from one BLAS dot product of
+    each gradient with itself (it rounds differently from summing the
+    squares, which the tests keep as the reference).
 
     Squares that overflow are ignored at first; if the sum is then infinite
     although every gradient is finite, the norm is recomputed from the
-    gradients divided by their largest magnitude, so it stays finite.
+    gradients divided by their largest magnitude, so it stays finite. A
+    non-finite gradient gives a non-finite norm.
     """
     grads = [p.grad for p in params if p.grad is not None]
     total = 0.0
     with np.errstate(over="ignore"):
         for g in grads:
-            square = np.multiply(g, g, out=_scratch(g.shape)[0])
-            total += float(square.sum())
+            flat = g.reshape(-1)
+            total += float(np.dot(flat, flat))
     if total == math.inf and all(np.isfinite(g).all() for g in grads):
         return _rescaled_norm(grads)
     return float(np.sqrt(total))
@@ -656,34 +664,39 @@ def adam_step(params: Sequence[Param], lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
     """Bias-corrected Adam update; parameters without gradients are skipped.
 
-    Runs in place, block by block, in the order of the textbook expressions
-    m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g),
-    data -= (lr*m_hat) / (sqrt(v_hat) + eps), so it rounds exactly as they do.
+    Runs in place, block by block. The moments follow the textbook
+    expressions m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*(g*g) in
+    their operation order, so they round exactly as those do. The update
+    takes Kingma & Ba's efficient form, data -= alpha * m / (sqrt(v) + eps_hat)
+    with alpha = lr*sqrt(1-beta2**t)/(1-beta1**t) and
+    eps_hat = eps*sqrt(1-beta2**t), which equals the textbook
+    lr*m_hat / (sqrt(v_hat) + eps) but skips two divisions per element and
+    rounds differently (the tests keep the textbook form as the reference).
     """
     for p in params:
         if p.grad is None:
             continue
         p.t += 1
-        m_corr, v_corr = 1.0 - beta1 ** p.t, 1.0 - beta2 ** p.t
+        root_v_corr = math.sqrt(1.0 - beta2 ** p.t)
+        alpha = lr * root_v_corr / (1.0 - beta1 ** p.t)
+        eps_hat = eps * root_v_corr
         data, m, v = _flat(p.data), _flat(p.m), _flat(p.v)
         grad = p.grad.reshape(-1)
         for lo in range(0, data.size, _ADAM_BLOCK):
             hi = min(lo + _ADAM_BLOCK, data.size)
             g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
-            s, u = _scratch((hi - lo,), 2)
+            s = _scratch((hi - lo,))[0]
             mb *= beta1
             mb += np.multiply(g, 1.0 - beta1, out=s)
             vb *= beta2
             np.multiply(g, g, out=s)
             s *= 1.0 - beta2
             vb += s
-            np.divide(vb, v_corr, out=s)
-            np.sqrt(s, out=s)
-            s += eps
-            np.divide(mb, m_corr, out=u)
-            u *= lr
-            u /= s
-            data[lo:hi] -= u
+            np.sqrt(vb, out=s)
+            s += eps_hat
+            np.divide(mb, s, out=s)
+            s *= alpha
+            data[lo:hi] -= s
 
 
 # ---------------------------------------------------------------------------

@@ -231,16 +231,16 @@ class TestTraining:
         assert all(np.isfinite(after[k]).all() for k in after)
         assert not np.array_equal(before["dec_b"], after["dec_b"])
 
-    def test_optimizer_scratch_bounded_by_largest_parameter(self, shared_vocab,
-                                                            lo_instances, monkeypatch):
-        # Adam works in blocks, so the shared scratch holds one array of the
-        # largest parameter, not the two it would take whole.
+    def test_optimizer_scratch_bounded_by_adam_block(self, shared_vocab,
+                                                     lo_instances, monkeypatch):
+        # The norm takes no scratch and Adam works in blocks, so the shared
+        # scratch holds one Adam block, not an array of the largest parameter.
         monkeypatch.setattr(nnet, "_SCRATCH", np.empty(0))
         model = make_model(shared_vocab, encoder_hidden=64)
         largest = max(p.data.size for p in model.params())
         assert largest > 2 * nnet._ADAM_BLOCK
         model.train_on(lo_instances[0])
-        assert nnet._SCRATCH.size == largest
+        assert nnet._SCRATCH.size == nnet._ADAM_BLOCK
 
     def test_train_on_rejects_nonfinite_gradient(self, shared_vocab, lo_instances,
                                                  monkeypatch):

@@ -79,6 +79,9 @@ class EfficiencyReport:
     cap_exceeded: bool
     ma_trace: list[float] = field(default_factory=list)
     accuracy_trace: list[float] = field(default_factory=list)
+    # Prequential code length in nats: the sum over the trained instances of
+    # the loss train_on returns, each taken before that instance's update.
+    code_length: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -90,6 +93,7 @@ class EfficiencyReport:
             "capExceeded": self.cap_exceeded,
             "maTrace": self.ma_trace,
             "accuracyTrace": self.accuracy_trace,
+            "codeLength": self.code_length,
         }
 
     def save(self, path: str) -> None:
@@ -111,7 +115,8 @@ def learning_efficiency(model_factory: Callable[[], object],
     instances, fold it into the moving average
     ma = 0.95*ma + 0.05*accuracy (ma starts at 0), then train on exactly
     those instances. Stops once ma >= threshold or `cap` instances have
-    been consumed.
+    been consumed. The losses that train_on returns are summed into the
+    report's code_length.
     """
     model = model_factory()
     stream = generate_dataset(mix, cap, seed, config=world_config, bank=bank)
@@ -140,7 +145,7 @@ def learning_efficiency(model_factory: Callable[[], object],
             report.instances_to_threshold = consumed
             return report
         for inst in batch:
-            model.train_on(inst)
+            report.code_length += model.train_on(inst)
             trained_ids.add(inst.id)
     report.cap_exceeded = True
     return report

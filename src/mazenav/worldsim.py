@@ -67,15 +67,6 @@ class Outcome(Enum):
 
 
 @dataclass
-class Hall:
-    """Maximal run of collinear consecutive edges; decorate gives all edges
-    of a hall one floor pattern."""
-
-    axis: str  # "horizontal" | "vertical"
-    edges: tuple[Edge, ...]
-
-
-@dataclass
 class WorldConfig:
     width: int = 8
     height: int = 8
@@ -275,49 +266,11 @@ def generate_maze(width: int, height: int, rng: random.Random) -> set[Edge]:
     return edges
 
 
-def compute_halls(edges: Collection[Edge]) -> list[Hall]:
-    """Partition edges into maximal collinear consecutive runs: horizontal
-    halls by row then column, then vertical halls by column then row.
-
-    Hall edges are normalised unit edges; an input edge that already is one
-    is kept as the same object.
-    """
-    rows: list[tuple[int, int, Edge]] = []  # (y, smaller x, edge) per horizontal edge
-    cols: list[tuple[int, int, Edge]] = []  # (x, smaller y, edge) per vertical edge
-    for e in edges:
-        (x1, y1), (x2, y2) = e
-        if y1 == y2:
-            if x2 == x1 + 1:
-                rows.append((y1, x1, e))
-            else:
-                x = min(x1, x2)
-                rows.append((y1, x, ((x, y1), (x + 1, y1))))
-        elif y2 == y1 + 1 and x2 == x1:
-            cols.append((x1, y1, e))
-        else:
-            y = min(y1, y2)
-            cols.append((x1, y, ((x1, y), (x1, y + 1))))
-    rows.sort()
-    cols.sort()
-    halls: list[Hall] = []
-    for axis, keyed in (("horizontal", rows), ("vertical", cols)):
-        run: list[Edge] = []
-        last_line, last = None, 0
-        for line, pos, e in keyed:
-            if run and (line != last_line or pos != last + 1):
-                halls.append(Hall(axis, tuple(run)))
-                run = []
-            run.append(e)
-            last_line, last = line, pos
-        if run:
-            halls.append(Hall(axis, tuple(run)))
-    return halls
-
-
 def _table_runs(grid: _Grid, edges: Collection[Edge]) -> list[tuple[Edge, ...]]:
-    """The edges of each hall of compute_halls for unit edges of `grid`: sort
-    the edges' hall-order ranks and cut where they skip. KeyError for an
-    edge not in the table."""
+    """The edges of each hall (maximal run of collinear consecutive edges)
+    for unit edges of `grid`, horizontal halls by row then column, then
+    vertical halls by column then row: sort the edges' hall-order ranks and
+    cut where they skip. KeyError for an edge not in the table."""
     ranks = sorted(map(grid.rank.__getitem__, edges))
     ranks.append(-2)  # closes the last run
     by_rank = grid.by_rank

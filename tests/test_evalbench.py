@@ -99,6 +99,20 @@ class _Hopeless:
         return 0.0
 
 
+class _Lossy:
+    """Never succeeds; returns a different loss per instance and keeps them."""
+
+    def __init__(self):
+        self.losses = []
+
+    def predict(self, instance):
+        return []
+
+    def train_on(self, instance):
+        self.losses.append(0.1 * (instance.id % 7) + 1.0 / 3.0)
+        return self.losses[-1]
+
+
 class TestLearningEfficiency:
     def test_oracle_crossing_closed_form(self):
         assert oracle_crossing_batch(0.90) == 45
@@ -162,6 +176,20 @@ class TestLearningEfficiency:
         assert all(a == 0.0 for a in report.accuracy_trace)
         assert max(report.ma_trace) == 0.0
 
+    def test_code_length_sums_returned_losses(self):
+        lossy = _Lossy()
+        report = learning_efficiency(lambda: lossy, LO_MIX, threshold=0.90,
+                                     cap=25, eval_batch=10, seed=4,
+                                     world_config=SMALL_WORLD)
+        assert len(lossy.losses) == 25
+        assert report.code_length == sum(lossy.losses)
+        assert report.to_dict()["codeLength"] == report.code_length
+        perfect = learning_efficiency(_Oracle, LO_MIX, threshold=0.90,
+                                      cap=10000, eval_batch=10, seed=4,
+                                      world_config=SMALL_WORLD)
+        assert perfect.instances_to_threshold == 450
+        assert perfect.code_length == 0.0
+
     def test_on_batch_callback(self):
         seen = []
         learning_efficiency(_Oracle, LO_MIX, threshold=0.90, cap=30,
@@ -191,13 +219,14 @@ class TestLearningEfficiency:
         import json
 
         report = EfficiencyReport("mix", 0.9, 100, 10, 50, False,
-                                  [0.05], [1.0])
+                                  [0.05], [1.0], 12.5)
         path = tmp_path / "report.json"
         report.save(str(path))
         data = json.loads(path.read_text())
         assert data["instancesToThreshold"] == 50
         assert data["maTrace"] == [0.05]
         assert data["capExceeded"] is False
+        assert data["codeLength"] == 12.5
 
 
 class TestModelRunner:

@@ -6,12 +6,15 @@ against fixtures, so the two route computations must agree everywhere.
 
 import random
 import tracemalloc
+from dataclasses import dataclass
+from typing import Collection
 
 import pytest
 
 from mazenav.worldsim import (
     Action,
     Direction,
+    Edge,
     InvalidPathError,
     MapResampleNeeded,
     NoPathError,
@@ -22,7 +25,6 @@ from mazenav.worldsim import (
     _grid,
     _table_runs,
     bfs_distances,
-    compute_halls,
     decorate,
     execute,
     generate_maze,
@@ -38,6 +40,56 @@ from mazenav.worldsim import (
 )
 
 FLOORS = ("blue", "brick", "concrete", "flower", "grass", "gravel", "wood", "yellow")
+
+
+@dataclass
+class Hall:
+    """Maximal run of collinear consecutive edges; decorate gives all edges
+    of a hall one floor pattern."""
+
+    axis: str  # "horizontal" | "vertical"
+    edges: tuple[Edge, ...]
+
+
+def compute_halls(edges: Collection[Edge]) -> list[Hall]:
+    """Partition edges into maximal collinear consecutive runs: horizontal
+    halls by row then column, then vertical halls by column then row. The
+    reference for worldsim._table_runs, which finds the same runs from the
+    per-size table.
+
+    Hall edges are normalised unit edges; an input edge that already is one
+    is kept as the same object.
+    """
+    rows: list[tuple[int, int, Edge]] = []  # (y, smaller x, edge) per horizontal edge
+    cols: list[tuple[int, int, Edge]] = []  # (x, smaller y, edge) per vertical edge
+    for e in edges:
+        (x1, y1), (x2, y2) = e
+        if y1 == y2:
+            if x2 == x1 + 1:
+                rows.append((y1, x1, e))
+            else:
+                x = min(x1, x2)
+                rows.append((y1, x, ((x, y1), (x + 1, y1))))
+        elif y2 == y1 + 1 and x2 == x1:
+            cols.append((x1, y1, e))
+        else:
+            y = min(y1, y2)
+            cols.append((x1, y, ((x1, y), (x1, y + 1))))
+    rows.sort()
+    cols.sort()
+    halls: list[Hall] = []
+    for axis, keyed in (("horizontal", rows), ("vertical", cols)):
+        run: list[Edge] = []
+        last_line, last = None, 0
+        for line, pos, e in keyed:
+            if run and (line != last_line or pos != last + 1):
+                halls.append(Hall(axis, tuple(run)))
+                run = []
+            run.append(e)
+            last_line, last = line, pos
+        if run:
+            halls.append(Hall(axis, tuple(run)))
+    return halls
 
 
 def is_connected(width, height, edges):

@@ -55,13 +55,13 @@ _OUTER: Optional[dict["Param", tuple[list, list]]] = None
 _ADAM_BLOCK = 32768
 
 
-def _scratch(shape: tuple[int, ...], count: int = 1) -> np.ndarray:
-    """`count` disjoint C-contiguous arrays of `shape`, stacked on axis 0."""
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of `shape` at the start of the work space."""
     global _SCRATCH
-    size = count * math.prod(shape)
+    size = math.prod(shape)
     if _SCRATCH.size < size:
         _SCRATCH = np.empty(size)
-    return _SCRATCH[:size].reshape((count, *shape))
+    return _SCRATCH[:size].reshape(shape)
 
 
 @contextmanager
@@ -154,7 +154,7 @@ class Param(Tensor):
         if self.grad is None:
             self.grad = np.matmul(u, v, out=self._buffer())
         else:
-            self.grad += np.matmul(u, v, out=_scratch(self.data.shape)[0])
+            self.grad += np.matmul(u, v, out=_scratch(self.data.shape))
 
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -183,7 +183,7 @@ def _accumulate_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
         us.append(u)
         vs.append(v)
     else:
-        t.accumulate(np.einsum("i,j->ij", u, v, out=_scratch(t.data.shape)[0]))
+        t.accumulate(np.einsum("i,j->ij", u, v, out=_scratch(t.data.shape)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -630,7 +630,7 @@ def _rescaled_norm(grads: Sequence[np.ndarray]) -> float:
     top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
     total = 0.0
     for g in grads:
-        scaled = np.divide(g, top, out=_scratch(g.shape)[0])
+        scaled = np.divide(g, top, out=_scratch(g.shape))
         scaled *= scaled
         total += float(scaled.sum())
     return top * math.sqrt(total)
@@ -685,7 +685,7 @@ def adam_step(params: Sequence[Param], lr: float = 1e-3, beta1: float = 0.9,
         for lo in range(0, data.size, _ADAM_BLOCK):
             hi = min(lo + _ADAM_BLOCK, data.size)
             g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
-            s = _scratch((hi - lo,))[0]
+            s = _scratch((hi - lo,))
             mb *= beta1
             mb += np.multiply(g, 1.0 - beta1, out=s)
             vb *= beta2

@@ -655,7 +655,8 @@ def textbook_clip(params, threshold=5.0):
 def textbook_adam(params, lr=1e-3):
     for p in params:
         if p.grad is not None:
-            p.data, p.m, p.v, p.t = reference_adam((p.data, p.m, p.v, p.t), p.grad, lr=lr)
+            state = (p.data, p.m, p.v, p.t)
+            p.data, p.m, p.v, p.t = reference_adam(state, p.grad, lr=lr)
 
 
 class TestInPlaceOptimizer:

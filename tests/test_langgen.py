@@ -6,6 +6,8 @@ the bound endpoint) plus re-matching the emitted category against the
 emitted segments, which must succeed deterministically.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -138,6 +140,19 @@ class TestSegmentation:
         assert segment_actions([]) == [Action.STOP]
 
 
+# Computed from the matchers before their table-driven rewrite.
+BINDINGS_SHA256 = "ca224fde1e82015dd4fd8e135a75d05eb10f5c3c239c4764b82dc61d4add66e0"
+
+
+def _canonical(binding):
+    """Category, segment count, options in order (slots sorted), subs."""
+    if binding is None:
+        return None
+    return [binding.category.value, binding.n_segments,
+            [[o.pattern, sorted(o.slots.items())] for o in binding.options],
+            [_canonical(sub) for sub in binding.subs]]
+
+
 def _find_instating(category, seed=0, config=None):
     rng = random.Random(seed)
     return generate_instance(category, config or WorldConfig(), rng, bank=BANK)
@@ -229,6 +244,34 @@ class TestMatching:
         segs = [Segment("move", (Action.MOVE,))]
         pose = Pose(0, 0, Direction.EAST)
         assert match_pattern(TaskCategory.TURN_TO_X, world, pose, segs) is None
+
+    def test_bindings_are_pinned(self):
+        # The generator fingerprint pins only the option each instance
+        # draws; this pins every option list, in order, since rng.choice
+        # indexes into it. Segment lists include ones no shortest path
+        # yields: turns of three actions, moves into walls.
+        rng = random.Random(20240607)
+        digest = hashlib.sha256()
+        bound = dict.fromkeys(TaskCategory, 0)
+        for _ in range(2000):
+            world = generate_world(rng)
+            pose = Pose(rng.randrange(world.width), rng.randrange(world.height),
+                        Direction(rng.randrange(4)))
+            segs = []
+            for _ in range(rng.randrange(4)):
+                if rng.random() < 0.5:
+                    turns = rng.randint(1, 3)
+                    segs.append(Segment("turn", tuple(rng.choice((Action.RIGHT, Action.LEFT))
+                                                      for _ in range(turns))))
+                else:
+                    segs.append(Segment("move", (Action.MOVE,) * rng.randint(1, 5)))
+            for cat in TaskCategory:
+                binding = match_pattern(cat, world, pose, segs)
+                if binding is not None:
+                    bound[cat] += 1
+                digest.update(json.dumps(_canonical(binding)).encode() + b"\n")
+        assert min(bound.values()) > 0, bound
+        assert digest.hexdigest() == BINDINGS_SHA256
 
 
 class TestGeneration:

@@ -156,14 +156,6 @@ class DatasetSplit:
     test: list[int]
     by_category: dict[str, tuple[int, int, int]]
 
-    def to_dict(self) -> dict:
-        return {
-            "train": self.train,
-            "dev": self.dev,
-            "test": self.test,
-            "byCategory": {k: list(v) for k, v in self.by_category.items()},
-        }
-
 
 def _largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     """Integer allocation matching `total` exactly; counts differ from the
@@ -233,9 +225,6 @@ class Vocabulary:
 
     def encode(self, words: Sequence[str]) -> list[int]:
         return [self.index.get(w, UNK_INDEX) for w in words]
-
-    def decode(self, indices: Sequence[int]) -> list[str]:
-        return [self.tokens[i] for i in indices]
 
     def to_list(self) -> list[str]:
         return list(self.tokens)

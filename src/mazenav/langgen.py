@@ -18,6 +18,7 @@ from importlib import resources
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .worldsim import (
+    DELTAS,
     FLOORS,
     ITEMS,
     WALL_PAINTINGS,
@@ -253,9 +254,55 @@ def _apply_turns(direction: Direction, seg: Segment) -> Direction:
 
 _RELATIVE_SIDES = ("front", "right", "back", "left")
 
+# What a view entry holds, by index; each name is also its option's slot.
+_LANDMARKS = ("item", "floor", "wall")
+
+# Categories that bind a fixed run of segment kinds: the kinds, and the
+# pattern-id prefix of the options the last segment yields. Leading
+# segments are turns, which only change the heading.
+_SEGMENT_CATEGORIES: dict[TaskCategory, tuple[tuple[str, ...], str]] = {
+    TaskCategory.TURN_TO_X: (("turn",), "turn"),
+    TaskCategory.ORIENT: (("turn",), "orient"),
+    TaskCategory.MOVE_TO_X: (("move",), "move"),
+    TaskCategory.MOVE_UNTIL: (("move",), "until"),
+    TaskCategory.TURN_AND_MOVE_TO_X: (("turn", "move"), "tm"),
+}
+
+# Literal patterns by the phrase of each segment: "turn" (one turn action),
+# "around" (two) or "move".
+_LITERAL_PATTERNS = {
+    ("turn",): "lo_turn",
+    ("around",): "lo_turn_around",
+    ("move",): "lo_move",
+    ("turn", "move"): "lo_turn_move",
+    ("around", "move"): "lo_around_move",
+    ("move", "turn"): "lo_move_turn",
+    ("move", "around"): "lo_move_around",
+}
+
+_View = list[Optional[tuple[Optional[str], str, str]]]
+
 
 def _relative_side(facing: Direction, toward: Direction) -> str:
     return _RELATIVE_SIDES[(int(toward) - int(facing)) % 4]
+
+
+def _around(world: WorldMap, node: tuple[int, int]) -> _View:
+    """One entry per direction, N, E, S, W: None for a wall, else the item
+    at the neighbour (or None) and the floor and wall of the edge to it."""
+    x, y = node
+    view = []
+    for dx, dy in DELTAS.values():
+        nb = (x + dx, y + dy)
+        attrs = world.edge_attrs.get(norm_edge(node, nb))
+        view.append(None if attrs is None else (world.items.get(nb), *attrs))
+    return view
+
+
+def _unique(view: _View, d: Direction, index: int) -> bool:
+    """True if no direction but `d` shows landmark `index` of view[d]."""
+    value = view[d][index]
+    return all(e is None or e[index] != value for k, e in enumerate(view) if k != d)
 
 
 def _run_nodes(world: WorldMap, node: tuple[int, int], facing: Direction,
@@ -269,53 +316,19 @@ def _run_nodes(world: WorldMap, node: tuple[int, int], facing: Direction,
     return nodes
 
 
-def _item_unique_at_hop1(world: WorldMap, node: tuple[int, int],
-                         item: str, facing: Direction) -> bool:
-    for d in Direction:
-        if d is facing:
-            continue
-        nb = world.neighbor_toward(node, d)
-        if nb is not None and world.items.get(nb) == item:
-            return False
-    return True
-
-
-def _attr_unique_at_node(world: WorldMap, node: tuple[int, int], value: str,
-                         facing: Direction, index: int) -> bool:
-    """True if no incident edge other than the facing one carries `value`.
-
-    index selects the attribute: 0 floor, 1 wall painting.
-    """
-    for d in Direction:
-        if d is facing:
-            continue
-        nb = world.neighbor_toward(node, d)
-        if nb is not None and world.edge_attrs[norm_edge(node, nb)][index] == value:
-            return False
-    return True
-
-
-def _turn_target_options(world: WorldMap, node: tuple[int, int],
-                         facing: Direction) -> list[Option]:
+def _turn_target_options(view: _View, facing: Direction) -> list[Option]:
     """Phrasings for "turn toward X" where X sits one hop ahead after the turn."""
-    ahead = world.neighbor_toward(node, facing)
+    ahead = view[facing]
     if ahead is None:
         return []
-    opts = []
-    item = world.items.get(ahead)
-    if item is not None and _item_unique_at_hop1(world, node, item, facing):
-        opts.append(Option("turn_item", {"item": item}))
-    floor, wall = world.edge_attrs[norm_edge(node, ahead)]
-    if _attr_unique_at_node(world, node, floor, facing, 0):
-        opts.append(Option("turn_floor", {"floor": floor}))
-    if _attr_unique_at_node(world, node, wall, facing, 1):
-        opts.append(Option("turn_wall", {"wall": wall}))
-    return opts
+    return [Option(f"turn_{name}", {name: ahead[i]}) for i, name in enumerate(_LANDMARKS)
+            if ahead[i] is not None and _unique(view, facing, i)]
 
 
 def _move_target_options(world: WorldMap, node: tuple[int, int], facing: Direction,
-                         count: int, until: bool) -> list[Option]:
-    """Phrasings for a straight move run ending at a describable node.
+                         count: int, prefix: str) -> list[Option]:
+    """Phrasings for a straight move run ending at a describable node; the
+    "until" prefix adds the crossing-floor and intersection phrasings.
 
     Target conditions must first hold at the run's final node so that a
     follower walking forward stops exactly there: the goal item may not
@@ -329,127 +342,92 @@ def _move_target_options(world: WorldMap, node: tuple[int, int], facing: Directi
     opts = []
     item = world.items.get(end)
     if item is not None and all(world.items.get(n) != item for n in nodes[:-1]):
-        opts.append(Option("until_item" if until else "move_item", {"item": item}))
-    at_dead_end = world.neighbor_toward(end, facing) is None
-    if at_dead_end:
-        opts.append(Option("until_end" if until else "move_end", {"end": "end"}))
-    if until:
-        run_floor = world.edge_attrs[norm_edge(nodes[0], nodes[1])][0]
-        crossing = sorted({
-            world.edge_attrs[norm_edge(end, nb)][0]
-            for nb in world.neighbors[end]
-        } - {run_floor})
-        for fl in crossing:
-            seen_before = any(
-                world.edge_attrs[norm_edge(n, nb)][0] == fl
-                for n in nodes[:-1] for nb in world.neighbors[n]
-            )
-            if not seen_before:
-                opts.append(Option("until_floor", {"floor": fl}))
-        if world.degree(end) >= 3 and all(world.degree(n) <= 2 for n in nodes[1:-1]):
+        opts.append(Option(f"{prefix}_item", {"item": item}))
+    if world.neighbor_toward(end, facing) is None:
+        opts.append(Option(f"{prefix}_end", {"end": "end"}))
+    if prefix == "until":
+        views = [_around(world, n) for n in nodes]
+        earlier = {e[1] for view in views[:-1] for e in view if e is not None}
+        crossing = sorted({e[1] for e in views[-1] if e is not None} - {views[0][facing][1]})
+        opts.extend(Option("until_floor", {"floor": fl}) for fl in crossing if fl not in earlier)
+        if views[-1].count(None) <= 1 and all(v.count(None) >= 2 for v in views[1:-1]):
             opts.append(Option("until_intersection", {}))
     return opts
 
 
-def _orient_options(world: WorldMap, node: tuple[int, int],
-                    facing: Direction) -> list[Option]:
+def _orient_options(view: _View, facing: Direction) -> list[Option]:
     """Phrasings that pin down the final heading by a landmark's relative side.
 
     "front" relations are left to the turn-toward category, so sides here
     are back/left/right only.
     """
     opts = []
-    missing = [d for d in Direction if world.neighbor_toward(node, d) is None]
-    if len(missing) == 1:
-        side = _relative_side(facing, missing[0])
+    walls = [d for d in Direction if view[d] is None]
+    if len(walls) == 1:
+        side = _relative_side(facing, walls[0])
         if side != "front":
             opts.append(Option("orient_wall", {"side": side}))
     for d in Direction:
-        nb = world.neighbor_toward(node, d)
-        if nb is None:
+        side = _relative_side(facing, d)
+        if view[d] is None or side == "front":
             continue
-        item = world.items.get(nb)
-        if item is not None and _item_unique_at_hop1(world, node, item, d):
-            side = _relative_side(facing, d)
-            if side != "front":
-                opts.append(Option("orient_item", {"item": item, "side": side}))
-        floor = world.edge_attrs[norm_edge(node, nb)][0]
-        if _attr_unique_at_node(world, node, floor, d, 0):
-            side = _relative_side(facing, d)
-            if side != "front":
-                opts.append(Option("orient_floor", {"floor": floor, "side": side}))
+        # items and floors; "orient_wall" names the blocked side, not a painting
+        for i, name in enumerate(_LANDMARKS[:2]):
+            if view[d][i] is not None and _unique(view, d, i):
+                opts.append(Option(f"orient_{name}", {name: view[d][i], "side": side}))
     return opts
+
+
+def _segment_options(world: WorldMap, node: tuple[int, int], facing: Direction,
+                     seg: Segment, prefix: str) -> list[Option]:
+    """Perceptual phrasings of `seg`, begun at `node` facing `facing`, whose
+    pattern ids start with `prefix`."""
+    if seg.kind == "move":
+        return _move_target_options(world, node, facing, len(seg.actions), prefix)
+    options = _orient_options if prefix == "orient" else _turn_target_options
+    return options(_around(world, node), _apply_turns(facing, seg))
 
 
 def _description_options(world: WorldMap, pose: Pose) -> list[Option]:
     node = (pose.x, pose.y)
+    view = _around(world, node)
     opts = []
-    floors = sorted({
-        world.edge_attrs[norm_edge(node, nb)][0] for nb in world.neighbors[node]
-    })
+    floors = sorted({e[1] for e in view if e is not None})
     if len(floors) >= 2:
-        pattern = "desc_intersection" if world.degree(node) >= 3 else "desc_corner"
+        pattern = "desc_intersection" if view.count(None) <= 1 else "desc_corner"
         opts.append(Option(pattern, {"floor": floors[0], "floor2": floors[1]}))
     item = world.items.get(node)
     if item is not None:
         opts.append(Option("desc_item_here", {"item": item}))
-    ahead = world.neighbor_toward(node, pose.dir)
+    ahead = view[pose.dir]
     if ahead is None:
         opts.append(Option("desc_dead_end", {"end": "end"}))
-    elif world.items.get(ahead) is not None:
-        opts.append(Option("desc_item_ahead", {"item": world.items[ahead]}))
+    elif ahead[0] is not None:
+        opts.append(Option("desc_item_ahead", {"item": ahead[0]}))
     return opts
 
 
 def _language_only_options(segments: Sequence[Segment]) -> list[Option]:
     """Literal phrasings; counts beyond the number-word table cannot match."""
-
-    def turn_slots(seg: Segment) -> Optional[tuple[str, dict[str, str]]]:
-        if len(seg.actions) == 1:
-            side = "right" if seg.actions[0] is Action.RIGHT else "left"
-            return "turn", {"side": side}
-        if len(seg.actions) == 2:
-            return "around", {}
-        return None
-
-    def move_slots(seg: Segment) -> Optional[dict[str, str]]:
+    phrases, slots = [], {}
+    for seg in segments:
         k = len(seg.actions)
-        if k > len(COUNT_WORDS):
-            return None
-        return {"count": COUNT_WORDS[k - 1], "step": "step" if k == 1 else "steps"}
-
-    if len(segments) == 1:
-        seg = segments[0]
-        if seg.kind == "turn":
-            t = turn_slots(seg)
-            if t is None:
-                return []
-            return [Option("lo_turn_around" if t[0] == "around" else "lo_turn", t[1])]
-        m = move_slots(seg)
-        if m is None:
+        if seg.kind == "move" and k <= len(COUNT_WORDS):
+            phrases.append("move")
+            slots.update(count=COUNT_WORDS[k - 1], step="step" if k == 1 else "steps")
+        elif seg.kind == "turn" and k == 1:
+            phrases.append("turn")
+            slots["side"] = "right" if seg.actions[0] is Action.RIGHT else "left"
+        elif seg.kind == "turn" and k == 2:
+            phrases.append("around")
+        else:
             return []
-        opts = [Option("lo_move", m)]
-        if len(seg.actions) == 1:
-            opts.append(Option("lo_move_one", {}))
-        return opts
-
-    if len(segments) == 2:
-        kinds = (segments[0].kind, segments[1].kind)
-        if kinds == ("turn", "move"):
-            t, m = turn_slots(segments[0]), move_slots(segments[1])
-            if t is None or m is None:
-                return []
-            if t[0] == "around":
-                return [Option("lo_around_move", m)]
-            return [Option("lo_turn_move", {**t[1], **m})]
-        if kinds == ("move", "turn"):
-            m, t = move_slots(segments[0]), turn_slots(segments[1])
-            if t is None or m is None:
-                return []
-            if t[0] == "around":
-                return [Option("lo_move_around", m)]
-            return [Option("lo_move_turn", {**t[1], **m})]
-    return []
+    pattern = _LITERAL_PATTERNS.get(tuple(phrases))
+    if pattern is None:
+        return []
+    if pattern == "lo_move" and k == 1:
+        return [Option(pattern, slots), Option("lo_move_one", {})]
+    return [Option(pattern, slots)]
 
 
 def _is_perceptual(pattern: str) -> bool:
@@ -458,15 +436,9 @@ def _is_perceptual(pattern: str) -> bool:
 
 def _combo_sub_binding(world: WorldMap, pose: Pose, seg: Segment) -> Optional[Binding]:
     """Bind one segment as a combination clause: literal or perceptual."""
-    opts = list(_language_only_options([seg]))
-    if seg.kind == "turn":
-        after = _apply_turns(pose.dir, seg)
-        opts.extend(_turn_target_options(world, (pose.x, pose.y), after))
-    else:
-        opts.extend(_move_target_options(world, (pose.x, pose.y), pose.dir,
-                                         len(seg.actions), until=False))
-        opts.extend(_move_target_options(world, (pose.x, pose.y), pose.dir,
-                                         len(seg.actions), until=True))
+    opts = _language_only_options([seg])
+    for prefix in ("turn",) if seg.kind == "turn" else ("move", "until"):
+        opts.extend(_segment_options(world, (pose.x, pose.y), pose.dir, seg, prefix))
     if not opts:
         return None
     return Binding(TaskCategory.ANY_COMBINATION, 1, opts)
@@ -493,43 +465,16 @@ def match_pattern(category: TaskCategory, world: WorldMap, start: Pose,
         opts = _language_only_options(segs)
         return Binding(category, len(segs), opts) if opts else None
 
-    if category is TaskCategory.TURN_TO_X:
-        if not segments or segments[0].kind != "turn":
+    if category in _SEGMENT_CATEGORIES:
+        kinds, prefix = _SEGMENT_CATEGORIES[category]
+        n = len(kinds)
+        if tuple(seg.kind for seg in segments[:n]) != kinds:
             return None
-        after = _apply_turns(start.dir, segments[0])
-        opts = _turn_target_options(world, node, after)
-        return Binding(category, 1, opts) if opts else None
-
-    if category is TaskCategory.MOVE_TO_X:
-        if not segments or segments[0].kind != "move":
-            return None
-        opts = _move_target_options(world, node, start.dir,
-                                    len(segments[0].actions), until=False)
-        return Binding(category, 1, opts) if opts else None
-
-    if category is TaskCategory.MOVE_UNTIL:
-        if not segments or segments[0].kind != "move":
-            return None
-        opts = _move_target_options(world, node, start.dir,
-                                    len(segments[0].actions), until=True)
-        return Binding(category, 1, opts) if opts else None
-
-    if category is TaskCategory.TURN_AND_MOVE_TO_X:
-        if len(segments) < 2 or segments[0].kind != "turn" or segments[1].kind != "move":
-            return None
-        after = _apply_turns(start.dir, segments[0])
-        moves = _move_target_options(world, node, after,
-                                     len(segments[1].actions), until=False)
-        rename = {"move_item": "tm_item", "move_end": "tm_end"}
-        opts = [Option(rename[o.pattern], o.slots) for o in moves]
-        return Binding(category, 2, opts) if opts else None
-
-    if category is TaskCategory.ORIENT:
-        if not segments or segments[0].kind != "turn":
-            return None
-        after = _apply_turns(start.dir, segments[0])
-        opts = _orient_options(world, node, after)
-        return Binding(category, 1, opts) if opts else None
+        facing = start.dir
+        for seg in segments[:n - 1]:
+            facing = _apply_turns(facing, seg)
+        opts = _segment_options(world, node, facing, segments[n - 1], prefix)
+        return Binding(category, n, opts) if opts else None
 
     if category is TaskCategory.ANY_COMBINATION:
         if len(segments) < 2:

@@ -100,9 +100,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 

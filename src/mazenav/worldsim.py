@@ -227,9 +227,6 @@ class WorldMap:
         nxt = (node[0] + dx, node[1] + dy)
         return nxt if norm_edge(node, nxt) in self.edge_attrs else None
 
-    def degree(self, node: Node) -> int:
-        return len(self.neighbors[node])
-
 
 def generate_maze(width: int, height: int, rng: random.Random) -> set[Edge]:
     """Carve a perfect maze over the width x height grid with an iterative
@@ -434,11 +431,6 @@ def direction_between(a: Node, b: Node) -> Direction:
     if direction is None:
         raise InvalidPathError(f"nodes {a} and {b} are not adjacent")
     return direction
-
-
-def turns_toward(current: Direction, target: Direction) -> list[Action]:
-    """Minimal turn sequence; 180 degrees is two RIGHTs by tie-break."""
-    return list(_TURNS[(target - current) % 4])
 
 
 def path_to_actions(path: list[Node], start_dir: Direction) -> list[Action]:

@@ -34,7 +34,6 @@ from mazenav.worldsim import (
     sample_endpoints,
     shortest_path,
     step,
-    turns_toward,
     world_from_dict,
     world_to_dict,
 )
@@ -288,10 +287,15 @@ class TestPathfinding:
         assert shortest_path(world, (3, 3), (3, 3)) == [(3, 3)]
 
     def test_turns_toward_tie_break(self):
-        assert turns_toward(Direction.NORTH, Direction.SOUTH) == [Action.RIGHT, Action.RIGHT]
-        assert turns_toward(Direction.EAST, Direction.NORTH) == [Action.LEFT]
-        assert turns_toward(Direction.EAST, Direction.SOUTH) == [Action.RIGHT]
-        assert turns_toward(Direction.WEST, Direction.WEST) == []
+        # a path that doubles back turns 180 degrees as two RIGHTs
+        assert path_to_actions([(1, 1), (1, 0), (1, 1)], Direction.NORTH) == [
+            Action.MOVE, Action.RIGHT, Action.RIGHT, Action.MOVE, Action.STOP]
+        # a quarter turn goes the short way round; straight on needs none
+        assert path_to_actions([(1, 1), (1, 0)], Direction.EAST) == [
+            Action.LEFT, Action.MOVE, Action.STOP]
+        assert path_to_actions([(1, 1), (1, 2)], Direction.EAST) == [
+            Action.RIGHT, Action.MOVE, Action.STOP]
+        assert path_to_actions([(1, 1), (0, 1)], Direction.WEST) == [Action.MOVE, Action.STOP]
 
     def test_path_to_actions_round_trip(self):
         rng = random.Random(7)

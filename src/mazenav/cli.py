@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -210,8 +211,6 @@ HPO_PARAMS = ("lr", "embed_dim", "encoder_hidden", "attention_hidden",
 
 
 def cmd_hpo(args: argparse.Namespace) -> int:
-    import math
-
     started = time.time()
     if args.param not in HPO_PARAMS:
         raise ValueError(f"--param must be one of {HPO_PARAMS}")
@@ -315,6 +314,24 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-dist", type=int, default=4, dest="min_dist")
 
 
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--variant", default="full", help="full|lo|bof")
+    p.add_argument("--config", default=None,
+                   help="path to a JSON file of model-config overrides")
+
+
+def _add_stream_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of a streaming learning-efficiency run (bench, hpo)."""
+    p.add_argument("--mix", default="sail")
+    p.add_argument("--threshold", type=float, default=0.90)
+    p.add_argument("--eval-batch", type=_positive_int, default=100, dest="eval_batch")
+    p.add_argument("--beam", type=_positive_int, default=1)
+    p.add_argument("--out", default=None)
+    _add_model_flags(p)
+    _add_world_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mazenav",
@@ -334,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model on a fixed dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--variant", default="full", help="full|lo|bof")
-    p.add_argument("--config", default=None, help="path to a JSON file of model-config overrides")
-    p.add_argument("--seed", type=int, default=default_seed())
+    _add_model_flags(p)
     p.add_argument("--out-checkpoint", required=True, dest="out_checkpoint")
     p.add_argument("--max-epochs", type=int, default=200, dest="max_epochs")
     p.add_argument("--lr", type=float, default=1e-3)
@@ -354,18 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="streaming learning-efficiency benchmark")
-    p.add_argument("--mix", default="sail")
-    p.add_argument("--threshold", type=float, default=0.90)
     p.add_argument("--cap", type=_positive_int, default=250000)
-    p.add_argument("--eval-batch", type=_positive_int, default=100, dest="eval_batch")
-    p.add_argument("--seed", type=int, default=default_seed())
-    p.add_argument("--variant", default="full")
-    p.add_argument("--config", default=None,
-                   help="path to a JSON file of model-config overrides")
-    p.add_argument("--beam", type=_positive_int, default=1)
-    p.add_argument("--out", default=None)
     p.add_argument("--progress", action="store_true")
-    _add_world_flags(p)
+    _add_stream_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("hpo", help="golden-section search over one hyperparameter")
@@ -376,17 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-evals", type=int, default=20, dest="max_evals")
     p.add_argument("--budget", type=_positive_int, default=2000,
                    help="instance cap per probe run")
-    p.add_argument("--mix", default="sail")
-    p.add_argument("--threshold", type=float, default=0.90)
-    p.add_argument("--eval-batch", type=_positive_int, default=100, dest="eval_batch")
-    p.add_argument("--seed", type=int, default=default_seed())
-    p.add_argument("--variant", default="full")
-    p.add_argument("--config", default=None,
-                   help="path to a JSON file of model-config overrides")
-    p.add_argument("--beam", type=_positive_int, default=1)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--out", default=None)
-    _add_world_flags(p)
+    _add_stream_flags(p)
     p.set_defaults(func=cmd_hpo)
 
     p = sub.add_parser("render", help="draw a map (ascii or svg)")

@@ -347,8 +347,9 @@ def _move_target_options(world: WorldMap, node: tuple[int, int], facing: Directi
         opts.append(Option(f"{prefix}_end", {"end": "end"}))
     if prefix == "until":
         views = [_around(world, n) for n in nodes]
+        run_floor = views[0][facing][1]
         earlier = {e[1] for view in views[:-1] for e in view if e is not None}
-        crossing = sorted({e[1] for e in views[-1] if e is not None} - {views[0][facing][1]})
+        crossing = sorted({e[1] for e in views[-1] if e is not None} - {run_floor})
         opts.extend(Option("until_floor", {"floor": fl}) for fl in crossing if fl not in earlier)
         if views[-1].count(None) <= 1 and all(v.count(None) >= 2 for v in views[1:-1]):
             opts.append(Option("until_intersection", {}))

@@ -119,13 +119,16 @@ def _load_instances(path: str, limit: Optional[int] = None) -> list:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
-    parent = os.path.dirname(args.out_checkpoint)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     instances = _load_instances(args.data, args.limit)
     if not instances:
         raise ValueError(f"no instances in {args.data}")
     split = datastore.split_dataset(instances, seed=args.seed)
+    if not split.train or not split.dev:
+        # early stopping scores dev success, which an empty dev set pins at 0
+        raise ValueError(
+            f"{args.data}: {len(instances)} instances split into {len(split.train)} train, "
+            f"{len(split.dev)} dev and {len(split.test)} test; training needs at "
+            f"least one train and one dev instance")
     by_id = {inst.id: inst for inst in instances}
     train_set = [by_id[i] for i in split.train]
     dev_set = [by_id[i] for i in split.dev]
@@ -140,6 +143,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             except percept.GridOverflowError as exc:
                 raise ValueError(f"{args.data}: instance {inst.id}: {exc}") from None
     model = navmodel.NavModel(config, vocab, seed=args.seed)
+    parent = os.path.dirname(args.out_checkpoint)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     history_path = args.out_checkpoint + ".history.csv"
     result = navmodel.train(model, train_set, dev_set, max_epochs=args.max_epochs,
                             lr=args.lr, seed=args.seed, log_path=history_path)

@@ -12,9 +12,15 @@ Variants: "full" (grid percepts through the attention CNN),
 "languageOnly" (no percepts at all), "bagOfFeatures" (order-free 74-bit
 world summary instead of the CNN output).
 
-Training runs the model on nnet's tape. Beam search decodes through
-Rollout, which steps all live hypotheses of a member without a tape and
-reproduces the tape's numbers bit for bit.
+The model is written on nnet's tape (encode, attend, perceive,
+decode_step, sequence_loss), which stays as the reference that the rest is
+tested against. Beam search decodes through Rollout, which steps all live
+hypotheses of a member without a tape and reproduces the tape's numbers bit
+for bit. Training does not build a tape: `forward` runs the encoder as
+arrays and the decoder as one Rollout row along the gold poses, recording
+each step's intermediates, and `backward` is a hand-written reverse pass
+over those arrays. Its loss and every gradient equal sequence_loss's and
+nnet.backward's bit for bit.
 """
 
 from __future__ import annotations
@@ -104,6 +110,36 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
                   fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
+
+
+def _gold_steps(instance: Instance) -> Iterator[tuple[Pose, Action, Action]]:
+    """The pose, previous action and gold action of each teacher-forced step.
+
+    Poses come from the simulator after each gold action, so the decoder
+    always sees the pose the gold prefix produces. A gold action into a wall
+    raises InvalidPathError.
+    """
+    prev = Action.STOP
+    pose = instance.start
+    for action in instance.actions:
+        yield pose, prev, action
+        pose = step(instance.world, pose, action)
+        if pose is None:
+            raise InvalidPathError(f"gold action hits a wall in instance {instance.id}")
+        prev = action
+
+
+@dataclass
+class ForwardRecord:
+    """One instance's teacher-forced forward pass, kept for NavModel.backward:
+    the instruction's token indices, the encoder's record (see
+    NavModel._encode_rows), each decoder step's Rollout record and gold
+    action index, and the summed loss."""
+    tokens: np.ndarray
+    encoder: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    steps: list[dict] = field(default_factory=list)
+    golds: list[int] = field(default_factory=list)
+    loss: float = 0.0
 
 
 class NavModel:
@@ -238,63 +274,235 @@ class NavModel:
 
     # -- losses and training ------------------------------------------------
 
-    def _teacher_forced(self, instance: Instance) -> Iterator[tuple[nnet.Tensor, int]]:
-        """Decode along the gold actions, yielding P over the actions and the
-        gold action's index at each step.
+    def sequence_loss(self, instance: Instance) -> nnet.Tensor:
+        """Summed NLL of the gold actions with teacher forcing, on nnet's tape.
 
-        Percepts are recomputed from the simulator after each gold action,
-        so the decoder always sees the pose the gold prefix produces. A gold
-        action into a wall raises InvalidPathError.
+        It is the reference that `forward` and `backward` reproduce, and the
+        finite-difference check's loss.
         """
         state = self.encode(self.vocab.encode(instance.instruction))
-        prev = Action.STOP
-        pose = instance.start
-        for action in instance.actions:
+        loss = nnet.constant(np.asarray(0.0))
+        for pose, prev, action in _gold_steps(instance):
             c_t = self.percept_vector(instance.world, pose, state)
             state, dist = self.decode_step(state, c_t, prev)
-            yield dist, ACTION_INDEX[action]
-            pose = step(instance.world, pose, action)
-            if pose is None:
-                raise InvalidPathError(
-                    f"gold action hits a wall in instance {instance.id}")
-            prev = action
-
-    def sequence_loss(self, instance: Instance) -> nnet.Tensor:
-        """Summed NLL of the gold actions with teacher forcing."""
-        loss = nnet.constant(np.asarray(0.0))
-        for dist, gold in self._teacher_forced(instance):
-            loss = nnet.add(loss, nnet.cross_entropy(dist, gold))
+            loss = nnet.add(loss, nnet.cross_entropy(dist, ACTION_INDEX[action]))
         return loss
+
+    def _encode_rows(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """`encode` without a tape, bit for bit: returns h and the cell as
+        arrays, and the encoder's record for `backward`.
+
+        The two directions run side by side as the rows of each array, the
+        backward direction over the tokens in reverse. The record holds, at
+        [direction, step], the cell input z = [x; h_prev], the activated
+        gates and tanh of the new cell, and a (2, T + 1, H) array of cells
+        whose [direction, step] is that step's previous cell.
+        """
+        if len(tokens) == 0:
+            raise ValueError("cannot encode an empty instruction")
+        E, H = self.config.embed_dim, self.config.encoder_hidden
+        T = len(tokens)
+        p = self._params
+        weights = (p["enc_fwd_W"].data, p["enc_bwd_W"].data)
+        bias = np.stack([p["enc_fwd_b"].data, p["enc_bwd_b"].data])
+        xs = p["token_embedding"].data[tokens]
+        z = np.zeros((2, T, E + H))
+        z[0, :, :E] = xs
+        z[1, :, :E] = xs[::-1]
+        gates = np.empty((2, T, 4 * H))
+        cells = np.zeros((2, T + 1, H))
+        tcs = np.empty((2, T, H))
+        for s in range(T):
+            if s:
+                z[:, s, E:] = h
+            for side in (0, 1):
+                np.matmul(weights[side], z[side, s], out=gates[side, s])
+            step_gates = gates[:, s]
+            step_gates += bias
+            i, f, g, o = nnet._lstm_gates(step_gates, H)
+            cells[:, s + 1], tcs[:, s], h = nnet._lstm_update(i, f, g, o, cells[:, s])
+        return h.reshape(-1), cells[:, T].reshape(-1), (z, gates, cells, tcs)
+
+    def forward(self, instance: Instance) -> "ForwardRecord":
+        """The teacher-forced loss of `sequence_loss`, bit for bit, without a
+        tape: the encoder runs as arrays and the decoder as one Rollout row
+        along the gold poses. The intermediates are recorded for `backward`.
+        """
+        tokens = np.asarray(self.vocab.encode(instance.instruction), dtype=np.intp)
+        h, c, encoder = self._encode_rows(tokens)
+        record = ForwardRecord(tokens, encoder)
+        h, c = h[None], c[None]
+        rollout = Rollout(self, Percepts(instance.world))
+        for pose, prev, action in _gold_steps(instance):
+            step_record: dict = {}
+            h, c, dist = rollout.step(h, c, [pose], [ACTION_INDEX[prev]], step_record)
+            gold = ACTION_INDEX[action]
+            # summed in step order from 0.0, as sequence_loss's tape adds them
+            record.loss += -np.log(max(float(dist[0, gold]), nnet.CE_EPSILON))
+            record.steps.append(step_record)
+            record.golds.append(gold)
+        return record
+
+    def backward(self, record: "ForwardRecord") -> None:
+        """Write the gradient of record.loss into every Param's grad,
+        replacing what it held, by a hand-written reverse pass over the
+        recorded arrays.
+
+        Every gradient is the tape's (`nnet.backward` of `sequence_loss`) bit
+        for bit: each node's gradient is formed by the same expressions, and
+        a gradient with several terms adds them in the order the tape's sweep
+        reaches them. The output head's terms come in step order, every
+        other Param's in reverse step order, and a decoder state h with three
+        consumers adds the output head's term, then the next LSTM cell's, then
+        the next attention's. A weight matrix's rank-1 products are stacked
+        in that order and summed by one GEMM into its gradient buffer, as
+        nnet.backward does, and a bias's stacked terms are summed in order.
+        """
+        p = self._params
+        nnet.zero_grad(p.values())
+        if not record.steps:
+            return  # no gold action: the loss is a constant, and no Param gets a gradient
+        cfg = self.config
+        c_dim = cfg.percept_dim()
+        h_at = c_dim + cfg.action_count  # where h_prev starts in the decoder input z
+        full = cfg.variant == "full"
+        steps = record.steps
+        T = len(steps)
+        rev = steps[::-1]  # the tape's order for all but the output head
+
+        def set_grad(name: str, reduce, *operands) -> None:
+            par = p[name]
+            par.grad = reduce(*operands, out=par._buffer())
+
+        def stacked(key: str, part=slice(None), order=steps) -> np.ndarray:
+            return np.concatenate([s[key][:, part] for s in order])
+
+        # Cross-entropy, softmax and the output head; row k is step k.
+        dists = stacked("dist")
+        at_gold = np.arange(T), np.asarray(record.golds)
+        d_dists = np.zeros_like(dists)
+        d_dists[at_gold] = -1.0 / np.maximum(dists[at_gold], nnet.CE_EPSILON)
+        d_logits = nnet._softmax_grad(dists, d_dists)
+        set_grad("out_b", np.add.reduce, d_logits, 0)
+        set_grad("out_W1", nnet._outer_sum, d_logits, stacked("h"))
+        if c_dim:
+            set_grad("out_W2", nnet._outer_sum, d_logits, stacked("z", slice(c_dim)))
+
+        # The decoder, last step first: row j of each array is step T-1-j.
+        factors = nnet._lstm_grad_factors(stacked("gates"), stacked("c_prev"), stacked("tc"))
+        d = np.empty((T, 4 * cfg.decoder_hidden))
+        if full:
+            d_scores = np.empty((T, cfg.conv_channels))
+            d_hidden = np.empty((T, cfg.attention_hidden))
+        dec_W, out_W1 = p["dec_W"].data, p["out_W1"].data
+        dh_cell = dh_attn = dc = None  # h and c gradients from the step after
+        for j, k in enumerate(reversed(range(T))):
+            dh = out_W1.T @ d_logits[k]
+            if dh_cell is not None:
+                dh += dh_cell
+            if dh_attn is not None:
+                dh += dh_attn
+            dc = nnet._lstm_grad(dh, dc, *(f[k] for f in factors), out=d[j])
+            dz = dec_W.T @ d[j]
+            dh_cell = dz[h_at:]
+            if full:
+                d_percept = p["out_W2"].data.T @ d_logits[k]
+                d_percept += dz[:c_dim]
+                dh_attn = self._percept_backward(steps[k], d_percept, d_scores[j], d_hidden[j])
+        set_grad("dec_b", np.add.reduce, d, 0)
+        set_grad("dec_W", nnet._outer_sum, d, stacked("z", order=rev))
+        if full:
+            set_grad("attn_b2", np.add.reduce, d_scores, 0)
+            set_grad("attn_W2", nnet._outer_sum, d_scores, stacked("hidden", order=rev))
+            set_grad("attn_b1", np.add.reduce, d_hidden, 0)
+            set_grad("attn_W1", nnet._outer_sum, d_hidden, stacked("z", slice(h_at, None), rev))
+
+        # Both encoder directions side by side, from the decoder's first state.
+        dh = dh_cell if dh_attn is None else dh_cell + dh_attn
+        E, H = cfg.embed_dim, cfg.encoder_hidden
+        z, gates, cells, tcs = record.encoder
+        n = z.shape[1]
+        factors = nnet._lstm_grad_factors(gates, cells[:, :n], tcs)
+        weights = (p["enc_fwd_W"].data, p["enc_bwd_W"].data)
+        d = np.empty((2, n, 4 * H))  # [direction, j]: step n-1-j's gates
+        dz = np.empty((2, n, E + H))  # [direction, s]: step s's input gradient
+        dh, dc = dh.reshape(2, H), dc.reshape(2, H)
+        for j, s in enumerate(reversed(range(n))):
+            dc = nnet._lstm_grad(dh, dc, *(f[:, s] for f in factors), out=d[:, j])
+            for side in (0, 1):
+                np.matmul(weights[side].T, d[side, j], out=dz[side, s])
+            dh = dz[:, s, E:]
+        for side, name in enumerate(("enc_fwd", "enc_bwd")):
+            set_grad(name + "_b", np.add.reduce, d[side], 0)
+            set_grad(name + "_W", nnet._outer_sum, d[side], z[side, ::-1])
+        # each token's two terms, one from each direction
+        d_xs = dz[0, :, :E] + dz[1, ::-1, :E]
+        embedding = p["token_embedding"]
+        embedding.grad = embedding._buffer()
+        embedding.grad.fill(0.0)
+        np.add.at(embedding.grad, record.tokens, d_xs)
+
+    def _percept_backward(self, step_record: dict, d_percept: np.ndarray,
+                          d_scores: np.ndarray, d_hidden: np.ndarray) -> np.ndarray:
+        """Reverse of the full variant's percept: the conv stack and the
+        channel attention. Adds the conv layers' gradients, writes the
+        attention scores' and hidden layer's, and returns the gradient it
+        sends to h_prev."""
+        p = self._params
+        acts, windows = step_record["acts"], step_record["windows"]
+        last = len(acts) - 1
+        g = d_percept.reshape(acts[last].shape[1:])
+        for layer in range(last, -1, -1):
+            act = acts[layer][0]
+            if layer == 0:
+                # the relu, then the attention's scale of each channel
+                beta = step_record["beta"][0]
+                d_beta = nnet._unbroadcast(g * act, beta.shape)
+                g = g * beta * (act > 0)
+            elif layer == last:
+                g = g * act * (1.0 - act)  # the sigmoid
+            else:
+                g = g * (act > 0)  # the relu
+            filters, bias = p[f"conv{layer}_filters"], p[f"conv{layer}_bias"]
+            bias.accumulate(nnet._unbroadcast(g, bias.data.shape))
+            filters.accumulate(nnet._conv_filter_grad(windows[layer][0], g,
+                                                      filters.data.shape))
+            if layer:
+                g = nnet._conv_input_grad(g, filters.data)
+        d_scores[:] = nnet._softmax_grad(beta, d_beta)
+        hidden = step_record["hidden"][0]
+        np.matmul(p["attn_W2"].data.T, d_scores, out=d_hidden)
+        d_hidden *= 1.0 - hidden * hidden  # the tanh
+        return p["attn_W1"].data.T @ d_hidden
 
     def action_accuracy(self, instances: Iterable[Instance]) -> float:
         """Per-action greedy teacher-forced accuracy (training diagnostics)."""
         correct = total = 0
-        with nnet.no_grad():
-            for inst in instances:
-                for dist, gold in self._teacher_forced(inst):
-                    correct += int(np.argmax(dist.data) == gold)
-                    total += 1
+        for inst in instances:
+            record = self.forward(inst)
+            for step_record, gold in zip(record.steps, record.golds):
+                correct += int(np.argmax(step_record["dist"][0]) == gold)
+                total += 1
         return correct / max(total, 1)
 
     def train_on(self, instance: Instance, lr: float = 1e-3,
                  clip_threshold: float = 5.0) -> tuple[float, float]:
-        """Single-instance update: backward, clip at 5, Adam.
+        """Single-instance update: forward, backward, clip at 5, Adam.
 
         Returns (loss, post-clip gradient norm). A non-finite loss or
         gradient norm raises FloatingPointError before any parameter moves.
         """
         params = self.params()
-        nnet.zero_grad(params)
-        loss = self.sequence_loss(instance)
-        if not np.isfinite(loss.data):
+        record = self.forward(instance)
+        if not np.isfinite(record.loss):
             raise FloatingPointError(f"non-finite loss on instance {instance.id}")
-        nnet.backward(loss)
+        self.backward(record)
         nnet.clip_global_norm(params, clip_threshold)
         post_norm = nnet.global_grad_norm(params)
         if not math.isfinite(post_norm):
             raise FloatingPointError(f"non-finite gradient norm on instance {instance.id}")
         nnet.adam_step(params, lr=lr)
-        return float(loss.data), post_norm
+        return float(record.loss), post_norm
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}
@@ -427,62 +635,85 @@ class Rollout:
                            self.p[f"conv{i}_bias"], kh, kw)
                           for i, (kh, kw) in enumerate(kernels)]
 
-    def _conv(self, layer: int, x: np.ndarray) -> np.ndarray:
+    def _conv(self, layer: int, x: np.ndarray,
+              record: Optional[dict] = None) -> np.ndarray:
         """Valid convolution plus bias of every (rows, cols, cin) image in x,
         one GEMM each."""
         filt, bias, kh, kw = self.convs[layer]
         n, rows, cols, _ = x.shape
         windows = nnet._im2col(x, kh, kw)
+        if record is not None:
+            record["windows"].append(windows)
         out = np.empty((n, windows.shape[1], filt.shape[1]))
         for j in range(n):
             np.matmul(windows[j], filt, out=out[j])
         out += bias
         return out.reshape(n, rows - kh + 1, cols - kw + 1, filt.shape[1])
 
-    def _percept_rows(self, h: np.ndarray, poses: Sequence[Pose]) -> np.ndarray:
+    def _percept_rows(self, h: np.ndarray, poses: Sequence[Pose],
+                      record: Optional[dict] = None) -> np.ndarray:
         if self.config.variant == "bagOfFeatures":
             return np.stack([self.percepts.bof(pose) for pose in poses])
         p = self.p
         hidden = _gemv_rows(p["attn_W1"], h)
         hidden += p["attn_b1"]
-        scores = _gemv_rows(p["attn_W2"], np.tanh(hidden))
+        np.tanh(hidden, out=hidden)
+        scores = _gemv_rows(p["attn_W2"], hidden)
         scores += p["attn_b2"]
         beta = nnet._softmax_rows(scores)
-        feat = self._conv(0, np.stack([self.percepts.grid(pose) for pose in poses]))
+        if record is not None:
+            record.update(hidden=hidden, beta=beta, windows=[], acts=[])
+        feat = self._conv(0, np.stack([self.percepts.grid(pose) for pose in poses]), record)
         feat = np.where(feat > 0, feat, 0.0)
+        if record is not None:
+            record["acts"].append(feat.copy())  # before the attention scales it
         feat *= beta[:, None, None, :]  # broadcast over the channel axis
         for layer in range(1, len(self.convs)):
-            feat = self._conv(layer, feat)
+            feat = self._conv(layer, feat, record)
             if layer == len(self.convs) - 1:
                 nnet._logistic(feat, out=feat)
             else:
                 feat = np.where(feat > 0, feat, 0.0)
+            if record is not None:
+                record["acts"].append(feat)
         return feat.reshape(len(poses), -1)
 
     def step(self, h: np.ndarray, c: np.ndarray, poses: Sequence[Pose],
-             prev: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             prev: Sequence[int], record: Optional[dict] = None,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every row: row j stands at poses[j] after the action of
         index prev[j]. Returns the new h and c and P over the actions, one
-        row each."""
+        row each.
+
+        A `record` dict receives the step's intermediates for
+        NavModel.backward: the decoder input z, the activated gates, the
+        previous cell, tanh of the new cell, the new h and P and, for the
+        full variant, the attention's hidden layer and beta, each conv
+        layer's window matrix and its activation (the first layer's before
+        beta scales it).
+        """
         n, D = h.shape
         n_act = self.config.action_count
         p = self.p
         c_dim = self.c_dim
         z = np.zeros((n, c_dim + n_act + D))
         if c_dim:
-            percept = self._percept_rows(h, poses)
+            percept = self._percept_rows(h, poses, record)
             z[:, :c_dim] = percept
         z[np.arange(n), c_dim + np.asarray(prev, dtype=np.intp)] = 1.0
         z[:, c_dim + n_act:] = h
         gates = _gemv_rows(p["dec_W"], z)
         gates += p["dec_b"]
         i, f, g, o = nnet._lstm_gates(gates, D)
-        c_new, _, h_new = nnet._lstm_update(i, f, g, o, c)
+        c_new, tc, h_new = nnet._lstm_update(i, f, g, o, c)
         logits = _gemv_rows(p["out_W1"], h_new)
         logits += p["out_b"]
         if c_dim:
             logits += _gemv_rows(p["out_W2"], percept)
-        return h_new, c_new, nnet._softmax_rows(logits)
+        dist = nnet._softmax_rows(logits)
+        if record is not None:
+            record.update(z=z, gates=gates, c_prev=c, tc=tc, h=h_new, dist=dist)
+        return h_new, c_new, dist
 
 
 def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]],

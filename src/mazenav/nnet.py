@@ -7,6 +7,12 @@ update step. Kernels are pure functions of their inputs; the tape is
 rebuilt on every forward pass, so backpropagation through time falls out
 of replaying the recurrence.
 
+The model trains without the tape (navmodel's hand-written backward), but
+the tape stays as its reference, and both take their array kernels from
+here: the LSTM gates and update and their reverse (_lstm_grad), the window
+matrix and the convolution's filter and input gradients, softmax rows and
+their reverse, and the rank-1 GEMM that forms a weight matrix's gradient.
+
 The LSTM cell is one fused kernel, and parameter gradients, their norm,
 clipping and Adam are updated in place. Every fused or in-place expression
 of the forward and backward passes keeps the per-element operation order of
@@ -147,11 +153,21 @@ class Param(Tensor):
     def accumulate_outers(self, us: Sequence[np.ndarray],
                           vs: Sequence[np.ndarray]) -> None:
         """grad += sum over k of outer(us[k], vs[k]), as one GEMM."""
-        u, v = np.stack(us).T, np.stack(vs)
+        u, v = np.stack(us), np.stack(vs)
         if self.grad is None:
-            self.grad = np.matmul(u, v, out=self._buffer())
+            self.grad = _outer_sum(u, v, out=self._buffer())
         else:
-            self.grad += np.matmul(u, v, out=_scratch(self.data.shape))
+            self.grad += _outer_sum(u, v, out=_scratch(self.data.shape))
+
+
+def _outer_sum(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over k of outer(u[k], v[k]) into `out`, as one GEMM of the
+    stacked rows. A single pair is one broadcast product instead: numpy's
+    matmul forms an inner dimension of 1 in a slow loop, and both round
+    each u[i]*v[j] once."""
+    if len(u) == 1:
+        return np.multiply(u[0][:, None], v[0], out=out)
+    return np.matmul(u.T, v, out=out)
 
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -186,7 +202,7 @@ def _accumulate_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to `shape`."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -342,14 +358,20 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a softmax's input from its output p and the output's
+    gradient g."""
+    dot = np.add.reduce(g * p, axis=-1, keepdims=True)
+    return p * (g - dot)
+
+
 def softmax(t: Tensor) -> Tensor:
     """Softmax over the last axis; strictly positive, sums to 1."""
     out_data = _softmax_rows(t.data)
 
     def backward(out: Tensor) -> None:
         if t.requires_grad:
-            dot = (out.grad * out_data).sum(axis=-1, keepdims=True)
-            t.accumulate(out_data * (out.grad - dot))
+            t.accumulate(_softmax_grad(out_data, out.grad))
 
     return _node(out_data, (t,), backward)
 
@@ -415,6 +437,49 @@ def _lstm_update(i: np.ndarray, f: np.ndarray, g: np.ndarray, o: np.ndarray,
     c += i * g
     tc = np.tanh(c)
     return c, tc, o * tc
+
+
+def _lstm_grad_factors(gates: np.ndarray, c_prev: np.ndarray,
+                       tc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The terms of _lstm_grad that do not depend on the incoming gradient,
+    for cells stacked on the leading axes: the activated gates, c_prev and
+    tc as given, the gates with g replaced by 1 - g*g, one minus the gates
+    with g's replaced by 1 (a factor that changes nothing), and 1 - tc*tc."""
+    hidden = tc.shape[-1]
+    g = gates[..., 2 * hidden:3 * hidden]
+    m1 = gates.copy()
+    m1[..., 2 * hidden:3 * hidden] = 1.0 - g * g
+    m2 = 1.0 - gates
+    m2[..., 2 * hidden:3 * hidden] = 1.0
+    return gates, c_prev, tc, m1, m2, 1.0 - tc * tc
+
+
+def _lstm_grad(dh: np.ndarray, dc_later: Optional[np.ndarray], gates: np.ndarray,
+               c_prev: np.ndarray, tc: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+               one_minus_tc2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Reverse of _lstm_gates + _lstm_update for a cell, or for cells side
+    by side on the leading axes; the arguments after dc_later are one
+    cell's _lstm_grad_factors.
+
+    dh is the new hidden state's gradient and dc_later the new cell's
+    gradient from the next cell (None for none). Writes the pre-activation
+    gates' gradient into `out` and returns c_prev's gradient. Every element
+    is formed by the expressions of lstm_cell's three backward functions, in
+    their order, so the results are bit-identical to the tape's.
+    """
+    hidden = dh.shape[-1]
+    i, f, g, o = (gates[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    np.multiply(dh, tc, out=out[..., 3 * hidden:])
+    dc = dh * o
+    dc *= one_minus_tc2
+    if dc_later is not None:
+        dc += dc_later
+    np.multiply(dc, g, out=out[..., :hidden])
+    np.multiply(dc, c_prev, out=out[..., hidden:2 * hidden])
+    np.multiply(dc, i, out=out[..., 2 * hidden:3 * hidden])
+    out *= m1  # (d_i, d_f, d_g, d_o) * (i, f, 1 - g*g, o)
+    out *= m2  # then d_i, d_f, d_o * (1 - i, 1 - f, 1 - o)
+    return dc * f
 
 
 def lstm_cell(W: Tensor, b: Tensor, x: Tensor,
@@ -523,6 +588,43 @@ def _filter_matrix(filters: np.ndarray) -> np.ndarray:
     return filters.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
 
 
+def _conv_filter_grad(win_mat: np.ndarray, g: np.ndarray,
+                      shape: tuple[int, ...]) -> np.ndarray:
+    """Filter gradient of a valid convolution from its window matrix and
+    the (oh, ow, cout) gradient of its output; `shape` is the filters'."""
+    kh, kw, cin, cout = shape
+    gf = win_mat.T @ g.reshape(-1, cout)
+    return gf.reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+
+
+@functools.lru_cache(maxsize=32)
+def _col2im_index(oh: int, ow: int, cin: int, kh: int, kw: int) -> np.ndarray:
+    """Positions in a flattened (oh+kh-1, ow+kw-1, cin) input of every
+    (di, dj, row, col, channel) product of a valid convolution's input
+    gradient, in that order."""
+    cols = ow + kw - 1
+    r = np.arange(oh).reshape(1, 1, oh, 1, 1) + np.arange(kh).reshape(kh, 1, 1, 1, 1)
+    q = np.arange(ow).reshape(1, 1, 1, ow, 1) + np.arange(kw).reshape(1, kw, 1, 1, 1)
+    index = ((r * cols + q) * cin + np.arange(cin).reshape(1, 1, 1, 1, cin)).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def _conv_input_grad(g: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Input gradient of a valid convolution from the (oh, ow, cout)
+    gradient of its output: for each filter offset (di, dj) in turn, the
+    product g @ filters[di, dj].T is added into the input window it covers,
+    with one batched matmul and one bincount that sums in that order."""
+    kh, kw, cin, cout = filters.shape
+    oh, ow, _ = g.shape
+    # filters[di, dj].T for every offset: (kh*kw, 1, cout, cin)
+    per_offset = filters.reshape(kh * kw, cin, cout).transpose(0, 2, 1)[:, None]
+    products = np.matmul(g, per_offset)
+    gx = np.bincount(_col2im_index(oh, ow, cin, kh, kw), weights=products.reshape(-1),
+                     minlength=(oh + kh - 1) * (ow + kw - 1) * cin)
+    return gx.reshape(oh + kh - 1, ow + kw - 1, cin)
+
+
 def conv2d_valid(filters: Tensor, x: Tensor) -> Tensor:
     """Valid (no padding) cross-correlation.
 
@@ -540,18 +642,10 @@ def conv2d_valid(filters: Tensor, x: Tensor) -> Tensor:
     out_data = (win_mat @ _filter_matrix(filters.data)).reshape(oh, ow, cout)
 
     def backward(out: Tensor) -> None:
-        g = out.grad.reshape(oh * ow, cout)
         if filters.requires_grad:
-            gf = (win_mat.T @ g).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
-            filters.accumulate(gf)
+            filters.accumulate(_conv_filter_grad(win_mat, out.grad, filters.data.shape))
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            go = out.grad
-            for di in range(kh):
-                for dj in range(kw):
-                    # filters[di, dj]: (cin, cout)
-                    gx[di:di + oh, dj:dj + ow, :] += go @ filters.data[di, dj].T
-            x.accumulate(gx)
+            x.accumulate(_conv_input_grad(out.grad, filters.data))
 
     return _node(out_data, (filters, x), backward)
 
@@ -705,10 +799,13 @@ def finite_diff_check(model, instance, h: float = 1e-5, tol: float = 1e-4,
                       seed: int = 0) -> dict:
     """Compare backprop gradients against central finite differences.
 
-    `model` must expose params() and sequence_loss(instance). For each
+    `model` must expose params(), sequence_loss(instance) (a Tensor), and
+    forward(instance) and backward(record), which together write the
+    gradients that training applies into each Param's grad. For each
     parameter a deterministic sample of entries (all entries when
-    samples_per_param is None) is perturbed by ±h and the loss difference
-    compared with the recorded gradient. Relative error uses
+    samples_per_param is None) is perturbed by ±h and the difference of
+    sequence_loss, evaluated with the tape off, is compared with that
+    gradient. Relative error uses
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-6) so that
     near-zero gradient pairs are compared absolutely.
 
@@ -716,8 +813,7 @@ def finite_diff_check(model, instance, h: float = 1e-5, tol: float = 1e-4,
     """
     params = list(model.params())
     zero_grad(params)
-    loss = model.sequence_loss(instance)
-    backward(loss)
+    model.backward(model.forward(instance))
     grads = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
              for p in params}
 

@@ -1,5 +1,6 @@
 """Model architecture, training loop, and beam-search tests."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -22,6 +23,7 @@ from mazenav.navmodel import (
     train,
 )
 from mazenav.worldsim import ACTION_INDEX, ACTIONS, Action, WorldConfig, step
+from test_nnet import assert_same_training, crit10_training, tape_train_on
 
 
 def tiny_config(variant="full", vocab_size=0, **overrides):
@@ -217,13 +219,13 @@ class TestTraining:
             self, shared_vocab, lo_instances, monkeypatch):
         model = make_model(shared_vocab)
         before = model.state_dict()
-        backward = nnet.backward
+        backward = NavModel.backward
 
-        def backward_with_huge(loss):
-            backward(loss)
-            model.param("dec_b").grad[0] = 1e200
+        def backward_with_huge(self, record):
+            backward(self, record)
+            self.param("dec_b").grad[0] = 1e200
 
-        monkeypatch.setattr(nnet, "backward", backward_with_huge)
+        monkeypatch.setattr(NavModel, "backward", backward_with_huge)
         loss, post_norm = model.train_on(lo_instances[0])
         assert math.isfinite(loss)
         assert post_norm == pytest.approx(5.0, rel=1e-12)
@@ -247,13 +249,13 @@ class TestTraining:
         model = make_model(shared_vocab)
         inst = lo_instances[0]
         before = model.state_dict()
-        backward = nnet.backward
+        backward = NavModel.backward
 
-        def backward_with_inf(loss):
-            backward(loss)
-            model.param("dec_b").grad[0] = np.inf  # the loss itself stays finite
+        def backward_with_inf(self, record):
+            backward(self, record)
+            self.param("dec_b").grad[0] = np.inf  # the loss itself stays finite
 
-        monkeypatch.setattr(nnet, "backward", backward_with_inf)
+        monkeypatch.setattr(NavModel, "backward", backward_with_inf)
         with pytest.raises(FloatingPointError, match=re.escape(str(inst.id))):
             model.train_on(inst)
         after = model.state_dict()
@@ -298,6 +300,127 @@ class TestTraining:
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "epoch,trainLoss,devSuccess"
         assert len(lines) == 1 + result.epochs_run
+
+
+def tape_gradients(model, inst):
+    """The loss and every Param's gradient from nnet.backward of
+    sequence_loss; None for a Param the tape gives no gradient."""
+    params = model.params()
+    nnet.zero_grad(params)
+    loss = model.sequence_loss(inst)
+    nnet.backward(loss)
+    return float(loss.data), {p.name: None if p.grad is None else p.grad.copy()
+                              for p in params}
+
+
+def own_gradients(model, inst):
+    """The same from the model's recorded forward and its own backward."""
+    record = model.forward(inst)
+    model.backward(record)
+    return record.loss, {p.name: None if p.grad is None else p.grad.copy()
+                         for p in model.params()}
+
+
+def vary(inst, **changes):
+    return dataclasses.replace(inst, **changes)
+
+
+class TestBackward:
+    """NavModel.forward and NavModel.backward against the tape: the loss is
+    sequence_loss's and every gradient nnet.backward's, bit for bit, on each
+    variant, conv stack and edge case."""
+
+    def check(self, model, instances):
+        for inst in instances:
+            loss, grads = own_gradients(model, inst)
+            ref_loss, ref_grads = tape_gradients(model, inst)
+            assert loss == ref_loss, inst.id
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                assert ref is not None, name  # every Param is used
+                assert np.array_equal(grads[name], ref), (inst.id, name)
+
+    # The full variant with no conv layer after the attention, a sigmoid
+    # layer, or a relu layer and then a sigmoid one.
+    @pytest.mark.parametrize("variant, extra_convs", [
+        ("full", ()), ("full", ((3, 3, 4),)), ("full", ((3, 3, 4), (1, 3, 2))),
+        ("languageOnly", ()), ("bagOfFeatures", ())])
+    def test_gradients_match_tape(self, shared_vocab, lo_instances, variant, extra_convs):
+        model = make_model(shared_vocab, variant=variant, seed=13, extra_convs=extra_convs)
+        self.check(model, lo_instances)
+
+    @pytest.mark.parametrize("variant", ["full", "bagOfFeatures"])
+    def test_gradients_match_tape_at_default_size(self, lo_instances, variant):
+        vocab = build_vocab(lo_instances)
+        model = NavModel(ModelConfig(vocab_size=len(vocab), variant=variant), vocab, seed=3)
+        self.check(model, lo_instances[:2])
+
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_edge_cases(self, shared_vocab, lo_instances, variant):
+        inst = lo_instances[2]
+        word, other = inst.instruction[0], inst.instruction[-1]
+        cases = [
+            vary(inst, instruction=[word, other, word, word]),  # a repeated token
+            vary(inst, instruction=[other]),  # one token
+            vary(inst, actions=[Action.STOP]),  # a STOP-only gold path
+            vary(inst, instruction=[word], actions=[Action.STOP]),
+        ]
+        assert len(set(cases[0].instruction)) < len(cases[0].instruction)
+        self.check(make_model(shared_vocab, variant=variant, seed=15), cases)
+
+    def test_empty_gold_path_gives_no_gradient(self, shared_vocab, lo_instances):
+        # a dataset line may hold no actions; as on the tape, the loss is 0
+        # and no Param gets a gradient, so train_on moves nothing
+        model = make_model(shared_vocab, seed=19)
+        inst = vary(lo_instances[0], actions=[])
+        assert own_gradients(model, inst) == tape_gradients(model, inst)
+        before = model.state_dict()
+        assert model.train_on(inst) == (0.0, 0.0)
+        assert all(np.array_equal(before[k], v) for k, v in model.state_dict().items())
+        assert all(p.t == 0 for p in model.params())
+
+    @pytest.mark.parametrize("variant", ["full", "languageOnly"])
+    def test_gold_probability_below_the_cross_entropy_floor(self, shared_vocab,
+                                                             lo_instances, variant):
+        model = make_model(shared_vocab, variant=variant, seed=16)
+        inst = lo_instances[3]
+        first = ACTION_INDEX[inst.actions[0]]
+        model.param("out_b").data[first] = -80.0
+        record = model.forward(inst)
+        assert record.steps[0]["dist"][0, first] < nnet.CE_EPSILON
+        self.check(model, [inst])
+
+    def test_encoder_rows_equal_encode(self, shared_vocab, lo_instances):
+        model = make_model(shared_vocab, seed=17)
+        for inst in lo_instances:
+            tokens = model.vocab.encode(inst.instruction)
+            for seq in (tokens, tokens[:1], tokens + tokens[::-1]):
+                h, c, _ = model._encode_rows(np.asarray(seq, dtype=np.intp))
+                ref_h, ref_c = model.encode(seq)
+                assert np.array_equal(h, ref_h.data) and np.array_equal(c, ref_c.data)
+
+    def test_action_accuracy_matches_tape(self, shared_vocab, lo_instances):
+        model = make_model(shared_vocab, seed=18)
+        correct = total = 0
+        with nnet.no_grad():
+            for inst in lo_instances:
+                state = model.encode(model.vocab.encode(inst.instruction))
+                pose, prev = inst.start, Action.STOP
+                for action in inst.actions:
+                    c_t = model.percept_vector(inst.world, pose, state)
+                    state, dist = model.decode_step(state, c_t, prev)
+                    correct += int(np.argmax(dist.data) == ACTION_INDEX[action])
+                    total += 1
+                    pose, prev = step(inst.world, pose, action), action
+        assert model.action_accuracy(lo_instances) == correct / total
+
+    def test_training_matches_tape_training(self):
+        # train_on's gradients are the tape's, so 50 updates track a model
+        # trained through nnet.backward
+        losses, model = crit10_training(50)()
+        ref_losses, ref_model = crit10_training(50, tape_train_on)()
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        assert_same_training(model, ref_model, 50)
 
 
 def greedy_rollout(model, inst, budget):

@@ -3,12 +3,14 @@
 Every primitive's backward pass is verified against central finite
 differences computed in 64-bit; the analytic and numeric routes are kept
 fully independent. The fused LSTM cell is compared bit for bit with the
-composed cell it replaces. Three kernels are exact rewrites that round
-differently, so each is compared at a stated tolerance with the plain form
-kept here: weight gradients, which backward sums with one GEMM per
-parameter, with the per-step sum of rank-1 products; the dot-product
+composed cell it replaces, and a convolution's input gradient bit for bit
+with the per-offset slice loop it replaces. Three kernels are exact rewrites
+that round differently, so each is compared at a stated tolerance with the
+plain form kept here: weight gradients, which backward sums with one GEMM
+per parameter, with the per-step sum of rank-1 products; the dot-product
 gradient norm and Adam's efficient form with the allocating textbook
-formulas.
+formulas. The tape-level training tests train through `tape_train_on`,
+the tape's form of NavModel.train_on.
 """
 
 import math
@@ -370,6 +372,13 @@ class _QuadModel:
             return mul(loss, constant(np.asarray(1.01)))
         return loss
 
+    # The analytic side: the recorded forward is the tape's loss.
+    def forward(self, instance):
+        return self.sequence_loss(instance)
+
+    def backward(self, loss):
+        backward(loss)
+
 
 class TestFiniteDiffCheck:
     def test_passes_on_correct_model(self):
@@ -488,7 +497,7 @@ class TestFusedLstmCell:
         def train(cell):
             monkeypatch.setattr(nnet, "lstm_cell", cell)
             model = NavModel(config, vocab, seed=1)
-            steps = [model.train_on(inst, clip_threshold=threshold)
+            steps = [tape_train_on(model, inst, clip_threshold=threshold)
                      for threshold in (5.0, 0.5) for inst in data]
             return steps, model
 
@@ -499,6 +508,31 @@ class TestFusedLstmCell:
             assert p.t == ref.t == 2 * len(data)
             for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
                 assert np.array_equal(a, r), p.name
+
+
+def slice_loop_conv_input_grad(g, filters):
+    """Reference input gradient of a valid convolution: each filter offset's
+    product added into the input window it covers, one slice at a time."""
+    kh, kw, cin, _ = filters.shape
+    oh, ow, _ = g.shape
+    gx = np.zeros((oh + kh - 1, ow + kw - 1, cin))
+    for di in range(kh):
+        for dj in range(kw):
+            gx[di:di + oh, dj:dj + ow, :] += g @ filters[di, dj].T
+    return gx
+
+
+class TestConvInputGrad:
+    @pytest.mark.parametrize("oh, ow, cin, cout, kh, kw", [
+        (1, 12, 16, 8, 5, 5), (1, 12, 64, 32, 5, 5), (3, 16, 4, 4, 3, 3),
+        (3, 14, 4, 2, 1, 3), (2, 7, 3, 5, 2, 4), (5, 16, 4, 1, 1, 1)])
+    def test_matches_slice_loop_bitwise(self, oh, ow, cin, cout, kh, kw):
+        rng = np.random.default_rng(oh * 100 + cin)
+        for _ in range(5):
+            g = rng.normal(size=(oh, ow, cout)) * rng.uniform(0.01, 10.0)
+            filters = rng.normal(size=(kh, kw, cin, cout))
+            assert np.array_equal(nnet._conv_input_grad(g, filters),
+                                  slice_loop_conv_input_grad(g, filters))
 
 
 def per_step_outer(t, u, v):
@@ -575,8 +609,17 @@ class TestWeightGradientGemm:
         for p, g, r in zip(params, grads, ref):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=0, err_msg=p.name)
 
+    def test_single_pair_is_the_outer_product(self):
+        # one pair takes a broadcast product, more take the GEMM
+        rng = np.random.default_rng(10)
+        u, v = rng.normal(size=(3, 7)), rng.normal(size=(3, 5))
+        out = np.empty((7, 5))
+        assert np.array_equal(nnet._outer_sum(u[:1], v[:1], out=out), np.outer(u[0], v[0]))
+        assert np.array_equal(nnet._outer_sum(u[:1], v[:1], out=out), u[:1].T @ v[:1])
+        assert np.array_equal(nnet._outer_sum(u, v, out=out), u.T @ v)
+
     def test_training_matches_per_step_sum(self, monkeypatch):
-        train = crit10_training(50)
+        train = crit10_training(50, tape_train_on)
         losses, model = train()
         monkeypatch.setattr(nnet, "_accumulate_outer", per_step_outer)
         ref_losses, ref_model = train()
@@ -584,10 +627,27 @@ class TestWeightGradientGemm:
         assert_same_training(model, ref_model, 50)
 
 
-def crit10_training(steps):
+def tape_train_on(model, instance, lr=1e-3, clip_threshold=5.0):
+    """NavModel.train_on with the gradients taken on nnet's tape: backward
+    of sequence_loss in place of the model's own forward and backward."""
+    params = model.params()
+    zero_grad(params)
+    loss = model.sequence_loss(instance)
+    if not np.isfinite(loss.data):
+        raise FloatingPointError(f"non-finite loss on instance {instance.id}")
+    backward(loss)
+    nnet.clip_global_norm(params, clip_threshold)
+    post_norm = nnet.global_grad_norm(params)
+    if not math.isfinite(post_norm):
+        raise FloatingPointError(f"non-finite gradient norm on instance {instance.id}")
+    nnet.adam_step(params, lr=lr)
+    return float(loss.data), post_norm
+
+
+def crit10_training(steps, train_on=NavModel.train_on):
     """A function that trains a fresh criterion-10 model with one train_on
     call per instance of a fixed `steps`-instance stream and returns the
-    losses and the model."""
+    losses and the model. `train_on(model, instance)` takes the step."""
     from mazenav.datastore import Vocabulary
     from mazenav.langgen import TemplateBank
 
@@ -602,7 +662,7 @@ def crit10_training(steps):
 
     def train():
         model = NavModel(config, vocab, seed=0)
-        return [model.train_on(inst)[0] for inst in data], model
+        return [train_on(model, inst)[0] for inst in data], model
 
     return train
 

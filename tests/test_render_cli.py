@@ -394,6 +394,20 @@ class TestCliErrors:
         assert f"{data}: line 1: edge [0, 0, 2, 0] does not join grid neighbours of the 3x1 map" in err
         assert not ckpt.exists() and not (tmp_path / "m.npz.history.csv").exists()
 
+    def test_train_rejects_empty_dev_split(self, tmp_path, capsys):
+        # two instances split 2/0/0: no dev success can be measured, so
+        # training would report 0.0 and keep its first epoch's parameters
+        data = tmp_path / "two.jsonl"
+        assert main(["gen", "--count", "2", "--seed", "0", "--out", str(data)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "run" / "m"
+        rc = main(["train", "--data", str(data), "--out-checkpoint", str(ckpt),
+                   "--max-epochs", "30"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "2 instances split into 2 train, 0 dev and 0 test" in err
+        assert not (tmp_path / "run").exists()
+
     def test_nonpositive_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
         with pytest.raises(SystemExit) as exc:

@@ -384,9 +384,9 @@ class NavModel:
         d_dists[at_gold] = -1.0 / np.maximum(dists[at_gold], nnet.CE_EPSILON)
         d_logits = nnet._softmax_grad(dists, d_dists)
         set_grad("out_b", np.add.reduce, d_logits, 0)
-        set_grad("out_W1", nnet._outer_sum, d_logits, stacked("h"))
+        set_grad("out_W1", np.matmul, d_logits.T, stacked("h"))
         if c_dim:
-            set_grad("out_W2", nnet._outer_sum, d_logits, stacked("z", slice(c_dim)))
+            set_grad("out_W2", np.matmul, d_logits.T, stacked("z", slice(c_dim)))
 
         # The decoder, last step first: row j of each array is step T-1-j.
         factors = nnet._lstm_grad_factors(stacked("gates"), stacked("c_prev"), stacked("tc"))
@@ -410,12 +410,12 @@ class NavModel:
                 d_percept += dz[:c_dim]
                 dh_attn = self._percept_backward(steps[k], d_percept, d_scores[j], d_hidden[j])
         set_grad("dec_b", np.add.reduce, d, 0)
-        set_grad("dec_W", nnet._outer_sum, d, stacked("z", order=rev))
+        set_grad("dec_W", np.matmul, d.T, stacked("z", order=rev))
         if full:
             set_grad("attn_b2", np.add.reduce, d_scores, 0)
-            set_grad("attn_W2", nnet._outer_sum, d_scores, stacked("hidden", order=rev))
+            set_grad("attn_W2", np.matmul, d_scores.T, stacked("hidden", order=rev))
             set_grad("attn_b1", np.add.reduce, d_hidden, 0)
-            set_grad("attn_W1", nnet._outer_sum, d_hidden, stacked("z", slice(h_at, None), rev))
+            set_grad("attn_W1", np.matmul, d_hidden.T, stacked("z", slice(h_at, None), rev))
 
         # Both encoder directions side by side, from the decoder's first state.
         dh = dh_cell if dh_attn is None else dh_cell + dh_attn
@@ -434,7 +434,7 @@ class NavModel:
             dh = dz[:, s, E:]
         for side, name in enumerate(("enc_fwd", "enc_bwd")):
             set_grad(name + "_b", np.add.reduce, d[side], 0)
-            set_grad(name + "_W", nnet._outer_sum, d[side], z[side, ::-1])
+            set_grad(name + "_W", np.matmul, d[side].T, z[side, ::-1])
         # each token's two terms, one from each direction
         d_xs = dz[0, :, :E] + dz[1, ::-1, :E]
         embedding = p["token_embedding"]

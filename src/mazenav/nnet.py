@@ -8,10 +8,12 @@ rebuilt on every forward pass, so backpropagation through time falls out
 of replaying the recurrence.
 
 The model trains without the tape (navmodel's hand-written backward), but
-the tape stays as its reference, and both take their array kernels from
-here: the LSTM gates and update and their reverse (_lstm_grad), the window
-matrix and the convolution's filter and input gradients, softmax rows and
-their reverse, and the rank-1 GEMM that forms a weight matrix's gradient.
+the tape stays as its reference. Both take the LSTM gates and update, the
+window matrix, softmax rows and the reverses of softmax (_softmax_grad) and
+of the convolution (_conv_filter_grad, _conv_input_grad) from here. The
+LSTM cell's reverse is written twice: navmodel's backward calls
+_lstm_grad, and lstm_cell's backward functions keep their own expressions
+as its independent reference.
 
 The LSTM cell is one fused kernel, and parameter gradients, their norm,
 clipping and Adam are updated in place. Every fused or in-place expression
@@ -153,21 +155,11 @@ class Param(Tensor):
     def accumulate_outers(self, us: Sequence[np.ndarray],
                           vs: Sequence[np.ndarray]) -> None:
         """grad += sum over k of outer(us[k], vs[k]), as one GEMM."""
-        u, v = np.stack(us), np.stack(vs)
+        u, v = np.stack(us).T, np.stack(vs)
         if self.grad is None:
-            self.grad = _outer_sum(u, v, out=self._buffer())
+            self.grad = np.matmul(u, v, out=self._buffer())
         else:
-            self.grad += _outer_sum(u, v, out=_scratch(self.data.shape))
-
-
-def _outer_sum(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum over k of outer(u[k], v[k]) into `out`, as one GEMM of the
-    stacked rows. A single pair is one broadcast product instead: numpy's
-    matmul forms an inner dimension of 1 in a slow loop, and both round
-    each u[i]*v[j] once."""
-    if len(u) == 1:
-        return np.multiply(u[0][:, None], v[0], out=out)
-    return np.matmul(u.T, v, out=out)
+            self.grad += np.matmul(u, v, out=_scratch(self.data.shape))
 
 
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

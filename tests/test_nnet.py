@@ -609,15 +609,6 @@ class TestWeightGradientGemm:
         for p, g, r in zip(params, grads, ref):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=0, err_msg=p.name)
 
-    def test_single_pair_is_the_outer_product(self):
-        # one pair takes a broadcast product, more take the GEMM
-        rng = np.random.default_rng(10)
-        u, v = rng.normal(size=(3, 7)), rng.normal(size=(3, 5))
-        out = np.empty((7, 5))
-        assert np.array_equal(nnet._outer_sum(u[:1], v[:1], out=out), np.outer(u[0], v[0]))
-        assert np.array_equal(nnet._outer_sum(u[:1], v[:1], out=out), u[:1].T @ v[:1])
-        assert np.array_equal(nnet._outer_sum(u, v, out=out), u.T @ v)
-
     def test_training_matches_per_step_sum(self, monkeypatch):
         train = crit10_training(50, tape_train_on)
         losses, model = train()

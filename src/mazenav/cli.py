@@ -162,10 +162,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.time()
+    # checkpoints first: a bad one fails before a large data file is parsed
+    models = [navmodel.load_checkpoint(p) for p in args.checkpoint]
     instances = _load_instances(args.data, args.limit)
     if not instances:
         raise ValueError(f"no instances in {args.data}")
-    models = [navmodel.load_checkpoint(p) for p in args.checkpoint]
     mode = "singleSentence" if args.mode == "single" else "paragraph"
     rate = evalbench.evaluate_ensemble(models, instances, mode=mode,
                                        beam_width=args.beam)

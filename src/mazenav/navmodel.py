@@ -16,8 +16,10 @@ The model is written on nnet's tape (encode, attend, perceive,
 decode_step, sequence_loss), which stays as the reference that the rest is
 tested against. Beam search decodes through Rollout, which steps all live
 hypotheses of a member without a tape and reproduces the tape's numbers bit
-for bit. Training does not build a tape: `forward` runs the encoder as
-arrays and the decoder as one Rollout row along the gold poses, recording
+for bit, and it stops advancing a hypothesis once it can no longer win
+(exact pruning, see beam_search). Training does not build a tape:
+`forward` runs the encoder as arrays and the decoder as one Rollout row
+along the gold poses, recording
 each step's intermediates, and `backward` is a hand-written reverse pass
 over those arrays. Its loss and every gradient equal sequence_loss's and
 nnet.backward's bit for bit.
@@ -732,6 +734,25 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
     The live hypotheses are rows: row j has score scores[j], stands at
     poses[j] after the actions paths[j], and is row j of every member's
     Rollout state, whose rows equal percept_vector + decode_step bit for bit.
+
+    A sentence's result is decided by its `decisive` best finished entries:
+    the first on the last sentence, whose path is returned, and the
+    `width` carried over to the next sentence before it. Once that many
+    have finished, every live row scoring at or below the bar (the
+    `decisive`-th best finished score) is dropped after each step's
+    selection, and the sentence ends when no row is left (Huang, Zhao & Ma
+    2017, "When to Finish? Optimal Beam Search for Neural Text
+    Generation"). The pruning is exact. A step adds the log of a mean of
+    softmax rows, which is <= 0, and rounding is monotone, so a dropped
+    row's descendants all end at or below the bar; one that ties the bar
+    ends later than the entries it ties, so the stable reverse sort puts
+    it after them, and no descendant enters the decisive entries. Every
+    candidate above the bar outranks every descendant of a dropped row, so
+    it keeps its rank in each step's selection: the rows that stay live,
+    the decisive entries and their order are the same as without pruning.
+    At width 1 nothing has finished while a row is live, so greedy decoding
+    never prunes. While a finished score is NaN, nothing is pruned; a NaN
+    row is never at or below the bar, so it is never dropped.
     """
     if not models:
         raise ValueError("beam_search needs at least one model")
@@ -752,7 +773,8 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
     poses = [start]
     paths: list[list[Action]] = [[]]
     with nnet.no_grad():
-        for sentence in sentences:
+        for n, sentence in enumerate(sentences):
+            decisive = 1 if n == len(sentences) - 1 else width
             states = []
             for m in models:
                 h, c = m.encode(m.vocab.encode(list(sentence)))
@@ -772,8 +794,7 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
                 totals = (scores[:, None] + np.log(np.mean(dists, axis=0))).ravel()
                 # Best first; the stable sort breaks ties by row, then action.
                 best = np.argsort(-totals, kind="stable")[:width]
-                kept: list[int] = []  # flat indices of the candidates that stay live
-                next_poses, next_paths = [], []
+                live = []  # (flat index, pose, path) of the candidates that stay live
                 for flat in best.tolist():
                     row, a_idx = divmod(flat, n_act)
                     action = ACTIONS[a_idx]
@@ -784,11 +805,17 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
                     elif pose is None:
                         failed.append((totals[flat], poses[row], path))
                     else:
-                        kept.append(flat)
-                        next_poses.append(pose)
-                        next_paths.append(path)
+                        live.append((flat, pose, path))
+                if live and len(finished) >= decisive:
+                    ends = sorted(score for score, _, _ in finished)
+                    if not any(map(math.isnan, ends)):
+                        bar = ends[-decisive]
+                        live = [entry for entry in live if not totals[entry[0]] <= bar]
+                kept = [flat for flat, _, _ in live]
                 rows, prev = np.divmod(np.array(kept, dtype=np.intp), n_act)
-                scores, poses, paths = totals[kept], next_poses, next_paths
+                scores = totals[kept]
+                poses = [pose for _, pose, _ in live]
+                paths = [path for _, _, path in live]
                 states = [(h[rows], c[rows]) for h, c in states]
             finished += zip(scores, poses, paths)  # ran out of the per-sentence budget
             # reverse=True keeps hypotheses of equal score in the order they ended

@@ -500,17 +500,19 @@ def steer(model):
 class TestBeamOracle:
     """beam_search returns the oracle's actions, variant by variant, for
     ensembles and for chained sentences; each case runs with the models as
-    initialized (beams end after a step or two) and steered (beams use the
-    whole budget)."""
+    initialized (beams end after a step or two) and steered (the oracle's
+    beams, which are never pruned, use the whole budget)."""
 
-    def check(self, models, instances, width, steered, budget=10, chained=False):
+    def check(self, models, instances, width, steered, budget=10, sentences=1):
         if steered:
             models = [steer(m) for m in models]
-        for inst, other in zip(instances, instances[1:] + instances[:1]):
-            sentences = [inst.instruction, other.instruction] if chained else [inst.instruction]
-            expected = oracle_beam_search(inst.world, inst.start, sentences, models,
+        for i, inst in enumerate(instances):
+            # chain the instructions of the instances that follow, cyclically
+            chain = [instances[(i + k) % len(instances)].instruction
+                     for k in range(sentences)]
+            expected = oracle_beam_search(inst.world, inst.start, chain, models,
                                           width, budget)
-            got = beam_search(inst.world, inst.start, sentences, models,
+            got = beam_search(inst.world, inst.start, chain, models,
                               beam_width=width, max_actions=budget)
             assert got == expected, inst.id
 
@@ -545,7 +547,29 @@ class TestBeamOracle:
     @pytest.mark.parametrize("width", [1, 2, 4])
     def test_chained_sentences(self, shared_vocab, lo_instances, width, steered):
         models = [make_model(shared_vocab, variant="full", seed=s) for s in (26, 27)]
-        self.check(models, lo_instances[:6], width, steered, budget=6, chained=True)
+        self.check(models, lo_instances[:6], width, steered, budget=6, sentences=2)
+
+    @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["plain", "zeroed"])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_three_chained_sentences(self, shared_vocab, lo_instances, variant, width,
+                                     zeroed, steered):
+        # before the last sentence the pruning bar is the width-th best
+        # finished score, and the whole pool carries over in its order
+        models = [make_model(shared_vocab, variant=variant, seed=s) for s in (30, 31)]
+        if zeroed:
+            models = [zero_model(m) for m in models]
+        self.check(models, lo_instances[:10], width, steered, budget=6, sentences=3)
+
+    @pytest.mark.parametrize("steered", [False, True])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_nan_member(self, shared_vocab, lo_instances, width, steered):
+        # every score is NaN: nothing is pruned, and the beam keeps the
+        # order the oracle gives the NaN candidates
+        models = [make_model(shared_vocab, variant="full", seed=s) for s in (32, 33)]
+        models[1].param("out_b").data[0] = np.nan
+        self.check(models, lo_instances, width, steered)
 
     def test_default_size_members(self, lo_instances):
         # the default widths (64 attention channels, 256-wide decoder) reduce
@@ -693,6 +717,69 @@ class TestBeamSearch:
             beam_search(inst.world, inst.start, [inst.instruction], [])
         with pytest.raises(ValueError):
             beam_search(inst.world, inst.start, [], [model])
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The number of Rollout.step calls made so far, as a one-item list."""
+    calls = [0]
+    real_step = Rollout.step
+
+    def counting_step(self, *args, **kwargs):
+        calls[0] += 1
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rollout, "step", counting_step)
+    return calls
+
+
+def first_step_mean(models, inst):
+    """The ensemble's mean distribution over the first action, from the tape."""
+    with nnet.no_grad():
+        dists = []
+        for model in models:
+            state = model.encode(model.vocab.encode(inst.instruction))
+            c_t = model.percept_vector(inst.world, inst.start, state)
+            dists.append(model.decode_step(state, c_t, Action.STOP)[1].data)
+    return np.mean(dists, axis=0)
+
+
+class TestBeamPruning:
+    """beam_search stops advancing rows that can no longer win, and only those."""
+
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_settled_search_makes_one_step(self, shared_vocab, lo_instances, step_calls,
+                                           variant):
+        # STOP as the first step's top candidate finishes with the best score
+        # any hypothesis can reach, so every live row is dropped at once
+        models = [make_model(shared_vocab, variant=variant, seed=s) for s in (40, 41)]
+        settled = [inst for inst in lo_instances
+                   if np.argmax(first_step_mean(models, inst)) == ACTION_INDEX[Action.STOP]]
+        assert settled
+        for inst in settled:
+            step_calls[0] = 0
+            got = beam_search(inst.world, inst.start, [inst.instruction], models,
+                              beam_width=4, max_actions=10)
+            assert got == [Action.STOP]
+            assert step_calls[0] == len(models), inst.id
+
+    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
+    def test_unsettled_search_runs_to_the_budget(self, shared_vocab, lo_instances,
+                                                 step_calls, variant):
+        # Steered members that all but rule out STOP and MOVE: the first
+        # step's STOP finishes near -40, far below every row, and rows that
+        # only turn never hit a wall, so nothing may end the search early.
+        models = [steer(make_model(shared_vocab, variant=variant, seed=s)) for s in (40, 41)]
+        for model in models:
+            bias = model.param("out_b").data
+            bias[ACTION_INDEX[Action.STOP]] = bias[ACTION_INDEX[Action.MOVE]] = -40.0
+        budget = 10
+        for inst in lo_instances:
+            step_calls[0] = 0
+            got = beam_search(inst.world, inst.start, [inst.instruction], models,
+                              beam_width=4, max_actions=budget)
+            assert len(got) == budget
+            assert step_calls[0] == budget * len(models), inst.id
 
 
 class TestCheckpoints:

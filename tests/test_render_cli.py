@@ -439,6 +439,28 @@ class TestCliErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, cause", [("missing", "no sidecar"),
+                                              ("mismatched", "does not match the sha256")])
+    def test_eval_checks_checkpoints_before_reading_data(self, workspace, tmp_path, capsys,
+                                                         fault, cause):
+        # the data file's last line is malformed; a bad checkpoint is named
+        # before the data file is parsed, so that line is never reached
+        from mazenav.navmodel import load_checkpoint, save_checkpoint
+
+        data = tmp_path / "data.jsonl"
+        data.write_text(workspace["data"].read_text() + "{notjson\n")
+        handle = tmp_path / fault
+        if fault == "mismatched":
+            save_checkpoint(load_checkpoint(str(workspace["ckpt"])), str(handle))
+            with open(str(handle) + ".npz", "ab") as fh:
+                fh.write(b"\0")
+        rc = main(["eval", "--data", str(data),
+                   "--checkpoint", str(workspace["ckpt"]), str(handle)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {str(handle)!r}: " in err and cause in err
+        assert str(data) not in err
+
     def test_bad_variant_exits_2(self, workspace, tmp_path, capsys):
         rc = main(["train", "--data", str(workspace["data"]),
                    "--variant", "cnnplus",

@@ -11,13 +11,16 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import replace
 from itertools import islice
 from typing import Optional, Sequence
 
-from . import datastore, evalbench, langgen, navmodel, percept, render, worldsim
+import numpy as np
+
+from . import datastore, evalbench, langgen, navmodel, nnet, percept, render, worldsim
 from .langgen import GenerationError, TaskCategory, TemplateError
 
 VARIANT_ALIASES = {"full": "full", "lo": "languageOnly", "bof": "bagOfFeatures",
@@ -60,6 +63,27 @@ def resolve_mix(spec: str) -> Optional[dict[TaskCategory, float]]:
     return mix
 
 
+def _environment() -> dict:
+    """What a run's numbers depend on besides its flags: the Python and numpy
+    versions, the BLAS numpy was built with, the usable CPUs, and the
+    process's peak resident memory so far."""
+    blas = None
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": deps.get("name"), "version": deps.get("version")}
+    except (TypeError, KeyError):  # numpy without the dict form of show_config
+        pass
+    try:
+        import resource
+    except ImportError:  # not a Unix system
+        peak_rss_mb = None
+    else:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_rss_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes or KiB
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "usableCpus": nnet._usable_cpus(), "peakRssMb": peak_rss_mb}
+
+
 def write_manifest(artifact: str, command: str, args: argparse.Namespace,
                    started: float, extra_artifacts: Sequence[str] = ()) -> None:
     manifest = {
@@ -68,6 +92,7 @@ def write_manifest(artifact: str, command: str, args: argparse.Namespace,
         "masterSeed": getattr(args, "seed", None),
         "artifacts": [artifact, *extra_artifacts],
         "timestamps": {"start": started, "end": time.time()},
+        "environment": _environment(),
     }
     with datastore.atomic_write(artifact + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, default=str)
@@ -314,6 +339,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _add_world_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--height", type=int, default=8)
@@ -331,7 +370,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_stream_flags(p: argparse.ArgumentParser) -> None:
     """Flags of a streaming learning-efficiency run (bench, hpo)."""
     p.add_argument("--mix", default="sail")
-    p.add_argument("--threshold", type=float, default=0.90)
+    p.add_argument("--threshold", type=_fraction, default=0.90)
     p.add_argument("--eval-batch", type=_positive_int, default=100, dest="eval_batch")
     p.add_argument("--beam", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
@@ -361,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--out-checkpoint", required=True, dest="out_checkpoint")
     p.add_argument("--max-epochs", type=int, default=200, dest="max_epochs")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--limit", type=_positive_int, default=None)
     p.add_argument("--dev-limit", type=_positive_int, default=None, dest="dev_limit")
     p.set_defaults(func=cmd_train)
@@ -383,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hpo", help="golden-section search over one hyperparameter")
     p.add_argument("--param", required=True, help="|".join(HPO_PARAMS))
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--lo", type=_positive_float, required=True)
+    p.add_argument("--hi", type=_positive_float, required=True)
+    p.add_argument("--tol", type=_positive_float, default=0.05)
     p.add_argument("--max-evals", type=int, default=20, dest="max_evals")
     p.add_argument("--budget", type=_positive_int, default=2000,
                    help="instance cap per probe run")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
     _add_stream_flags(p)
     p.set_defaults(func=cmd_hpo)
 

@@ -131,6 +131,11 @@ def _gold_steps(instance: Instance) -> Iterator[tuple[Pose, Action, Action]]:
         prev = action
 
 
+def _set_grad(par: nnet.Param, reduce, *operands) -> None:
+    """par.grad = reduce(*operands), formed in par's gradient buffer."""
+    par.grad = reduce(*operands, out=par._buffer())
+
+
 @dataclass
 class ForwardRecord:
     """One instance's teacher-forced forward pass, kept for NavModel.backward:
@@ -372,10 +377,6 @@ class NavModel:
         T = len(steps)
         rev = steps[::-1]  # the tape's order for all but the output head
 
-        def set_grad(name: str, reduce, *operands) -> None:
-            par = p[name]
-            par.grad = reduce(*operands, out=par._buffer())
-
         def stacked(key: str, part=slice(None), order=steps) -> np.ndarray:
             return np.concatenate([s[key][:, part] for s in order])
 
@@ -385,10 +386,10 @@ class NavModel:
         d_dists = np.zeros_like(dists)
         d_dists[at_gold] = -1.0 / np.maximum(dists[at_gold], nnet.CE_EPSILON)
         d_logits = nnet._softmax_grad(dists, d_dists)
-        set_grad("out_b", np.add.reduce, d_logits, 0)
-        set_grad("out_W1", np.matmul, d_logits.T, stacked("h"))
+        _set_grad(p["out_b"], np.add.reduce, d_logits, 0)
+        _set_grad(p["out_W1"], np.matmul, d_logits.T, stacked("h"))
         if c_dim:
-            set_grad("out_W2", np.matmul, d_logits.T, stacked("z", slice(c_dim)))
+            _set_grad(p["out_W2"], np.matmul, d_logits.T, stacked("z", slice(c_dim)))
 
         # The decoder, last step first: row j of each array is step T-1-j.
         factors = nnet._lstm_grad_factors(stacked("gates"), stacked("c_prev"), stacked("tc"))
@@ -411,17 +412,29 @@ class NavModel:
                 d_percept = p["out_W2"].data.T @ d_logits[k]
                 d_percept += dz[:c_dim]
                 dh_attn = self._percept_backward(steps[k], d_percept, d_scores[j], d_hidden[j])
-        set_grad("dec_b", np.add.reduce, d, 0)
-        set_grad("dec_W", np.matmul, d.T, stacked("z", order=rev))
-        if full:
-            set_grad("attn_b2", np.add.reduce, d_scores, 0)
-            set_grad("attn_W2", np.matmul, d_scores.T, stacked("hidden", order=rev))
-            set_grad("attn_b1", np.add.reduce, d_hidden, 0)
-            set_grad("attn_W1", np.matmul, d_hidden.T, stacked("z", slice(h_at, None), rev))
+        _set_grad(p["dec_b"], np.add.reduce, d, 0)
+        # dec_W's GEMM, the largest of the pass, runs on nnet's helper thread
+        # when the step uses it, while the attention and encoder reverse run
+        # here; nothing below writes its operands or reads its gradient.
+        dec_W_grad = p["dec_W"].grad = p["dec_W"]._buffer()
+        helper = nnet._helper_for(sum(par.data.size for par in p.values()))
+        with nnet._alongside(helper, np.matmul, d.T, stacked("z", order=rev), dec_W_grad):
+            if full:
+                _set_grad(p["attn_b2"], np.add.reduce, d_scores, 0)
+                _set_grad(p["attn_W2"], np.matmul, d_scores.T, stacked("hidden", order=rev))
+                _set_grad(p["attn_b1"], np.add.reduce, d_hidden, 0)
+                _set_grad(p["attn_W1"], np.matmul, d_hidden.T,
+                          stacked("z", slice(h_at, None), rev))
+            self._encoder_backward(record, dh_cell if dh_attn is None else dh_cell + dh_attn,
+                                   dc)
 
-        # Both encoder directions side by side, from the decoder's first state.
-        dh = dh_cell if dh_attn is None else dh_cell + dh_attn
-        E, H = cfg.embed_dim, cfg.encoder_hidden
+    def _encoder_backward(self, record: "ForwardRecord", dh: np.ndarray,
+                          dc: np.ndarray) -> None:
+        """Reverse of both encoder directions side by side, from the
+        gradients dh and dc of the decoder's first state: writes the
+        encoder's and the token embedding's gradients."""
+        p = self._params
+        E, H = self.config.embed_dim, self.config.encoder_hidden
         z, gates, cells, tcs = record.encoder
         n = z.shape[1]
         factors = nnet._lstm_grad_factors(gates, cells[:, :n], tcs)
@@ -435,8 +448,8 @@ class NavModel:
                 np.matmul(weights[side].T, d[side, j], out=dz[side, s])
             dh = dz[:, s, E:]
         for side, name in enumerate(("enc_fwd", "enc_bwd")):
-            set_grad(name + "_b", np.add.reduce, d[side], 0)
-            set_grad(name + "_W", np.matmul, d[side].T, z[side, ::-1])
+            _set_grad(p[name + "_b"], np.add.reduce, d[side], 0)
+            _set_grad(p[name + "_W"], np.matmul, d[side].T, z[side, ::-1])
         # each token's two terms, one from each direction
         d_xs = dz[0, :, :E] + dz[1, ::-1, :E]
         embedding = p["token_embedding"]

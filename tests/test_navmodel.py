@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from mazenav.datastore import Vocabulary, build_vocab
 from mazenav.evalbench import evaluate_ensemble
 from mazenav.langgen import TaskCategory, generate_dataset
 from mazenav.navmodel import (
+    VARIANTS,
     ModelConfig,
     NavModel,
     Percepts,
@@ -23,7 +25,12 @@ from mazenav.navmodel import (
     train,
 )
 from mazenav.worldsim import ACTION_INDEX, ACTIONS, Action, WorldConfig, step
-from test_nnet import assert_same_training, crit10_training, tape_train_on
+from test_nnet import (  # noqa: F401 (fresh_helper is a fixture)
+    assert_same_training,
+    crit10_training,
+    fresh_helper,
+    tape_train_on,
+)
 
 
 def tiny_config(variant="full", vocab_size=0, **overrides):
@@ -421,6 +428,80 @@ class TestBackward:
         ref_losses, ref_model = crit10_training(50, tape_train_on)()
         np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
         assert_same_training(model, ref_model, 50)
+
+
+@pytest.fixture(scope="module")
+def default_stream():
+    """The default model config and a 50-instance DEFAULT_MIX stream."""
+    bank = langgen.TemplateBank.load_default()
+    vocab = Vocabulary(bank.vocabulary())
+    data = list(generate_dataset(langgen.DEFAULT_MIX, 50, master_seed=3, bank=bank))
+    return ModelConfig(vocab_size=len(vocab)), vocab, data
+
+
+def step_in_child(model, inst, conn):
+    conn.send((model.train_on(inst), nnet._HELPER is not None))
+    conn.close()
+
+
+class TestHelperThread:
+    """Training with nnet's helper thread (a share of Adam's blocks, and
+    backward's decoder weight GEMM) equals training inline, bit for bit."""
+
+    def test_default_size_training_matches_inline(self, monkeypatch, fresh_helper,
+                                                  default_stream):
+        monkeypatch.setattr(nnet, "_usable_cpus", lambda: 2)
+        config, vocab, data = default_stream
+
+        def train():
+            model = NavModel(config, vocab, seed=0)
+            return [model.train_on(inst) for inst in data], model
+
+        results, model = train()
+        assert nnet._HELPER is not None  # the default size is above _HELPER_MIN
+        monkeypatch.setattr(nnet, "_HELPER_MIN", math.inf)
+        ref_results, ref_model = train()
+        assert results == ref_results  # every loss and post-clip norm
+        for p, ref in zip(model.params(), ref_model.params()):
+            assert p.t == ref.t == len(data)
+            for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
+                assert np.array_equal(a, r), p.name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradients_match_tape_with_helper(self, monkeypatch, fresh_helper,
+                                              shared_vocab, lo_instances, variant):
+        monkeypatch.setattr(nnet, "_HELPER_MIN", 0)
+        monkeypatch.setattr(nnet, "_usable_cpus", lambda: 2)
+        config = ModelConfig(vocab_size=len(shared_vocab), embed_dim=32,
+                             encoder_hidden=64, attention_hidden=32, conv_width=5,
+                             conv_channels=16, extra_convs=((5, 5, 8),), variant=variant)
+        TestBackward().check(NavModel(config, shared_vocab, seed=21), lo_instances[:4])
+        assert nnet._HELPER is not None
+
+    def test_forked_child_starts_its_own_helper(self, monkeypatch, fresh_helper,
+                                                default_stream):
+        # The parent's helper thread does not survive a fork; a child that
+        # reused it would wait for it forever.
+        monkeypatch.setattr(nnet, "_usable_cpus", lambda: 2)
+        config, vocab, data = default_stream
+        model = NavModel(config, vocab, seed=0)
+        model.train_on(data[0])
+        assert nnet._HELPER is not None
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=step_in_child, args=(model, data[1], writer))
+        child.start()
+        writer.close()
+        returned = reader.poll(60)
+        if not returned:
+            child.kill()
+        child.join(timeout=60)
+        assert returned, "train_on in the forked child did not return"
+        result, started = reader.recv()
+        reader.close()
+        assert not child.is_alive() and child.exitcode == 0
+        assert started
+        assert result == model.train_on(data[1])
 
 
 def greedy_rollout(model, inst, budget):

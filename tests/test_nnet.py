@@ -10,11 +10,15 @@ plain form kept here: weight gradients, which backward sums with one GEMM
 per parameter, with the per-step sum of rank-1 products; the dot-product
 gradient norm and Adam's efficient form with the allocating textbook
 formulas. The tape-level training tests train through `tape_train_on`,
-the tape's form of NavModel.train_on.
+the tape's form of NavModel.train_on. Adam split over the helper thread
+is compared bit for bit with the inline update.
 """
 
 import math
+import os
 import random
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -830,3 +834,146 @@ class TestInPlaceOptimizer:
             assert clip_global_norm([p], threshold=5.0) == 1.0
             assert global_grad_norm([p]) == np.inf
         assert np.array_equal(p.grad, [np.inf, 1.0, 1.0])
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """No helper thread at the start; one that the test starts is shut down
+    after it."""
+    monkeypatch.setattr(nnet, "_HELPER", None)
+    yield
+    if nnet._HELPER is not None:
+        nnet._HELPER.executor.shutdown()
+
+
+@pytest.fixture
+def forced_helper(monkeypatch, fresh_helper):
+    """Every step uses the helper thread, whatever its size and the number
+    of usable CPUs."""
+    monkeypatch.setattr(nnet, "_HELPER_MIN", 0)
+    monkeypatch.setattr(nnet, "_usable_cpus", lambda: 2)
+
+
+def on_helper() -> bool:
+    return threading.current_thread().name.startswith("nnet-helper")
+
+
+class TestHelperThread:
+    block = nnet._ADAM_BLOCK
+    shapes = [(3,), (block,), (2 * block + 17,), (3, block // 2 + 5), (5 * block + 1,), (7, 5)]
+
+    def adam_run(self, steps=3):
+        rng = np.random.default_rng(8)
+        params = [Param(f"p{k}", rng.normal(size=s)) for k, s in enumerate(self.shapes)]
+        for step in range(steps):
+            for p in params:
+                p.grad = rng.normal(size=p.data.shape)
+            if step == 1:
+                params[2].grad = None  # a parameter the loss never reached
+            adam_step(params, lr=1e-3 * (step + 1))
+        return params
+
+    def inline_run(self, monkeypatch, steps=3):
+        with monkeypatch.context() as m:
+            m.setattr(nnet, "_HELPER_MIN", math.inf)
+            return self.adam_run(steps)
+
+    def assert_same(self, params, ref_params):
+        for p, ref in zip(params, ref_params):
+            assert p.t == ref.t
+            for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
+                assert np.array_equal(a, r), p.name
+
+    @pytest.mark.parametrize("first", ["helper", "caller", "either"])
+    def test_split_adam_matches_inline(self, monkeypatch, forced_helper, first):
+        # Whichever thread updates a block, its bits are the same: the
+        # helper takes every block, the caller takes every block, or the two
+        # share the queue as they get to it.
+        ref = self.inline_run(monkeypatch)
+        taken = {"helper": 0, "caller": 0}
+        blocks = nnet._adam_blocks
+
+        def side(todo, *args):
+            me = "helper" if on_helper() else "caller"
+            deadline = time.monotonic() + 10
+            while first not in ("either", me) and todo and time.monotonic() < deadline:
+                time.sleep(0.001)  # until the other side has taken every block
+            before = len(todo)
+            blocks(todo, *args)
+            taken[me] += before - len(todo)
+
+        monkeypatch.setattr(nnet, "_adam_blocks", side)
+        split = self.adam_run()
+        assert nnet._HELPER is not None
+        if first != "either":
+            assert taken[first] > 0
+            assert taken["caller" if first == "helper" else "helper"] == 0
+        self.assert_same(split, ref)
+
+    def test_busy_helper_leaves_the_step_to_the_caller(self, monkeypatch, forced_helper):
+        # A helper that has not started its part when the caller's ends is
+        # not waited for: the caller takes the part back.
+        ref = self.inline_run(monkeypatch)
+        sides = []
+        blocks = nnet._adam_blocks
+
+        def spy(todo, *args):
+            sides.append(on_helper())
+            blocks(todo, *args)
+
+        monkeypatch.setattr(nnet, "_adam_blocks", spy)
+        release = threading.Event()
+        blocker = nnet._helper_for(0).executor.submit(release.wait, 30)
+        try:
+            busy = self.adam_run()
+            assert not release.is_set() and not blocker.done()
+        finally:
+            release.set()
+        assert blocker.result(timeout=30)
+        assert sides == [False, False] * 3  # the body's call, then the withdrawn part
+        self.assert_same(busy, ref)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failure_propagates_after_both_parts(self, monkeypatch, forced_helper, failing):
+        # Once the helper has started, a failure on either side reaches the
+        # caller only after the other side has finished, 0.2 s later.
+        started = threading.Event()
+        finished = []
+        blocks = nnet._adam_blocks
+
+        def part(todo, *args):
+            side = "helper" if on_helper() else "caller"
+            if side == "helper":
+                started.set()
+            else:
+                assert started.wait(10)
+            if side == failing:
+                raise FloatingPointError(f"{side} part failed")
+            time.sleep(0.2)
+            blocks(todo, *args)
+            finished.append(side)
+
+        monkeypatch.setattr(nnet, "_adam_blocks", part)
+        with pytest.raises(FloatingPointError, match=f"{failing} part failed"):
+            self.adam_run(steps=1)
+        assert finished == ["caller" if failing == "helper" else "helper"]
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch, fresh_helper):
+        monkeypatch.setattr(nnet, "_HELPER_MIN", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = set(threading.enumerate())
+        self.adam_run()
+        crit10_training(2)()
+        assert nnet._HELPER is None
+        assert set(threading.enumerate()) == before
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert nnet._usable_cpus() == (os.cpu_count() or 1)
+
+    def test_helper_follows_the_real_affinity(self, monkeypatch, fresh_helper):
+        # Nothing patched but the size: under `taskset -c 0` the steps run
+        # inline, on two or more CPUs they start the helper.
+        monkeypatch.setattr(nnet, "_HELPER_MIN", 0)
+        crit10_training(2)()
+        assert (nnet._HELPER is not None) == (len(os.sched_getaffinity(0)) >= 2)

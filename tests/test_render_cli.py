@@ -7,10 +7,12 @@ checked cheaply; one subprocess test confirms the module entry point.
 import contextlib
 import io
 import json
+import platform
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mazenav import datastore
@@ -207,6 +209,13 @@ class TestCliWorkflow:
         assert str(data) in manifest["artifacts"]
         assert manifest["config"]["count"] == 30
         assert manifest["timestamps"]["end"] >= manifest["timestamps"]["start"]
+        env = manifest["environment"]
+        assert sorted(env) == ["blas", "numpy", "peakRssMb", "python", "usableCpus"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["blas"] is None or sorted(env["blas"]) == ["name", "version"]
+        assert env["usableCpus"] >= 1
+        assert env["peakRssMb"] > 1.0
 
     def test_gen_is_reproducible(self, workspace, tmp_path, capsys):
         again = tmp_path / "again.jsonl"
@@ -432,6 +441,30 @@ class TestCliErrors:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *(("train", "--lr", v) for v in ("nan", "-0.01", "0", "inf")),
+        *(("bench", "--threshold", v) for v in ("nan", "0", "1.5", "inf", "-0.5")),
+        ("hpo", "--lr", "nan"), ("hpo", "--threshold", "nan"), ("hpo", "--threshold", "0"),
+        ("hpo", "--tol", "0"), ("hpo", "--tol", "nan"), ("hpo", "--lo", "0"),
+        ("hpo", "--lo", "nan"), ("hpo", "--hi", "-2"), ("hpo", "--hi", "inf"),
+    ], ids=lambda x: x)
+    def test_bad_numeric_flags_rejected(self, command, flag, value, capsys):
+        # at the start, before any data is read or any model trains
+        argv = {"train": ["train", "--data", "d.jsonl", "--out-checkpoint", "m"],
+                "bench": ["bench"],
+                "hpo": ["hpo", "--param", "lr", "--lo", "1", "--hi", "2"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        rule = "must be in (0, 1]" if flag == "--threshold" else "must be finite and > 0"
+        assert f"argument {flag}: {rule}, got {value}" in capsys.readouterr().err
+
+    def test_numeric_flags_accept_their_bounds(self):
+        args = build_parser().parse_args(
+            ["hpo", "--param", "lr", "--lo", "1e-4", "--hi", "1", "--tol", "0.01",
+             "--lr", "0.5", "--threshold", "1"])
+        assert (args.lo, args.hi, args.tol, args.lr, args.threshold) == (1e-4, 1, 0.01, 0.5, 1)
 
     def test_missing_data_exits_2(self, capsys):
         rc = main(["eval", "--data", "/nonexistent.jsonl",

@@ -353,10 +353,17 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_world_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--height", type=int, default=8)
-    p.add_argument("--p-item", type=float, default=0.25, dest="p_item")
+    p.add_argument("--p-item", type=_probability, default=0.25, dest="p_item")
     p.add_argument("--min-dist", type=int, default=4, dest="min_dist")
 
 

@@ -12,17 +12,17 @@ Variants: "full" (grid percepts through the attention CNN),
 "languageOnly" (no percepts at all), "bagOfFeatures" (order-free 74-bit
 world summary instead of the CNN output).
 
-The model is written on nnet's tape (encode, attend, perceive,
-decode_step, sequence_loss), which stays as the reference that the rest is
-tested against. Beam search decodes through Rollout, which steps all live
-hypotheses of a member without a tape and reproduces the tape's numbers bit
-for bit, and it stops advancing a hypothesis once it can no longer win
-(exact pruning, see beam_search). Training does not build a tape:
-`forward` runs the encoder as arrays and the decoder as one Rollout row
-along the gold poses, recording
-each step's intermediates, and `backward` is a hand-written reverse pass
-over those arrays. Its loss and every gradient equal sequence_loss's and
-nnet.backward's bit for bit.
+The model is written once, on numpy arrays with one hypothesis or step
+per row: encode, attend, perceive and decode_step, chained by Rollout.
+Beam search decodes through Rollout, stepping all live hypotheses of a
+member together, and it stops advancing a hypothesis once it can no
+longer win (exact pruning, see beam_search). Training runs the same code:
+sequence_loss runs the decoder as one Rollout row along the gold poses,
+recording each step's intermediates, and `backward` is a hand-written
+reverse pass over those arrays, whose gradients nnet.backward forms.
+tests/tape.py writes the model again on an autodiff tape as the
+reference: the loss, every decoder row and every gradient equal the
+tape's bit for bit.
 """
 
 from __future__ import annotations
@@ -131,17 +131,12 @@ def _gold_steps(instance: Instance) -> Iterator[tuple[Pose, Action, Action]]:
         prev = action
 
 
-def _set_grad(par: nnet.Param, reduce, *operands) -> None:
-    """par.grad = reduce(*operands), formed in par's gradient buffer."""
-    par.grad = reduce(*operands, out=par._buffer())
-
-
 @dataclass
 class ForwardRecord:
     """One instance's teacher-forced forward pass, kept for NavModel.backward:
     the instruction's token indices, the encoder's record (see
-    NavModel._encode_rows), each decoder step's Rollout record and gold
-    action index, and the summed loss."""
+    NavModel.encode), each decoder step's Rollout record and gold action
+    index, and the summed loss."""
     tokens: np.ndarray
     encoder: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     steps: list[dict] = field(default_factory=list)
@@ -206,104 +201,24 @@ class NavModel:
         return self._params[name]
 
     # -- forward pieces ----------------------------------------------------
+    # Each piece works on arrays with one row per hypothesis or step.
+    # Rollout.step chains attend, perceive and decode_step, and both
+    # decoding and teacher-forced training run every step through it.
 
-    def encode(self, token_indices: Sequence[int]) -> tuple[nnet.Tensor, nnet.Tensor]:
-        """Run both encoder directions; returns (h, cell) each of size 2H.
+    def encode(self, tokens: Sequence[int]) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Run both encoder directions; returns h and the cell, each of
+        size 2H, and the encoder's record for `backward`.
 
         h concatenates the forward LSTM's final hidden state with the
         backward LSTM's state at the first token; initial states are zero.
         The cell concatenation initializes the decoder's cell state.
-        """
-        if len(token_indices) == 0:
-            raise ValueError("cannot encode an empty instruction")
-        E, H = self.config.embed_dim, self.config.encoder_hidden
-        xs = nnet.embed(self._params["token_embedding"], token_indices)
-        rows = [nnet.reshape(nnet.narrow(xs, t, 1), (E,))
-                for t in range(len(token_indices))]
-        zero = nnet.constant(np.zeros(H))
-        h_f, c_f = zero, zero
-        for x in rows:
-            h_f, c_f = nnet.lstm_cell(self._params["enc_fwd_W"],
-                                      self._params["enc_fwd_b"], x, (h_f, c_f))
-        h_b, c_b = zero, zero
-        for x in reversed(rows):
-            h_b, c_b = nnet.lstm_cell(self._params["enc_bwd_W"],
-                                      self._params["enc_bwd_b"], x, (h_b, c_b))
-        return nnet.concat([h_f, h_b]), nnet.concat([c_f, c_b])
 
-    def attend(self, s_prev: nnet.Tensor) -> nnet.Tensor:
-        """Channel attention from the previous decoder hidden state alone."""
-        hidden = nnet.tanh(nnet.linear(self._params["attn_W1"], s_prev,
-                                       self._params["attn_b1"]))
-        scores = nnet.linear(self._params["attn_W2"], hidden,
-                             self._params["attn_b2"])
-        return nnet.softmax(scores)
-
-    def perceive(self, grid: np.ndarray, beta: nnet.Tensor) -> nnet.Tensor:
-        """Attention-weighted CNN over the 5x20x20 grid; flattened vector."""
-        x = nnet.constant(grid.astype(np.float64))
-        feat = nnet.relu(nnet.add(
-            nnet.conv2d_valid(self._params["conv0_filters"], x),
-            self._params["conv0_bias"]))
-        feat = nnet.mul(feat, beta)  # broadcast over the channel axis
-        n_extra = len(self.config.extra_convs)
-        for i in range(1, n_extra + 1):
-            feat = nnet.add(
-                nnet.conv2d_valid(self._params[f"conv{i}_filters"], feat),
-                self._params[f"conv{i}_bias"])
-            feat = nnet.sigmoid(feat) if i == n_extra else nnet.relu(feat)
-        return nnet.reshape(feat, (int(np.prod(feat.shape)),))
-
-    def percept_vector(self, world: WorldMap, pose: Pose,
-                       state: tuple[nnet.Tensor, nnet.Tensor]) -> Optional[nnet.Tensor]:
-        """Variant dispatch for the percept input c_t (None for languageOnly)."""
-        if self.config.variant == "languageOnly":
-            return None
-        if self.config.variant == "bagOfFeatures":
-            return nnet.constant(encode_bof(world, pose).astype(np.float64))
-        beta = self.attend(state[0])
-        return self.perceive(encode_grid(world, pose), beta)
-
-    def decode_step(self, state: tuple[nnet.Tensor, nnet.Tensor],
-                    c_t: Optional[nnet.Tensor],
-                    prev_action: Action) -> tuple[tuple[nnet.Tensor, nnet.Tensor], nnet.Tensor]:
-        """One decoder step; returns the new state and P over the 4 actions."""
-        onehot = np.zeros(self.config.action_count)
-        onehot[ACTION_INDEX[prev_action]] = 1.0
-        prev = nnet.constant(onehot)
-        x = prev if c_t is None else nnet.concat([c_t, prev])
-        h, c = nnet.lstm_cell(self._params["dec_W"], self._params["dec_b"],
-                              x, state)
-        o = nnet.linear(self._params["out_W1"], h, self._params["out_b"])
-        if c_t is not None:
-            o = nnet.add(o, nnet.matmul(self._params["out_W2"], c_t))
-        return (h, c), nnet.softmax(o)
-
-    # -- losses and training ------------------------------------------------
-
-    def sequence_loss(self, instance: Instance) -> nnet.Tensor:
-        """Summed NLL of the gold actions with teacher forcing, on nnet's tape.
-
-        It is the reference that `forward` and `backward` reproduce, and the
-        finite-difference check's loss.
-        """
-        state = self.encode(self.vocab.encode(instance.instruction))
-        loss = nnet.constant(np.asarray(0.0))
-        for pose, prev, action in _gold_steps(instance):
-            c_t = self.percept_vector(instance.world, pose, state)
-            state, dist = self.decode_step(state, c_t, prev)
-            loss = nnet.add(loss, nnet.cross_entropy(dist, ACTION_INDEX[action]))
-        return loss
-
-    def _encode_rows(self, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """`encode` without a tape, bit for bit: returns h and the cell as
-        arrays, and the encoder's record for `backward`.
-
-        The two directions run side by side as the rows of each array, the
-        backward direction over the tokens in reverse. The record holds, at
-        [direction, step], the cell input z = [x; h_prev], the activated
-        gates and tanh of the new cell, and a (2, T + 1, H) array of cells
-        whose [direction, step] is that step's previous cell.
+        The two directions run side by side as the two rows of one
+        nnet.lstm_cell call per token, the backward one over the tokens in
+        reverse. The record holds, at [direction, step], the cell input
+        z = [x; h_prev], the activated gates and tanh of the new cell, and a
+        (2, T + 1, H) array of cells whose [direction, step] is that step's
+        previous cell.
         """
         if len(tokens) == 0:
             raise ValueError("cannot encode an empty instruction")
@@ -312,7 +227,7 @@ class NavModel:
         p = self._params
         weights = (p["enc_fwd_W"].data, p["enc_bwd_W"].data)
         bias = np.stack([p["enc_fwd_b"].data, p["enc_bwd_b"].data])
-        xs = p["token_embedding"].data[tokens]
+        xs = p["token_embedding"].data[np.asarray(tokens, dtype=np.intp)]
         z = np.zeros((2, T, E + H))
         z[0, :, :E] = xs
         z[1, :, :E] = xs[::-1]
@@ -322,21 +237,82 @@ class NavModel:
         for s in range(T):
             if s:
                 z[:, s, E:] = h
-            for side in (0, 1):
-                np.matmul(weights[side], z[side, s], out=gates[side, s])
-            step_gates = gates[:, s]
-            step_gates += bias
-            i, f, g, o = nnet._lstm_gates(step_gates, H)
-            cells[:, s + 1], tcs[:, s], h = nnet._lstm_update(i, f, g, o, cells[:, s])
+            _, cells[:, s + 1], tcs[:, s], h = nnet.lstm_cell(weights, bias, z[:, s],
+                                                              cells[:, s], out=gates[:, s])
         return h.reshape(-1), cells[:, T].reshape(-1), (z, gates, cells, tcs)
 
-    def forward(self, instance: Instance) -> "ForwardRecord":
-        """The teacher-forced loss of `sequence_loss`, bit for bit, without a
-        tape: the encoder runs as arrays and the decoder as one Rollout row
-        along the gold poses. The intermediates are recorded for `backward`.
+    def attend(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Channel attention from each row's previous decoder hidden state
+        alone: returns the attention's hidden layer and beta, a softmax over
+        the first conv layer's channels, one row each."""
+        p = self._params
+        hidden = _gemv_rows(p["attn_W1"].data, h)
+        hidden += p["attn_b1"].data
+        np.tanh(hidden, out=hidden)
+        scores = _gemv_rows(p["attn_W2"].data, hidden)
+        scores += p["attn_b2"].data
+        return hidden, nnet._softmax_rows(scores)
+
+    def perceive(self, grids: np.ndarray, beta: np.ndarray, convs: Sequence[tuple],
+                 record: Optional[dict] = None) -> np.ndarray:
+        """Attention-weighted CNN over each row's 5x20x20 grid; returns the
+        flattened percepts, one row each.
+
+        convs holds each conv layer's filter matrix, bias and kernel size,
+        as Rollout prepares them. A `record` dict receives each layer's
+        window matrix and activation, the first layer's before the row's
+        beta scales it.
+        """
+        windows = acts = None
+        if record is not None:
+            windows, acts = [], []
+            record.update(windows=windows, acts=acts)
+        feat = nnet.conv2d_valid(grids, *convs[0], windows)
+        feat = np.where(feat > 0, feat, 0.0)
+        if acts is not None:
+            acts.append(feat.copy())
+        feat *= beta[:, None, None, :]  # broadcast over the channel axis
+        for layer in range(1, len(convs)):
+            feat = nnet.conv2d_valid(feat, *convs[layer], windows)
+            if layer == len(convs) - 1:
+                nnet._logistic(feat, out=feat)
+            else:
+                feat = np.where(feat > 0, feat, 0.0)
+            if acts is not None:
+                acts.append(feat)
+        return feat.reshape(len(feat), -1)
+
+    def decode_step(self, z: np.ndarray, c: np.ndarray, percept: Optional[np.ndarray] = None,
+                    record: Optional[dict] = None,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One decoder step for every row: the LSTM over the inputs
+        z = [percept; previous action one-hot; h_prev] and the cells c, then
+        the output head, which scores the actions from the new h and the
+        percept (None for languageOnly). Returns the new h and c and P over
+        the actions, one row each. A `record` dict receives z, the activated
+        gates, the previous cell, tanh of the new cell, the new h and P.
+        """
+        p = self._params
+        gates, c_new, tc, h = nnet.lstm_cell((p["dec_W"].data,) * len(z), p["dec_b"].data, z, c)
+        logits = _gemv_rows(p["out_W1"].data, h)
+        logits += p["out_b"].data
+        if percept is not None:
+            logits += _gemv_rows(p["out_W2"].data, percept)
+        dist = nnet._softmax_rows(logits)
+        if record is not None:
+            record.update(z=z, gates=gates, c_prev=c, tc=tc, h=h, dist=dist)
+        return h, c_new, dist
+
+    # -- losses and training ------------------------------------------------
+
+    def sequence_loss(self, instance: Instance) -> ForwardRecord:
+        """Summed NLL of the gold actions with teacher forcing, as the
+        returned record's `loss`. The encoder runs once and the decoder as
+        one Rollout row along the gold poses, the code that decoding runs;
+        the record keeps each step's intermediates for `backward`.
         """
         tokens = np.asarray(self.vocab.encode(instance.instruction), dtype=np.intp)
-        h, c, encoder = self._encode_rows(tokens)
+        h, c, encoder = self.encode(tokens)
         record = ForwardRecord(tokens, encoder)
         h, c = h[None], c[None]
         rollout = Rollout(self, Percepts(instance.world))
@@ -344,31 +320,37 @@ class NavModel:
             step_record: dict = {}
             h, c, dist = rollout.step(h, c, [pose], [ACTION_INDEX[prev]], step_record)
             gold = ACTION_INDEX[action]
-            # summed in step order from 0.0, as sequence_loss's tape adds them
+            # summed in step order from 0.0, as the tape adds the cross-entropies
             record.loss += -np.log(max(float(dist[0, gold]), nnet.CE_EPSILON))
             record.steps.append(step_record)
             record.golds.append(gold)
         return record
 
-    def backward(self, record: "ForwardRecord") -> None:
+    def backward(self, record: ForwardRecord) -> None:
         """Write the gradient of record.loss into every Param's grad,
-        replacing what it held, by a hand-written reverse pass over the
-        recorded arrays.
+        replacing what it held: nnet.backward forms each from the terms of
+        the hand-written reverse pass over the recorded arrays."""
+        nnet.backward(self.params(), self._gradient_terms(record))
 
-        Every gradient is the tape's (`nnet.backward` of `sequence_loss`) bit
-        for bit: each node's gradient is formed by the same expressions, and
-        a gradient with several terms adds them in the order the tape's sweep
-        reaches them. The output head's terms come in step order, every
-        other Param's in reverse step order, and a decoder state h with three
-        consumers adds the output head's term, then the next LSTM cell's, then
-        the next attention's. A weight matrix's rank-1 products are stacked
-        in that order and summed by one GEMM into its gradient buffer, as
-        nnet.backward does, and a bias's stacked terms are summed in order.
+    def _gradient_terms(self, record: ForwardRecord) -> Iterator[tuple]:
+        """The reverse pass over a ForwardRecord, yielding nnet.backward's
+        (param, reduce, *operands) terms as it goes.
+
+        Every gradient is the tape's (tests/tape.py) bit for bit: each
+        node's gradient is formed by the same expressions, and a gradient
+        with several terms adds them in the order the tape's sweep reaches
+        them. The output head's terms come in step order, every other
+        Param's in reverse step order, and a decoder state h with three
+        consumers adds the output head's term, then the next LSTM cell's,
+        then the next attention's. A weight matrix's rank-1 products are
+        stacked in that order for one GEMM, as the tape sums them, and a
+        bias's terms are stacked to be summed in order. dec_W's term comes
+        as soon as the decoder's reverse is done, so the helper thread can
+        form it while the attention's and the encoder's reverse run.
         """
-        p = self._params
-        nnet.zero_grad(p.values())
         if not record.steps:
             return  # no gold action: the loss is a constant, and no Param gets a gradient
+        p = self._params
         cfg = self.config
         c_dim = cfg.percept_dim()
         h_at = c_dim + cfg.action_count  # where h_prev starts in the decoder input z
@@ -386,10 +368,10 @@ class NavModel:
         d_dists = np.zeros_like(dists)
         d_dists[at_gold] = -1.0 / np.maximum(dists[at_gold], nnet.CE_EPSILON)
         d_logits = nnet._softmax_grad(dists, d_dists)
-        _set_grad(p["out_b"], np.add.reduce, d_logits, 0)
-        _set_grad(p["out_W1"], np.matmul, d_logits.T, stacked("h"))
+        yield p["out_b"], np.add.reduce, d_logits, 0
+        yield p["out_W1"], np.matmul, d_logits.T, stacked("h")
         if c_dim:
-            _set_grad(p["out_W2"], np.matmul, d_logits.T, stacked("z", slice(c_dim)))
+            yield p["out_W2"], np.matmul, d_logits.T, stacked("z", slice(c_dim))
 
         # The decoder, last step first: row j of each array is step T-1-j.
         factors = nnet._lstm_grad_factors(stacked("gates"), stacked("c_prev"), stacked("tc"))
@@ -397,6 +379,7 @@ class NavModel:
         if full:
             d_scores = np.empty((T, cfg.conv_channels))
             d_hidden = np.empty((T, cfg.attention_hidden))
+            conv_grads: list[list] = [[] for _ in range(1 + len(cfg.extra_convs))]
         dec_W, out_W1 = p["dec_W"].data, p["out_W1"].data
         dh_cell = dh_attn = dc = None  # h and c gradients from the step after
         for j, k in enumerate(reversed(range(T))):
@@ -411,28 +394,29 @@ class NavModel:
             if full:
                 d_percept = p["out_W2"].data.T @ d_logits[k]
                 d_percept += dz[:c_dim]
-                dh_attn = self._percept_backward(steps[k], d_percept, d_scores[j], d_hidden[j])
-        _set_grad(p["dec_b"], np.add.reduce, d, 0)
-        # dec_W's GEMM, the largest of the pass, runs on nnet's helper thread
-        # when the step uses it, while the attention and encoder reverse run
-        # here; nothing below writes its operands or reads its gradient.
-        dec_W_grad = p["dec_W"].grad = p["dec_W"]._buffer()
-        helper = nnet._helper_for(sum(par.data.size for par in p.values()))
-        with nnet._alongside(helper, np.matmul, d.T, stacked("z", order=rev), dec_W_grad):
-            if full:
-                _set_grad(p["attn_b2"], np.add.reduce, d_scores, 0)
-                _set_grad(p["attn_W2"], np.matmul, d_scores.T, stacked("hidden", order=rev))
-                _set_grad(p["attn_b1"], np.add.reduce, d_hidden, 0)
-                _set_grad(p["attn_W1"], np.matmul, d_hidden.T,
-                          stacked("z", slice(h_at, None), rev))
-            self._encoder_backward(record, dh_cell if dh_attn is None else dh_cell + dh_attn,
-                                   dc)
+                dh_attn = self._percept_backward(steps[k], d_percept, d_scores[j],
+                                                 d_hidden[j], conv_grads)
+        yield p["dec_b"], np.add.reduce, d, 0
+        yield p["dec_W"], np.matmul, d.T, stacked("z", order=rev)
+        if full:
+            for layer, grads in enumerate(conv_grads):
+                bias = p[f"conv{layer}_bias"]
+                yield bias, np.add.reduce, np.stack(
+                    [nnet._unbroadcast(g, bias.data.shape) for g in grads]), 0
+                yield (p[f"conv{layer}_filters"], nnet._conv_filter_grad,
+                       [s["windows"][layer][0] for s in rev], grads)
+            yield p["attn_b2"], np.add.reduce, d_scores, 0
+            yield p["attn_W2"], np.matmul, d_scores.T, stacked("hidden", order=rev)
+            yield p["attn_b1"], np.add.reduce, d_hidden, 0
+            yield p["attn_W1"], np.matmul, d_hidden.T, stacked("z", slice(h_at, None), rev)
+        yield from self._encoder_terms(record, dh_cell if dh_attn is None else dh_cell + dh_attn,
+                                       dc)
 
-    def _encoder_backward(self, record: "ForwardRecord", dh: np.ndarray,
-                          dc: np.ndarray) -> None:
+    def _encoder_terms(self, record: ForwardRecord, dh: np.ndarray,
+                       dc: np.ndarray) -> Iterator[tuple]:
         """Reverse of both encoder directions side by side, from the
-        gradients dh and dc of the decoder's first state: writes the
-        encoder's and the token embedding's gradients."""
+        gradients dh and dc of the decoder's first state: yields the
+        encoder's and the token embedding's terms."""
         p = self._params
         E, H = self.config.embed_dim, self.config.encoder_hidden
         z, gates, cells, tcs = record.encoder
@@ -448,23 +432,21 @@ class NavModel:
                 np.matmul(weights[side].T, d[side, j], out=dz[side, s])
             dh = dz[:, s, E:]
         for side, name in enumerate(("enc_fwd", "enc_bwd")):
-            _set_grad(p[name + "_b"], np.add.reduce, d[side], 0)
-            _set_grad(p[name + "_W"], np.matmul, d[side].T, z[side, ::-1])
+            yield p[name + "_b"], np.add.reduce, d[side], 0
+            yield p[name + "_W"], np.matmul, d[side].T, z[side, ::-1]
         # each token's two terms, one from each direction
-        d_xs = dz[0, :, :E] + dz[1, ::-1, :E]
-        embedding = p["token_embedding"]
-        embedding.grad = embedding._buffer()
-        embedding.grad.fill(0.0)
-        np.add.at(embedding.grad, record.tokens, d_xs)
+        yield (p["token_embedding"], nnet._embedding_grad, record.tokens,
+               dz[0, :, :E] + dz[1, ::-1, :E])
 
     def _percept_backward(self, step_record: dict, d_percept: np.ndarray,
-                          d_scores: np.ndarray, d_hidden: np.ndarray) -> np.ndarray:
-        """Reverse of the full variant's percept: the conv stack and the
-        channel attention. Adds the conv layers' gradients, writes the
-        attention scores' and hidden layer's, and returns the gradient it
-        sends to h_prev."""
+                          d_scores: np.ndarray, d_hidden: np.ndarray,
+                          conv_grads: list[list]) -> np.ndarray:
+        """Reverse of the full variant's percept at one step: the conv stack
+        and the channel attention. Appends each conv layer's output gradient
+        to conv_grads[layer], writes the attention scores' and hidden
+        layer's gradients, and returns the gradient it sends to h_prev."""
         p = self._params
-        acts, windows = step_record["acts"], step_record["windows"]
+        acts = step_record["acts"]
         last = len(acts) - 1
         g = d_percept.reshape(acts[last].shape[1:])
         for layer in range(last, -1, -1):
@@ -478,12 +460,9 @@ class NavModel:
                 g = g * act * (1.0 - act)  # the sigmoid
             else:
                 g = g * (act > 0)  # the relu
-            filters, bias = p[f"conv{layer}_filters"], p[f"conv{layer}_bias"]
-            bias.accumulate(nnet._unbroadcast(g, bias.data.shape))
-            filters.accumulate(nnet._conv_filter_grad(windows[layer][0], g,
-                                                      filters.data.shape))
+            conv_grads[layer].append(g)
             if layer:
-                g = nnet._conv_input_grad(g, filters.data)
+                g = nnet._conv_input_grad(g, p[f"conv{layer}_filters"].data)
         d_scores[:] = nnet._softmax_grad(beta, d_beta)
         hidden = step_record["hidden"][0]
         np.matmul(p["attn_W2"].data.T, d_scores, out=d_hidden)
@@ -494,7 +473,7 @@ class NavModel:
         """Per-action greedy teacher-forced accuracy (training diagnostics)."""
         correct = total = 0
         for inst in instances:
-            record = self.forward(inst)
+            record = self.sequence_loss(inst)
             for step_record, gold in zip(record.steps, record.golds):
                 correct += int(np.argmax(step_record["dist"][0]) == gold)
                 total += 1
@@ -508,7 +487,7 @@ class NavModel:
         gradient norm raises FloatingPointError before any parameter moves.
         """
         params = self.params()
-        record = self.forward(instance)
+        record = self.sequence_loss(instance)
         if not np.isfinite(record.loss):
             raise FloatingPointError(f"non-finite loss on instance {instance.id}")
         self.backward(record)
@@ -626,72 +605,38 @@ class Percepts:
 
 
 class Rollout:
-    """One model's decoder, stepped for a batch of hypotheses without a tape.
+    """One model's decoder, stepped for a batch of hypotheses.
 
     Row j of the (n, D) state arrays `h` and `c` is hypothesis j's state.
-    A step computes percept_vector + decode_step for every row with the
-    same numpy operations on the same operands: one GEMV per row for each
-    matrix-vector product, one GEMM per row for each convolution, and
-    transcendentals and softmax sums over contiguous rows. Every row is
-    therefore bit-identical to the tape path, whatever the other rows hold.
-    The model's parameters must not change while a Rollout is in use.
+    A step runs the model's attend, perceive and decode_step over every row:
+    one GEMV per row for each matrix-vector product, one GEMM per row for
+    each convolution, and transcendentals and softmax sums over contiguous
+    rows. Every row's result is therefore the same whatever the other rows
+    hold. The model's parameters must not change while a Rollout is in use.
     """
 
     def __init__(self, model: NavModel, percepts: Percepts):
+        self.model = model
         self.config = model.config
         self.percepts = percepts
         self.c_dim = model.config.percept_dim()
-        self.p = {name: par.data for name, par in model._params.items()}
         self.convs = []
         if self.config.variant == "full":
             kernels = [(1, self.config.conv_width)]
             kernels += [(kh, kw) for kh, kw, _ in self.config.extra_convs]
-            self.convs = [(nnet._filter_matrix(self.p[f"conv{i}_filters"]),
-                           self.p[f"conv{i}_bias"], kh, kw)
-                          for i, (kh, kw) in enumerate(kernels)]
-
-    def _conv(self, layer: int, x: np.ndarray,
-              record: Optional[dict] = None) -> np.ndarray:
-        """Valid convolution plus bias of every (rows, cols, cin) image in x,
-        one GEMM each."""
-        filt, bias, kh, kw = self.convs[layer]
-        n, rows, cols, _ = x.shape
-        windows = nnet._im2col(x, kh, kw)
-        if record is not None:
-            record["windows"].append(windows)
-        out = np.empty((n, windows.shape[1], filt.shape[1]))
-        for j in range(n):
-            np.matmul(windows[j], filt, out=out[j])
-        out += bias
-        return out.reshape(n, rows - kh + 1, cols - kw + 1, filt.shape[1])
+            self.convs = [(nnet._filter_matrix(model.param(f"conv{i}_filters").data),
+                           model.param(f"conv{i}_bias").data, kernel)
+                          for i, kernel in enumerate(kernels)]
 
     def _percept_rows(self, h: np.ndarray, poses: Sequence[Pose],
                       record: Optional[dict] = None) -> np.ndarray:
         if self.config.variant == "bagOfFeatures":
             return np.stack([self.percepts.bof(pose) for pose in poses])
-        p = self.p
-        hidden = _gemv_rows(p["attn_W1"], h)
-        hidden += p["attn_b1"]
-        np.tanh(hidden, out=hidden)
-        scores = _gemv_rows(p["attn_W2"], hidden)
-        scores += p["attn_b2"]
-        beta = nnet._softmax_rows(scores)
+        hidden, beta = self.model.attend(h)
         if record is not None:
-            record.update(hidden=hidden, beta=beta, windows=[], acts=[])
-        feat = self._conv(0, np.stack([self.percepts.grid(pose) for pose in poses]), record)
-        feat = np.where(feat > 0, feat, 0.0)
-        if record is not None:
-            record["acts"].append(feat.copy())  # before the attention scales it
-        feat *= beta[:, None, None, :]  # broadcast over the channel axis
-        for layer in range(1, len(self.convs)):
-            feat = self._conv(layer, feat, record)
-            if layer == len(self.convs) - 1:
-                nnet._logistic(feat, out=feat)
-            else:
-                feat = np.where(feat > 0, feat, 0.0)
-            if record is not None:
-                record["acts"].append(feat)
-        return feat.reshape(len(poses), -1)
+            record.update(hidden=hidden, beta=beta)
+        grids = np.stack([self.percepts.grid(pose) for pose in poses])
+        return self.model.perceive(grids, beta, self.convs, record)
 
     def step(self, h: np.ndarray, c: np.ndarray, poses: Sequence[Pose],
              prev: Sequence[int], record: Optional[dict] = None,
@@ -701,34 +646,20 @@ class Rollout:
         row each.
 
         A `record` dict receives the step's intermediates for
-        NavModel.backward: the decoder input z, the activated gates, the
-        previous cell, tanh of the new cell, the new h and P and, for the
-        full variant, the attention's hidden layer and beta, each conv
-        layer's window matrix and its activation (the first layer's before
-        beta scales it).
+        NavModel.backward: decode_step's and, for the full variant, the
+        attention's hidden layer and beta and perceive's.
         """
         n, D = h.shape
         n_act = self.config.action_count
-        p = self.p
         c_dim = self.c_dim
         z = np.zeros((n, c_dim + n_act + D))
+        percept = None
         if c_dim:
             percept = self._percept_rows(h, poses, record)
             z[:, :c_dim] = percept
         z[np.arange(n), c_dim + np.asarray(prev, dtype=np.intp)] = 1.0
         z[:, c_dim + n_act:] = h
-        gates = _gemv_rows(p["dec_W"], z)
-        gates += p["dec_b"]
-        i, f, g, o = nnet._lstm_gates(gates, D)
-        c_new, tc, h_new = nnet._lstm_update(i, f, g, o, c)
-        logits = _gemv_rows(p["out_W1"], h_new)
-        logits += p["out_b"]
-        if c_dim:
-            logits += _gemv_rows(p["out_W2"], percept)
-        dist = nnet._softmax_rows(logits)
-        if record is not None:
-            record.update(z=z, gates=gates, c_prev=c, tc=tc, h=h_new, dist=dist)
-        return h_new, c_new, dist
+        return self.model.decode_step(z, c, percept, record)
 
 
 def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]],
@@ -746,7 +677,7 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
 
     The live hypotheses are rows: row j has score scores[j], stands at
     poses[j] after the actions paths[j], and is row j of every member's
-    Rollout state, whose rows equal percept_vector + decode_step bit for bit.
+    Rollout state, which it advances exactly as it would on its own.
 
     A sentence's result is decided by its `decisive` best finished entries:
     the first on the last sentence, whose path is returned, and the
@@ -785,59 +716,57 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
     scores = np.zeros(1)
     poses = [start]
     paths: list[list[Action]] = [[]]
-    with nnet.no_grad():
-        for n, sentence in enumerate(sentences):
-            decisive = 1 if n == len(sentences) - 1 else width
-            states = []
-            for m in models:
-                h, c = m.encode(m.vocab.encode(list(sentence)))
-                states.append((np.tile(h.data, (len(poses), 1)),
-                               np.tile(c.data, (len(poses), 1))))
-            prev = np.full(len(poses), ACTION_INDEX[Action.STOP])
-            finished: list[tuple[float, Pose, list[Action]]] = []
-            failed: list[tuple[float, Pose, list[Action]]] = []
-            for _ in range(budget):
-                if not poses:
-                    break
-                dists = []
-                for k, rollout in enumerate(rollouts):
-                    h, c, dist = rollout.step(*states[k], poses, prev)
-                    states[k] = (h, c)
-                    dists.append(dist)
-                totals = (scores[:, None] + np.log(np.mean(dists, axis=0))).ravel()
-                # Best first; the stable sort breaks ties by row, then action.
-                best = np.argsort(-totals, kind="stable")[:width]
-                live = []  # (flat index, pose, path) of the candidates that stay live
-                for flat in best.tolist():
-                    row, a_idx = divmod(flat, n_act)
-                    action = ACTIONS[a_idx]
-                    pose = step(world, poses[row], action)
-                    path = paths[row] + [action]
-                    if action is Action.STOP:
-                        finished.append((totals[flat], poses[row], path))
-                    elif pose is None:
-                        failed.append((totals[flat], poses[row], path))
-                    else:
-                        live.append((flat, pose, path))
-                if live and len(finished) >= decisive:
-                    ends = sorted(score for score, _, _ in finished)
-                    if not any(map(math.isnan, ends)):
-                        bar = ends[-decisive]
-                        live = [entry for entry in live if not totals[entry[0]] <= bar]
-                kept = [flat for flat, _, _ in live]
-                rows, prev = np.divmod(np.array(kept, dtype=np.intp), n_act)
-                scores = totals[kept]
-                poses = [pose for _, pose, _ in live]
-                paths = [path for _, _, path in live]
-                states = [(h[rows], c[rows]) for h, c in states]
-            finished += zip(scores, poses, paths)  # ran out of the per-sentence budget
-            # reverse=True keeps hypotheses of equal score in the order they ended
-            pool = sorted(finished or failed, key=itemgetter(0), reverse=True)[:width]
-            if not pool:
-                raise RuntimeError("beam search lost every hypothesis")
-            scores = np.array([score for score, _, _ in pool])
-            poses = [pose for _, pose, _ in pool]
-            paths = [path for _, _, path in pool]
+    for n, sentence in enumerate(sentences):
+        decisive = 1 if n == len(sentences) - 1 else width
+        states = []
+        for m in models:
+            h, c, _ = m.encode(m.vocab.encode(list(sentence)))
+            states.append((np.tile(h, (len(poses), 1)), np.tile(c, (len(poses), 1))))
+        prev = np.full(len(poses), ACTION_INDEX[Action.STOP])
+        finished: list[tuple[float, Pose, list[Action]]] = []
+        failed: list[tuple[float, Pose, list[Action]]] = []
+        for _ in range(budget):
+            if not poses:
+                break
+            dists = []
+            for k, rollout in enumerate(rollouts):
+                h, c, dist = rollout.step(*states[k], poses, prev)
+                states[k] = (h, c)
+                dists.append(dist)
+            totals = (scores[:, None] + np.log(np.mean(dists, axis=0))).ravel()
+            # Best first; the stable sort breaks ties by row, then action.
+            best = np.argsort(-totals, kind="stable")[:width]
+            live = []  # (flat index, pose, path) of the candidates that stay live
+            for flat in best.tolist():
+                row, a_idx = divmod(flat, n_act)
+                action = ACTIONS[a_idx]
+                pose = step(world, poses[row], action)
+                path = paths[row] + [action]
+                if action is Action.STOP:
+                    finished.append((totals[flat], poses[row], path))
+                elif pose is None:
+                    failed.append((totals[flat], poses[row], path))
+                else:
+                    live.append((flat, pose, path))
+            if live and len(finished) >= decisive:
+                ends = sorted(score for score, _, _ in finished)
+                if not any(map(math.isnan, ends)):
+                    bar = ends[-decisive]
+                    live = [entry for entry in live if not totals[entry[0]] <= bar]
+            kept = [flat for flat, _, _ in live]
+            rows, prev = np.divmod(np.array(kept, dtype=np.intp), n_act)
+            scores = totals[kept]
+            poses = [pose for _, pose, _ in live]
+            paths = [path for _, _, path in live]
+            states = [(h[rows], c[rows]) for h, c in states]
+        finished += zip(scores, poses, paths)  # ran out of the per-sentence budget
+        # reverse=True keeps hypotheses of equal score in the order they ended
+        pool = sorted(finished or failed, key=itemgetter(0), reverse=True)[:width]
+        if not pool:
+            raise RuntimeError("beam search lost every hypothesis")
+        scores = np.array([score for score, _, _ in pool])
+        poses = [pose for _, pose, _ in pool]
+        paths = [path for _, _, path in pool]
     return paths[0]
 
 

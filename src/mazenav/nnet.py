@@ -1,39 +1,37 @@
-"""Dense-tensor kernels with exact reverse-mode gradients.
+"""Array kernels of the navigation model, its gradient assembly, and the
+optimizer.
 
-A tiny tape-based autodiff layer over numpy float64 arrays: enough to
-express an embedding, LSTM cells, valid convolution, channel attention,
-softmax and cross-entropy, with Adam and global-norm clipping for the
-update step. Kernels are pure functions of their inputs; the tape is
-rebuilt on every forward pass, so backpropagation through time falls out
-of replaying the recurrence.
+navmodel runs the model on numpy float64 arrays, one hypothesis or decoder
+step per row, with a hand-written reverse pass. It calls these kernels by
+their module names, so a tracer that wraps them sees every call of training
+and decoding:
+- lstm_cell, the LSTM cell over rows (one GEMV per row);
+- conv2d_valid, a valid convolution of a stack of images (one GEMM per
+  image);
+- backward, which ends the reverse pass: it forms each Param's gradient
+  from the stacked per-step terms that navmodel collects;
+- global_grad_norm, clip_global_norm and adam_step.
+The private kernels (the LSTM gates and update and their reverse, the window
+matrix, softmax rows, and the reverses of softmax and of the convolution)
+are shared by navmodel's forward and backward passes.
 
-The model trains without the tape (navmodel's hand-written backward), but
-the tape stays as its reference. Both take the LSTM gates and update, the
-window matrix, softmax rows and the reverses of softmax (_softmax_grad) and
-of the convolution (_conv_filter_grad, _conv_input_grad) from here. The
-LSTM cell's reverse is written twice: navmodel's backward calls
-_lstm_grad, and lstm_cell's backward functions keep their own expressions
-as its independent reference.
-
-The LSTM cell is one fused kernel, and parameter gradients, their norm,
-clipping and Adam are updated in place. Every fused or in-place expression
-of the forward and backward passes keeps the per-element operation order of
-the plain composition of primitives, so results are bit-identical to it
-(tests/test_nnet.py keeps that composition as the reference).
+There is no autodiff tape here. tests/tape.py keeps one, composed of plain
+primitives, as the reference: the model's loss, decoder rows and every
+gradient equal the tape's bit for bit, so every in-place or fused
+expression here keeps the per-element operation order of the tape's.
 
 A training step whose parameters hold _HELPER_MIN elements or more, with
 two or more usable CPUs, runs part of its work on one persistent helper
-thread (see _helper_for): a share of Adam's blocks, and navmodel's decoder
-weight GEMM while the rest of its backward pass runs. The helper runs only
-this module's private code and numpy, never touches _SCRATCH, and changes
-no result: every element takes the same operations on either thread.
+thread (see _helper_for): a share of Adam's blocks, and the largest Param's
+gradient while the rest of the reverse pass runs. The helper runs only this
+module's private code and numpy, never touches _SCRATCH, and changes no
+result: every element takes the same operations on either thread.
 
-Three kernels are exact rewrites that round differently, and
-tests/test_nnet.py keeps the plain form of each as the reference:
-- the rank-1 products that matmul and the LSTM cell add to a Param's
-  gradient (one per use of a weight matrix on a vector) are recorded
-  during the backward sweep and summed by one GEMM per Param when the
-  sweep ends, not added one step at a time;
+Three kernels are exact rewrites that round differently, and the tests
+keep the plain form of each as the reference:
+- a weight matrix's gradient, the sum of one rank-1 product per use of the
+  matrix on a vector, is formed by one GEMM over the stacked factors, not
+  added one step at a time;
 - the gradient norm sums one BLAS dot product per gradient, not the sum
   of its elementwise squares;
 - Adam takes Kingma & Ba's efficient form (arXiv 1412.6980, end of
@@ -44,31 +42,23 @@ tests/test_nnet.py keeps the plain form of each as the reference:
 from __future__ import annotations
 
 import collections
+import contextlib
 import contextvars
 import functools
 import math
 import os
 import random
-from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-_GRAD_ENABLED = True
-
-# Work space for the gradient products that are added to an existing
-# gradient (a rank-1 product into a non-leaf tensor, or a Param's summed
-# products when the Param already holds a gradient), the optimizer update
-# of a step that runs inline and the overflow fallback of the gradient
-# norm. It grows to the largest request (Adam's block buffer, or an array of
-# the largest tensor's size) and is shared by every caller, so this module
-# is not thread-safe. The helper thread never touches it: a split Adam step
-# uses the helper's own two block buffers, one for each side.
+# Work space for the optimizer update of a step that runs inline and the
+# overflow fallback of the gradient norm. It grows to the largest request
+# (Adam's block buffer, or an array of the largest gradient's size) and is
+# shared by every caller, so this module is not thread-safe. The helper
+# thread never touches it: a split Adam step uses the helper's own two block
+# buffers, one for each side.
 _SCRATCH = np.empty(0)
-
-# The rank-1 weight-gradient products of the running backward pass, as the
-# factor lists (us, vs) of each Param; None outside a backward pass.
-_OUTER: Optional[dict["Param", tuple[list, list]]] = None
 
 # Adam updates a parameter this many elements at a time, so its two work
 # arrays stay small and in cache.
@@ -129,7 +119,7 @@ def _helper_for(size: int) -> Optional[_Helper]:
     return _HELPER
 
 
-@contextmanager
+@contextlib.contextmanager
 def _alongside(helper: Optional[_Helper], fn: Callable, *args):
     """Run fn(*args) alongside the body of the with statement: on the helper
     thread, in a copy of the caller's context (numpy's error state is a
@@ -166,70 +156,23 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     return _SCRATCH[:size].reshape(shape)
 
 
-@contextmanager
-def no_grad():
-    """Disable tape recording (inference / finite-difference evaluations)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
-class Tensor:
-    """Array node; `parents` and `backward_fn` record the computation."""
-
-    __slots__ = ("data", "grad", "parents", "backward_fn", "requires_grad")
-
-    def __init__(self, data, parents: tuple = (), backward_fn=None,
-                 requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
-        self.parents = parents
-        self.backward_fn = backward_fn
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # g + 0.0 rounds exactly as zeros + g, with one pass fewer.
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-class Param(Tensor):
-    """Named trainable tensor with Adam moment buffers and step counter.
+class Param:
+    """Named trainable array with its gradient, Adam moment buffers and
+    step counter.
 
     The gradient lives in a buffer kept across steps: zero_grad sets `grad`
     to None and the next backward pass overwrites the buffer, so a gradient
     array is only valid until then.
     """
 
-    __slots__ = ("name", "m", "v", "t", "_grad_buffer")
+    __slots__ = ("name", "data", "grad", "m", "v", "t", "_grad_buffer")
 
     def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
+        self.data = np.asarray(data, dtype=np.float64)
         if not self.data.flags.c_contiguous:  # adam_step updates through flat views
             self.data = self.data.copy(order="C")
         self.name = name
+        self.grad: Optional[np.ndarray] = None
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
         self.t = 0
@@ -239,50 +182,6 @@ class Param(Tensor):
         if self._grad_buffer is None:
             self._grad_buffer = np.empty_like(self.data)
         return self._grad_buffer
-
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.add(g, 0.0, out=self._buffer())
-        else:
-            self.grad += g
-
-    def accumulate_outers(self, us: Sequence[np.ndarray],
-                          vs: Sequence[np.ndarray]) -> None:
-        """grad += sum over k of outer(us[k], vs[k]), as one GEMM."""
-        u, v = np.stack(us).T, np.stack(vs)
-        if self.grad is None:
-            self.grad = np.matmul(u, v, out=self._buffer())
-        else:
-            self.grad += np.matmul(u, v, out=_scratch(self.data.shape))
-
-
-def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    if not _GRAD_ENABLED or not any(p.requires_grad for p in parents):
-        return Tensor(data)
-    return Tensor(data, parents, backward_fn)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
-def _accumulate_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
-    """t.grad += outer(u, v).
-
-    During a backward pass a Param only records the pair; backward adds the
-    recorded products with one GEMM when the sweep ends, so u and v must not
-    be overwritten before then (node gradients and forward data are not;
-    scratch arrays are). Any other tensor's gradient is read later in the
-    sweep, so it gets the product at once, formed in the scratch array:
-    einsum forms each u[i]*v[j] with one rounding, as np.outer does, at
-    about twice the speed of a broadcast multiply on the model's shapes.
-    """
-    if _OUTER is not None and isinstance(t, Param):
-        us, vs = _OUTER.setdefault(t, ([], []))
-        us.append(u)
-        vs.append(v)
-    else:
-        t.accumulate(np.einsum("i,j->ij", u, v, out=_scratch(t.data.shape)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -295,117 +194,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-# ---------------------------------------------------------------------------
-# Primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(out.grad, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError("matmul requires arrays of rank >= 1")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
-        )
-    out_data = a.data @ b.data
-
-    def backward(out: Tensor) -> None:
-        g = out.grad
-        if a.requires_grad:
-            if b.data.ndim == 1:
-                if a.data.ndim == 2:
-                    _accumulate_outer(a, g, b.data)
-                else:
-                    a.accumulate(g * b.data)
-            else:
-                a.accumulate(np.atleast_1d(g) @ b.data.T)
-        if b.requires_grad:
-            if a.data.ndim == 1:
-                if b.data.ndim == 2:
-                    _accumulate_outer(b, a.data, g)
-                else:
-                    b.accumulate(g * a.data)
-            else:
-                b.accumulate(a.data.T @ np.atleast_1d(g))
-
-    return _node(out_data, (a, b), backward)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def backward(out: Tensor) -> None:
-        offset = 0
-        for p, size in zip(parts, sizes):
-            if p.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(offset, offset + size)
-                p.accumulate(out.grad[tuple(idx)])
-            offset += size
-
-    return _node(out_data, tuple(parts), backward)
-
-
-def narrow(t: Tensor, start: int, length: int, axis: int = 0) -> Tensor:
-    idx = [slice(None)] * t.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out_data = t.data[idx]
-
-    def backward(out: Tensor) -> None:
-        if t.requires_grad:
-            g = np.zeros_like(t.data)
-            g[idx] = out.grad
-            t.accumulate(g)
-
-    return _node(out_data, (t,), backward)
-
-
-def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out_data = t.data.reshape(shape)
-
-    def backward(out: Tensor) -> None:
-        if t.requires_grad:
-            t.accumulate(out.grad.reshape(t.data.shape))
-
-    return _node(out_data, (t,), backward)
-
-
-def relu(t: Tensor) -> Tensor:
-    mask = t.data > 0
-    out_data = np.where(mask, t.data, 0.0)
-
-    def backward(out: Tensor) -> None:
-        if t.requires_grad:
-            t.accumulate(out.grad * mask)
-
-    return _node(out_data, (t,), backward)
-
-
 def _logistic(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-a)) into `out`; where exp overflows the result is the
     exact limit 0, so the overflow is not reported."""
@@ -414,26 +202,6 @@ def _logistic(a: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.exp(out, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out_data = _logistic(t.data, np.empty_like(t.data))
-
-    def backward(out: Tensor) -> None:
-        if t.requires_grad:
-            t.accumulate(out.grad * out_data * (1.0 - out_data))
-
-    return _node(out_data, (t,), backward)
-
-
-def tanh(t: Tensor) -> Tensor:
-    out_data = np.tanh(t.data)
-
-    def backward(out: Tensor) -> None:
-        if t.requires_grad:
-            t.accumulate(out.grad * (1.0 - out_data * out_data))
-
-    return _node(out_data, (t,), backward)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -451,59 +219,20 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - dot)
 
 
-def softmax(t: Tensor) -> Tensor:
-    """Softmax over the last axis; strictly positive, sums to 1."""
-    out_data = _softmax_rows(t.data)
-
-    def backward(out: Tensor) -> None:
-        if t.requires_grad:
-            t.accumulate(_softmax_grad(out_data, out.grad))
-
-    return _node(out_data, (t,), backward)
-
-
+# The cross-entropy floors the gold action's probability here before the log.
 CE_EPSILON = 1e-12
 
 
-def cross_entropy(dist: Tensor, target_index: int) -> Tensor:
-    """Negative log-probability of `target_index` under distribution `dist`.
-
-    The probability is floored at 1e-12 before the log; this is the only
-    place a log-of-zero guard exists.
-    """
-    if dist.data.ndim != 1:
-        raise ValueError(f"cross_entropy expects a 1-D distribution, got {dist.shape}")
-    p = max(float(dist.data[target_index]), CE_EPSILON)
-    out_data = np.asarray(-np.log(p))
-
-    def backward(out: Tensor) -> None:
-        if dist.requires_grad:
-            g = np.zeros_like(dist.data)
-            g[target_index] = -float(out.grad) / p
-            dist.accumulate(g)
-
-    return _node(out_data, (dist,), backward)
+def _embedding_grad(indices: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient of an embedding table from the gradients `rows` of its rows
+    gathered at `indices`, each added in order into `out`."""
+    out.fill(0.0)
+    np.add.at(out, indices, rows)
+    return out
 
 
-def linear(W: Tensor, x: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    y = matmul(W, x)
-    return add(y, b) if b is not None else y
-
-
-def embed(We: Tensor, indices: Sequence[int]) -> Tensor:
-    """Row lookup: (vocab, E) gathered at `indices` -> (len(indices), E)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("embed expects a nonempty 1-D index list")
-    out_data = We.data[idx]
-
-    def backward(out: Tensor) -> None:
-        if We.requires_grad:
-            g = np.zeros_like(We.data)
-            np.add.at(g, idx, out.grad)
-            We.accumulate(g)
-
-    return _node(out_data, (We,), backward)
+# ---------------------------------------------------------------------------
+# LSTM cell
 
 
 def _lstm_gates(gates: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
@@ -525,6 +254,30 @@ def _lstm_update(i: np.ndarray, f: np.ndarray, g: np.ndarray, o: np.ndarray,
     return c, tc, o * tc
 
 
+def lstm_cell(weights: Sequence[np.ndarray], bias: np.ndarray, z: np.ndarray,
+              c_prev: np.ndarray, out: Optional[np.ndarray] = None,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Standard 4-gate LSTM cell (input, forget, candidate, output) over
+    rows: row j is one cell, with input z[j] = [x; h_prev] and previous cell
+    c_prev[j].
+
+    weights[j], of shape (4H, D+H), multiplies row j, one GEMV per row, so
+    each row's result is the same whatever the other rows hold; gate rows
+    are ordered i, f, g, o. bias is (4H,) or one row per cell. Sigmoid
+    gates, tanh candidate and output squashing, no peepholes.
+
+    Returns the activated gates (written into `out` when given), the new
+    cell, its tanh and the new hidden state, one row each.
+    """
+    n, hidden = c_prev.shape
+    gates = np.empty((n, 4 * hidden)) if out is None else out
+    for j in range(n):
+        np.matmul(weights[j], z[j], out=gates[j])
+    gates += bias
+    i, f, g, o = _lstm_gates(gates, hidden)
+    return (gates, *_lstm_update(i, f, g, o, c_prev))
+
+
 def _lstm_grad_factors(gates: np.ndarray, c_prev: np.ndarray,
                        tc: np.ndarray) -> tuple[np.ndarray, ...]:
     """The terms of _lstm_grad that do not depend on the incoming gradient,
@@ -543,15 +296,16 @@ def _lstm_grad_factors(gates: np.ndarray, c_prev: np.ndarray,
 def _lstm_grad(dh: np.ndarray, dc_later: Optional[np.ndarray], gates: np.ndarray,
                c_prev: np.ndarray, tc: np.ndarray, m1: np.ndarray, m2: np.ndarray,
                one_minus_tc2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Reverse of _lstm_gates + _lstm_update for a cell, or for cells side
-    by side on the leading axes; the arguments after dc_later are one
+    """Reverse of lstm_cell's activation and update for a cell, or for cells
+    side by side on the leading axes; the arguments after dc_later are one
     cell's _lstm_grad_factors.
 
     dh is the new hidden state's gradient and dc_later the new cell's
     gradient from the next cell (None for none). Writes the pre-activation
     gates' gradient into `out` and returns c_prev's gradient. Every element
-    is formed by the expressions of lstm_cell's three backward functions, in
-    their order, so the results are bit-identical to the tape's.
+    is formed by the expressions of the tape's sigmoid, tanh, mul and add
+    backward functions, in the order its sweep reaches them, so the results
+    are bit-identical to the tape's.
     """
     hidden = dh.shape[-1]
     i, f, g, o = (gates[..., k * hidden:(k + 1) * hidden] for k in range(4))
@@ -568,80 +322,8 @@ def _lstm_grad(dh: np.ndarray, dc_later: Optional[np.ndarray], gates: np.ndarray
     return dc * f
 
 
-def lstm_cell(W: Tensor, b: Tensor, x: Tensor,
-              state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """Standard 4-gate LSTM cell (input, forget, candidate, output).
-
-    W has shape (4H, D+H) applied to [x; h_prev]; gate rows are ordered
-    i, f, g, o. Sigmoid gates, tanh candidate and output squashing, no
-    peepholes.
-
-    Fused kernel: the tape gets three nodes (activated gates, c, h) whose
-    hand-written backward passes evaluate, element by element, the same
-    expressions in the same order as the composition of concat, linear,
-    narrow, sigmoid, tanh, mul and add, so values and gradients are
-    bit-identical to it.
-    """
-    h_prev, c_prev = state
-    hidden = h_prev.data.shape[0]
-    in_dim = x.data.shape[0]
-    if W.data.shape != (4 * hidden, in_dim + hidden):
-        raise ValueError(
-            f"lstm_cell weight shape {W.data.shape} does not match "
-            f"input {in_dim} + hidden {hidden}"
-        )
-    z = np.concatenate([x.data, h_prev.data])
-    gates = W.data @ z
-    gates += b.data
-    i, f, g, o = _lstm_gates(gates, hidden)
-    c_data, tc, h_data = _lstm_update(i, f, g, o, c_prev.data)
-
-    def gates_grad() -> np.ndarray:
-        if act.grad is None:
-            act.grad = np.zeros_like(gates)
-        return act.grad
-
-    def act_backward(out: Tensor) -> None:
-        # d(activated gates) -> d(pre-activation gates), in place.
-        d = out.grad
-        d_if, d_g, d_o = d[:2 * hidden], d[2 * hidden:3 * hidden], d[3 * hidden:]
-        d_if *= gates[:2 * hidden]
-        d_if *= 1.0 - gates[:2 * hidden]
-        d_g *= 1.0 - g * g
-        d_o *= o
-        d_o *= 1.0 - o
-        if b.requires_grad:
-            b.accumulate(d)
-        if W.requires_grad:
-            _accumulate_outer(W, d, z)
-        if x.requires_grad or h_prev.requires_grad:
-            dz = W.data.T @ d
-            if x.requires_grad:
-                x.accumulate(dz[:in_dim])
-            if h_prev.requires_grad:
-                h_prev.accumulate(dz[in_dim:])
-
-    def cell_backward(out: Tensor) -> None:
-        dc = out.grad
-        if act.requires_grad:
-            d = gates_grad()
-            np.multiply(dc, g, out=d[:hidden])
-            np.multiply(dc, c_prev.data, out=d[hidden:2 * hidden])
-            np.multiply(dc, i, out=d[2 * hidden:3 * hidden])
-        if c_prev.requires_grad:
-            c_prev.accumulate(dc * f)
-
-    def hidden_backward(out: Tensor) -> None:
-        dh = out.grad
-        if act.requires_grad:
-            np.multiply(dh, tc, out=gates_grad()[3 * hidden:])
-        if c.requires_grad:
-            c.accumulate(dh * o * (1.0 - tc * tc))
-
-    act = _node(gates, (W, b, x, h_prev), act_backward)
-    c = _node(c_data, (act, c_prev), cell_backward)
-    h = _node(h_data, (act, c), hidden_backward)
-    return h, c
+# ---------------------------------------------------------------------------
+# Valid convolution
 
 
 @functools.lru_cache(maxsize=32)
@@ -674,13 +356,50 @@ def _filter_matrix(filters: np.ndarray) -> np.ndarray:
     return filters.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
 
 
-def _conv_filter_grad(win_mat: np.ndarray, g: np.ndarray,
-                      shape: tuple[int, ...]) -> np.ndarray:
-    """Filter gradient of a valid convolution from its window matrix and
-    the (oh, ow, cout) gradient of its output; `shape` is the filters'."""
-    kh, kw, cin, cout = shape
-    gf = win_mat.T @ g.reshape(-1, cout)
-    return gf.reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+def conv2d_valid(x: np.ndarray, filt: np.ndarray, bias: np.ndarray,
+                 kernel: tuple[int, int], windows: Optional[list] = None) -> np.ndarray:
+    """Valid (no padding) cross-correlation plus bias of every image in x.
+
+    x: (n, rows, cols, inChannels); filt: the (inChannels*kh*kw,
+    outChannels) matrix of _filter_matrix for a kernel of (kh, kw) =
+    `kernel`; bias: (outChannels,). Returns the (n, rows-kh+1, cols-kw+1,
+    outChannels) output, one GEMM per image, so each image's output is the
+    same whatever the others hold. A `windows` list receives the window
+    matrix, which the filter gradient needs.
+    """
+    kh, kw = kernel
+    n, rows, cols, cin = x.shape
+    if filt.shape[0] != cin * kh * kw:
+        raise ValueError(f"conv2d_valid channel mismatch: input {cin}, "
+                         f"filters {filt.shape[0] // (kh * kw)}")
+    if kh > rows or kw > cols:
+        raise ValueError(f"kernel ({kh},{kw}) larger than input ({rows},{cols})")
+    win = _im2col(x, kh, kw)
+    if windows is not None:
+        windows.append(win)
+    out = np.empty((n, win.shape[1], filt.shape[1]))
+    for j in range(n):
+        np.matmul(win[j], filt, out=out[j])
+    out += bias
+    return out.reshape(n, rows - kh + 1, cols - kw + 1, filt.shape[1])
+
+
+def _conv_filter_grad(windows: Sequence[np.ndarray], grads: Sequence[np.ndarray],
+                      out: np.ndarray) -> np.ndarray:
+    """Filter gradient of a valid convolution applied at several steps,
+    written into `out` (shaped like the (kh, kw, cin, cout) filters): the
+    sum, in the order given, of each step's window matrix (one image's, from
+    _im2col) transposed times the (oh, ow, cout) gradient of its output."""
+    kh, kw, cin, cout = out.shape
+    total = None
+    for win, g in zip(windows, grads):
+        term = win.T @ g.reshape(-1, cout)
+        if total is None:
+            total = term
+        else:
+            total += term
+    out[...] = total.reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -711,69 +430,37 @@ def _conv_input_grad(g: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return gx.reshape(oh + kh - 1, ow + kw - 1, cin)
 
 
-def conv2d_valid(filters: Tensor, x: Tensor) -> Tensor:
-    """Valid (no padding) cross-correlation.
-
-    x: (rows, cols, inChannels); filters: (kh, kw, inChannels, outChannels);
-    output: (rows-kh+1, cols-kw+1, outChannels).
-    """
-    kh, kw, cin, cout = filters.data.shape
-    rows, cols, xc = x.data.shape
-    if xc != cin:
-        raise ValueError(f"conv2d_valid channel mismatch: input {xc}, filters {cin}")
-    if kh > rows or kw > cols:
-        raise ValueError(f"kernel ({kh},{kw}) larger than input ({rows},{cols})")
-    oh, ow = rows - kh + 1, cols - kw + 1
-    win_mat = _im2col(x.data, kh, kw)
-    out_data = (win_mat @ _filter_matrix(filters.data)).reshape(oh, ow, cout)
-
-    def backward(out: Tensor) -> None:
-        if filters.requires_grad:
-            filters.accumulate(_conv_filter_grad(win_mat, out.grad, filters.data.shape))
-        if x.requires_grad:
-            x.accumulate(_conv_input_grad(out.grad, filters.data))
-
-    return _node(out_data, (filters, x), backward)
-
-
 # ---------------------------------------------------------------------------
-# Backward pass and optimization
+# Gradients and optimization
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates Param gradients.
+def backward(params: Sequence[Param], terms: Iterable[tuple]) -> None:
+    """Write each Param's gradient from its term, replacing what it held; a
+    Param without a term gets none (grad None).
 
-    Each Param's rank-1 products are added after the sweep, one GEMM per
-    Param. A sweep that raises adds none of them: they are dropped, and the
-    Params keep whatever the sweep had added before it raised.
+    `terms` yields (param, reduce, *operands), and the gradient is
+    reduce(*operands, out=...) formed in param's gradient buffer: np.matmul
+    of the stacked factors of a weight matrix's rank-1 products (their sum
+    as one GEMM), np.add.reduce(stack, 0) of a bias's stacked per-step terms
+    (their sum in order), _conv_filter_grad for convolution filters, or
+    _embedding_grad for an embedding table.
+
+    `terms` may be a generator that runs the rest of a reverse pass as it is
+    drawn. When the step uses the helper thread (see _helper_for), the
+    largest Param's term is formed there while the terms after it are drawn
+    and formed here.
     """
-    global _OUTER
-    if loss.data.ndim != 0:
-        raise ValueError("backward expects a scalar loss")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
-    loss.accumulate(np.ones_like(loss.data))
-    _OUTER = outers = {}
-    try:
-        for node in reversed(topo):
-            if node.backward_fn is not None:
-                node.backward_fn(node)
-        for p, (us, vs) in outers.items():
-            p.accumulate_outers(us, vs)
-    finally:
-        _OUTER = None
+    zero_grad(params)
+    helper = _helper_for(sum(p.data.size for p in params))
+    largest = max(params, key=lambda p: p.data.size, default=None)
+    with contextlib.ExitStack() as pending:
+        for par, reduce, *operands in terms:
+            par.grad = par._buffer()
+            form = functools.partial(reduce, *operands, out=par.grad)
+            if par is largest:
+                pending.enter_context(_alongside(helper, form))
+            else:
+                form()
 
 
 def zero_grad(params: Iterable[Param]) -> None:
@@ -914,47 +601,44 @@ def finite_diff_check(model, instance, h: float = 1e-5, tol: float = 1e-4,
                       seed: int = 0) -> dict:
     """Compare backprop gradients against central finite differences.
 
-    `model` must expose params(), sequence_loss(instance) (a Tensor), and
-    forward(instance) and backward(record), which together write the
+    `model` must expose params(), sequence_loss(instance), whose result
+    holds the loss as `loss`, and backward(result), which writes the
     gradients that training applies into each Param's grad. For each
     parameter a deterministic sample of entries (all entries when
     samples_per_param is None) is perturbed by ±h and the difference of
-    sequence_loss, evaluated with the tape off, is compared with that
-    gradient. Relative error uses
+    the loss is compared with that gradient. Relative error uses
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-6) so that
     near-zero gradient pairs are compared absolutely.
 
     Returns {"pass": bool, "maxRelError": float, "perParam": {name: err}}.
     """
     params = list(model.params())
-    zero_grad(params)
-    model.backward(model.forward(instance))
+    model.backward(model.sequence_loss(instance))
     grads = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
              for p in params}
 
     rng = random.Random(seed)
     per_param: dict[str, float] = {}
     worst = 0.0
-    with no_grad():
-        for p in params:
-            size = p.data.size
-            if samples_per_param is None or samples_per_param >= size:
-                entries = range(size)
-            else:
-                entries = rng.sample(range(size), samples_per_param)
-            flat = p.data.reshape(-1)
-            err = 0.0
-            for k in entries:
-                orig = flat[k]
-                flat[k] = orig + h
-                up = float(model.sequence_loss(instance).data)
-                flat[k] = orig - h
-                down = float(model.sequence_loss(instance).data)
-                flat[k] = orig
-                numeric = (up - down) / (2.0 * h)
-                analytic = float(grads[p.name].reshape(-1)[k])
-                denom = max(abs(analytic), abs(numeric), 1e-6)
-                err = max(err, abs(analytic - numeric) / denom)
-            per_param[p.name] = err
-            worst = max(worst, err)
+    for p in params:
+        size = p.data.size
+        if samples_per_param is None or samples_per_param >= size:
+            entries = range(size)
+        else:
+            entries = rng.sample(range(size), samples_per_param)
+        flat = p.data.reshape(-1)
+        err = 0.0
+        for k in entries:
+            orig = flat[k]
+            flat[k] = orig + h
+            up = float(model.sequence_loss(instance).loss)
+            flat[k] = orig - h
+            down = float(model.sequence_loss(instance).loss)
+            flat[k] = orig
+            numeric = (up - down) / (2.0 * h)
+            analytic = float(grads[p.name].reshape(-1)[k])
+            denom = max(abs(analytic), abs(numeric), 1e-6)
+            err = max(err, abs(analytic - numeric) / denom)
+        per_param[p.name] = err
+        worst = max(worst, err)
     return {"pass": worst < tol, "maxRelError": worst, "perParam": per_param}

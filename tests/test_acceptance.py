@@ -54,6 +54,7 @@ from mazenav.worldsim import (
     shortest_path,
     step,
 )
+from tape import TapeModel
 
 
 def report(num, name, ok, detail):
@@ -246,21 +247,22 @@ def test_criterion_07_conv_shape():
     shapes = []
     original = nnet.conv2d_valid
 
-    def spy(filters, x):
-        out = original(filters, x)
+    def spy(*args):
+        out = original(*args)
         shapes.append(out.shape)
         return out
 
     nnet.conv2d_valid = spy
     try:
         inst = instances[0]
-        state = model.encode(model.vocab.encode(inst.instruction))
-        model.percept_vector(inst.world, inst.start, state)
+        beam_search(inst.world, inst.start, [inst.instruction], [model],
+                    beam_width=1, max_actions=1)
     finally:
         nnet.conv2d_valid = original
-    ok = shapes and shapes[0] == (5, 16, 12)
+    # one decoder row, so one image: its output is (5, 16, d1)
+    ok = shapes and shapes[0] == (1, 5, 16, 12)
     report(7, "conv shape trace", ok,
-           f"layer-1 output {shapes[0] if shapes else None} == (5, 16, d1)")
+           f"layer-1 output {shapes[0] if shapes else None} == (1, 5, 16, d1)")
 
 
 def test_criterion_08_optimization_smoke():
@@ -391,23 +393,22 @@ def test_criterion_12_beam_and_ensemble_identities():
                          max_actions=8)
     model = NavModel(config, vocab, seed=9)
 
-    def greedy(inst):
-        from mazenav import nnet
+    tape_model = TapeModel(model)
 
-        with nnet.no_grad():
-            state = model.encode(model.vocab.encode(inst.instruction))
-            prev = Action.STOP
-            pose = inst.start
-            out = []
-            for _ in range(config.max_actions):
-                c_t = model.percept_vector(inst.world, pose, state)
-                state, dist = model.decode_step(state, c_t, prev)
-                action = ACTIONS[int(np.argmax(dist.data))]
-                out.append(action)
-                pose = step(inst.world, pose, action)
-                if pose is None or action is Action.STOP:
-                    break
-                prev = action
+    def greedy(inst):
+        state = tape_model.encode(model.vocab.encode(inst.instruction))
+        prev = Action.STOP
+        pose = inst.start
+        out = []
+        for _ in range(config.max_actions):
+            c_t = tape_model.percept_vector(inst.world, pose, state)
+            state, dist = tape_model.decode_step(state, c_t, prev)
+            action = ACTIONS[int(np.argmax(dist.data))]
+            out.append(action)
+            pose = step(inst.world, pose, action)
+            if pose is None or action is Action.STOP:
+                break
+            prev = action
         return out
 
     beam_mismatches = 0

@@ -1,10 +1,10 @@
 """Model architecture, training loop, and beam-search tests."""
 
 import dataclasses
-import itertools
 import math
 import multiprocessing
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,11 +25,11 @@ from mazenav.navmodel import (
     train,
 )
 from mazenav.worldsim import ACTION_INDEX, ACTIONS, Action, WorldConfig, step
+from tape import TapeModel, tape_train_on
+from tape import backward as tape_backward
 from test_nnet import (  # noqa: F401 (fresh_helper is a fixture)
-    assert_same_training,
     crit10_training,
     fresh_helper,
-    tape_train_on,
 )
 
 
@@ -96,10 +96,17 @@ class TestConfig:
         assert isinstance(again.extra_convs[0], tuple)
 
 
+def first_step(model, inst, record=None):
+    """The first decoder step from inst's start, through a Rollout row."""
+    h, c, _ = model.encode(model.vocab.encode(inst.instruction))
+    rollout = Rollout(model, Percepts(inst.world))
+    return rollout.step(h[None], c[None], [inst.start], [ACTION_INDEX[Action.STOP]], record)
+
+
 class TestForward:
     def test_encode_shapes(self, shared_vocab):
         model = make_model(shared_vocab)
-        h, cell = model.encode([1, 2, 3])
+        h, cell, _ = model.encode([1, 2, 3])
         assert h.shape == (16,) and cell.shape == (16,)
 
     def test_encode_empty_rejected(self, shared_vocab):
@@ -108,37 +115,35 @@ class TestForward:
 
     def test_encode_is_order_sensitive(self, shared_vocab):
         model = make_model(shared_vocab)
-        h1, _ = model.encode([1, 2, 3, 4])
-        h2, _ = model.encode([4, 3, 2, 1])
-        assert not np.allclose(h1.data, h2.data)
+        h1, _, _ = model.encode([1, 2, 3, 4])
+        h2, _, _ = model.encode([4, 3, 2, 1])
+        assert not np.allclose(h1, h2)
 
     def test_attention_is_a_distribution_over_channels(self, shared_vocab):
         model = make_model(shared_vocab)
-        beta = model.attend(nnet.constant(np.linspace(-1, 1, 16)))
-        assert beta.shape == (4,)
-        assert (beta.data > 0).all()
-        assert abs(beta.data.sum() - 1.0) < 1e-12
+        _, beta = model.attend(np.linspace(-1, 1, 16)[None])
+        assert beta.shape == (1, 4)
+        assert (beta > 0).all()
+        assert abs(beta.sum() - 1.0) < 1e-12
 
     def test_attention_uniform_for_zero_weights(self, shared_vocab):
         model = zero_model(make_model(shared_vocab))
-        beta = model.attend(nnet.constant(np.ones(16)))
-        assert np.allclose(beta.data, 0.25)
+        _, beta = model.attend(np.ones((1, 16)))
+        assert np.allclose(beta, 0.25)
 
     def test_first_conv_layer_shape(self, shared_vocab, lo_instances, monkeypatch):
         model = make_model(shared_vocab, conv_width=5)
         shapes = []
         original = nnet.conv2d_valid
 
-        def spy(filters, x):
-            out = original(filters, x)
+        def spy(*args):
+            out = original(*args)
             shapes.append(out.shape)
             return out
 
         monkeypatch.setattr(nnet, "conv2d_valid", spy)
-        inst = lo_instances[0]
-        state = model.encode([1])
-        model.percept_vector(inst.world, inst.start, state)
-        assert shapes[0] == (5, 16, 4)
+        first_step(model, lo_instances[0])
+        assert shapes[0] == (1, 5, 16, 4)  # one row: a 5x16 map of 4 channels
 
     def test_attention_gates_channels(self, shared_vocab, lo_instances):
         # with no extra convs the percept is the beta-scaled first layer,
@@ -147,10 +152,11 @@ class TestForward:
 
         model = make_model(shared_vocab, extra_convs=())
         inst = lo_instances[0]
-        grid = encode_grid(inst.world, inst.start)
-        onehot = np.zeros(4)
-        onehot[2] = 1.0
-        out = model.perceive(grid, nnet.constant(onehot)).data.reshape(5, 18, 4)
+        grid = encode_grid(inst.world, inst.start).astype(np.float64)
+        onehot = np.zeros((1, 4))
+        onehot[0, 2] = 1.0
+        convs = Rollout(model, Percepts(inst.world)).convs
+        out = model.perceive(grid[None], onehot, convs).reshape(5, 18, 4)
         assert np.allclose(out[:, :, [0, 1, 3]], 0.0)
         assert out[:, :, 2].max() > 0.0
 
@@ -159,43 +165,39 @@ class TestForward:
 
         model = make_model(shared_vocab)
         inst = lo_instances[0]
-        grid = encode_grid(inst.world, inst.start)
-        beta = model.attend(model.encode([1, 2])[0])
-        out = model.perceive(grid, beta)
-        assert out.shape == (model.config.percept_dim(),)
+        grid = encode_grid(inst.world, inst.start).astype(np.float64)
+        _, beta = model.attend(model.encode([1, 2])[0][None])
+        out = model.perceive(grid[None], beta, Rollout(model, Percepts(inst.world)).convs)
+        assert out.shape == (1, model.config.percept_dim())
         # final extra conv is squashed through a sigmoid
-        assert (out.data > 0).all() and (out.data < 1).all()
+        assert (out > 0).all() and (out < 1).all()
 
     def test_decode_step_distribution(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab)
-        inst = lo_instances[0]
-        state = model.encode(model.vocab.encode(inst.instruction))
-        c_t = model.percept_vector(inst.world, inst.start, state)
-        new_state, dist = model.decode_step(state, c_t, Action.STOP)
-        assert dist.shape == (4,)
-        assert abs(dist.data.sum() - 1.0) < 1e-12
-        assert new_state[0].shape == (16,)
+        h, _, dist = first_step(model, lo_instances[0])
+        assert dist.shape == (1, 4)
+        assert abs(dist.sum() - 1.0) < 1e-12
+        assert h.shape == (1, 16)
 
     def test_language_only_has_no_percept(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, variant="languageOnly")
         names = {p.name for p in model.params()}
         assert not any(n.startswith(("attn_", "conv")) for n in names)
         assert "out_W2" not in names
-        inst = lo_instances[0]
-        state = model.encode([1])
-        assert model.percept_vector(inst.world, inst.start, state) is None
-        _, dist = model.decode_step(state, None, Action.STOP)
-        assert abs(dist.data.sum() - 1.0) < 1e-12
+        record = {}
+        _, _, dist = first_step(model, lo_instances[0], record)
+        assert record["z"].shape == (1, 4 + 16)  # the previous action and h alone
+        assert abs(dist.sum() - 1.0) < 1e-12
 
     def test_bag_of_features_percept(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, variant="bagOfFeatures")
         names = {p.name for p in model.params()}
         assert not any(n.startswith(("attn_", "conv")) for n in names)
         assert model.param("out_W2").data.shape == (4, 74)
-        inst = lo_instances[0]
-        c_t = model.percept_vector(inst.world, inst.start, model.encode([1]))
-        assert c_t.shape == (74,)
-        assert set(np.unique(c_t.data)) <= {0.0, 1.0}
+        record = {}
+        first_step(model, lo_instances[0], record)
+        c_t = record["z"][:, :74]
+        assert set(np.unique(c_t)) <= {0.0, 1.0}
 
     def test_vocab_size_mismatch_rejected(self, shared_vocab):
         cfg = tiny_config("full", vocab_size=len(shared_vocab) + 3)
@@ -207,7 +209,7 @@ class TestTraining:
     def test_zeroed_model_loss_is_uniform(self, shared_vocab, lo_instances):
         model = zero_model(make_model(shared_vocab))
         inst = lo_instances[0]
-        loss = float(model.sequence_loss(inst).data)
+        loss = model.sequence_loss(inst).loss
         assert loss == pytest.approx(len(inst.actions) * math.log(4), abs=1e-12)
 
     def test_train_on_reports_clipped_norm(self, shared_vocab, lo_instances):
@@ -272,11 +274,10 @@ class TestTraining:
     def test_repeated_updates_reduce_loss(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, variant="languageOnly")
         inst = lo_instances[0]
-        first = float(model.sequence_loss(inst).data)
+        first = model.sequence_loss(inst).loss
         for _ in range(150):
             model.train_on(inst, lr=3e-3)
-        with nnet.no_grad():
-            last = float(model.sequence_loss(inst).data)
+        last = model.sequence_loss(inst).loss
         assert last < first * 0.2
 
     def test_patience_stops_training(self, shared_vocab, lo_instances):
@@ -310,19 +311,19 @@ class TestTraining:
 
 
 def tape_gradients(model, inst):
-    """The loss and every Param's gradient from nnet.backward of
-    sequence_loss; None for a Param the tape gives no gradient."""
+    """The loss and every Param's gradient from a tape sweep of
+    TapeModel.sequence_loss; None for a Param the tape gives no gradient."""
     params = model.params()
     nnet.zero_grad(params)
-    loss = model.sequence_loss(inst)
-    nnet.backward(loss)
+    loss = TapeModel(model).sequence_loss(inst)
+    tape_backward(loss)
     return float(loss.data), {p.name: None if p.grad is None else p.grad.copy()
                               for p in params}
 
 
 def own_gradients(model, inst):
     """The same from the model's recorded forward and its own backward."""
-    record = model.forward(inst)
+    record = model.sequence_loss(inst)
     model.backward(record)
     return record.loss, {p.name: None if p.grad is None else p.grad.copy()
                          for p in model.params()}
@@ -333,9 +334,9 @@ def vary(inst, **changes):
 
 
 class TestBackward:
-    """NavModel.forward and NavModel.backward against the tape: the loss is
-    sequence_loss's and every gradient nnet.backward's, bit for bit, on each
-    variant, conv stack and edge case."""
+    """NavModel.sequence_loss and NavModel.backward against the tape: the
+    loss and every gradient are the tape's, bit for bit, on each variant,
+    conv stack and edge case."""
 
     def check(self, model, instances):
         for inst in instances:
@@ -393,41 +394,45 @@ class TestBackward:
         inst = lo_instances[3]
         first = ACTION_INDEX[inst.actions[0]]
         model.param("out_b").data[first] = -80.0
-        record = model.forward(inst)
+        record = model.sequence_loss(inst)
         assert record.steps[0]["dist"][0, first] < nnet.CE_EPSILON
         self.check(model, [inst])
 
     def test_encoder_rows_equal_encode(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, seed=17)
+        tape_model = TapeModel(model)
         for inst in lo_instances:
             tokens = model.vocab.encode(inst.instruction)
             for seq in (tokens, tokens[:1], tokens + tokens[::-1]):
-                h, c, _ = model._encode_rows(np.asarray(seq, dtype=np.intp))
-                ref_h, ref_c = model.encode(seq)
+                h, c, _ = model.encode(seq)
+                ref_h, ref_c = tape_model.encode(seq)
                 assert np.array_equal(h, ref_h.data) and np.array_equal(c, ref_c.data)
 
     def test_action_accuracy_matches_tape(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, seed=18)
+        tape_model = TapeModel(model)
         correct = total = 0
-        with nnet.no_grad():
-            for inst in lo_instances:
-                state = model.encode(model.vocab.encode(inst.instruction))
-                pose, prev = inst.start, Action.STOP
-                for action in inst.actions:
-                    c_t = model.percept_vector(inst.world, pose, state)
-                    state, dist = model.decode_step(state, c_t, prev)
-                    correct += int(np.argmax(dist.data) == ACTION_INDEX[action])
-                    total += 1
-                    pose, prev = step(inst.world, pose, action), action
+        for inst in lo_instances:
+            state = tape_model.encode(model.vocab.encode(inst.instruction))
+            pose, prev = inst.start, Action.STOP
+            for action in inst.actions:
+                c_t = tape_model.percept_vector(inst.world, pose, state)
+                state, dist = tape_model.decode_step(state, c_t, prev)
+                correct += int(np.argmax(dist.data) == ACTION_INDEX[action])
+                total += 1
+                pose, prev = step(inst.world, pose, action), action
         assert model.action_accuracy(lo_instances) == correct / total
 
     def test_training_matches_tape_training(self):
-        # train_on's gradients are the tape's, so 50 updates track a model
-        # trained through nnet.backward
+        # train_on's gradients are the tape's, so 50 updates equal those of a
+        # model trained on the tape, bit for bit
         losses, model = crit10_training(50)()
         ref_losses, ref_model = crit10_training(50, tape_train_on)()
-        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
-        assert_same_training(model, ref_model, 50)
+        assert losses == ref_losses
+        for p, ref in zip(model.params(), ref_model.params()):
+            assert p.t == ref.t == 50
+            for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
+                assert np.array_equal(a, r), p.name
 
 
 @pytest.fixture(scope="module")
@@ -505,66 +510,67 @@ class TestHelperThread:
 
 
 def greedy_rollout(model, inst, budget):
-    """Independent argmax rollout used as the beam_width=1 oracle."""
-    with nnet.no_grad():
-        state = model.encode(model.vocab.encode(inst.instruction))
-        prev = Action.STOP
-        pose = inst.start
-        out = []
-        for _ in range(budget):
-            c_t = model.percept_vector(inst.world, pose, state)
-            state, dist = model.decode_step(state, c_t, prev)
-            action = ACTIONS[int(np.argmax(dist.data))]
-            out.append(action)
-            pose = step(inst.world, pose, action)
-            if pose is None or action is Action.STOP:
-                break
-            prev = action
+    """Independent argmax rollout on the tape, the beam_width=1 oracle."""
+    tape_model = TapeModel(model)
+    state = tape_model.encode(model.vocab.encode(inst.instruction))
+    prev = Action.STOP
+    pose = inst.start
+    out = []
+    for _ in range(budget):
+        c_t = tape_model.percept_vector(inst.world, pose, state)
+        state, dist = tape_model.decode_step(state, c_t, prev)
+        action = ACTIONS[int(np.argmax(dist.data))]
+        out.append(action)
+        pose = step(inst.world, pose, action)
+        if pose is None or action is Action.STOP:
+            break
+        prev = action
     return out
 
 
 def oracle_beam_search(world, start, sentences, models, width, budget):
     """Independent per-hypothesis beam search: each hypothesis keeps its own
-    per-member states and is advanced through percept_vector + decode_step,
-    one member at a time. The reference that beam_search must match."""
+    per-member states and is advanced through the tape's percept_vector +
+    decode_step, one member at a time. The reference that beam_search must
+    match."""
     beam = [(start, 0.0, [])]  # pose, score, actions
-    with nnet.no_grad():
-        for sentence in sentences:
-            encoded = [m.encode(m.vocab.encode(list(sentence))) for m in models]
-            live = [(pose, score, acts, encoded, Action.STOP)
-                    for pose, score, acts in beam]
-            finished, failed = [], []
-            for _ in range(budget):
-                if not live:
-                    break
-                candidates = []
-                for k, (pose, score, _, states, prev) in enumerate(live):
-                    dists, advanced = [], []
-                    for model, state in zip(models, states):
-                        c_t = model.percept_vector(world, pose, state)
-                        new_state, dist = model.decode_step(state, c_t, prev)
-                        dists.append(dist.data)
-                        advanced.append(new_state)
-                    avg = np.mean(dists, axis=0)
-                    for a in range(len(ACTIONS)):
-                        candidates.append((score + float(np.log(avg[a])), k, a, advanced))
-                candidates.sort(key=lambda cand: (-cand[0], cand[1], cand[2]))
-                next_live = []
-                for score, k, a, advanced in candidates[:width]:
-                    pose, acts = live[k][0], live[k][2]
-                    nxt = step(world, pose, ACTIONS[a])
-                    hyp = (nxt or pose, score, acts + [ACTIONS[a]], advanced, ACTIONS[a])
-                    if ACTIONS[a] is Action.STOP:
-                        finished.append(hyp)
-                    elif nxt is None:
-                        failed.append(hyp)
-                    else:
-                        next_live.append(hyp)
-                live = next_live
-            finished.extend(live)  # ran out of the per-sentence budget
-            pool = finished if finished else failed
-            pool.sort(key=lambda hyp: -hyp[1])
-            beam = [(pose, score, acts) for pose, score, acts, _, _ in pool[:width]]
+    tape_models = [TapeModel(m) for m in models]
+    for sentence in sentences:
+        encoded = [tm.encode(tm.vocab.encode(list(sentence))) for tm in tape_models]
+        live = [(pose, score, acts, encoded, Action.STOP)
+                for pose, score, acts in beam]
+        finished, failed = [], []
+        for _ in range(budget):
+            if not live:
+                break
+            candidates = []
+            for k, (pose, score, _, states, prev) in enumerate(live):
+                dists, advanced = [], []
+                for tape_model, state in zip(tape_models, states):
+                    c_t = tape_model.percept_vector(world, pose, state)
+                    new_state, dist = tape_model.decode_step(state, c_t, prev)
+                    dists.append(dist.data)
+                    advanced.append(new_state)
+                avg = np.mean(dists, axis=0)
+                for a in range(len(ACTIONS)):
+                    candidates.append((score + float(np.log(avg[a])), k, a, advanced))
+            candidates.sort(key=lambda cand: (-cand[0], cand[1], cand[2]))
+            next_live = []
+            for score, k, a, advanced in candidates[:width]:
+                pose, acts = live[k][0], live[k][2]
+                nxt = step(world, pose, ACTIONS[a])
+                hyp = (nxt or pose, score, acts + [ACTIONS[a]], advanced, ACTIONS[a])
+                if ACTIONS[a] is Action.STOP:
+                    finished.append(hyp)
+                elif nxt is None:
+                    failed.append(hyp)
+                else:
+                    next_live.append(hyp)
+            live = next_live
+        finished.extend(live)  # ran out of the per-sentence budget
+        pool = finished if finished else failed
+        pool.sort(key=lambda hyp: -hyp[1])
+        beam = [(pose, score, acts) for pose, score, acts, _, _ in pool[:width]]
     return beam[0][2]
 
 
@@ -661,34 +667,35 @@ class TestBeamOracle:
 
 
 class TestRollout:
-    """Each row of a Rollout's step equals percept_vector + decode_step for
-    that row alone, bit for bit: first for one to four sibling poses sharing
-    one state, then for a second step from the rows' now different states.
-    Both sides run here, so no float digest is pinned."""
+    """Each row of a Rollout's step equals the tape's percept_vector +
+    decode_step for that row alone, bit for bit: first for one to four
+    sibling poses sharing one state, then for a second step from the rows'
+    now different states. Both sides run here, so no float digest is
+    pinned."""
 
     def check(self, model, inst):
-        state = model.encode(model.vocab.encode(inst.instruction))
+        tape_model = TapeModel(model)
+        state = tape_model.encode(model.vocab.encode(inst.instruction))
         siblings = [step(inst.world, inst.start, a) or inst.start for a in ACTIONS]
         prev = [Action.STOP, Action.MOVE, Action.RIGHT, Action.LEFT]
-        with nnet.no_grad():
-            for n in range(1, 5):
-                rollout = Rollout(model, Percepts(inst.world))
-                h = np.tile(state[0].data, (n, 1))
-                c = np.tile(state[1].data, (n, 1))
-                tape_states = [state] * n
-                for depth in range(2):
-                    h, c, dist = rollout.step(h, c, siblings[:n],
-                                              [ACTION_INDEX[a] for a in prev[:n]])
-                    assert dist.shape == (n, 4)
-                    assert h.shape == c.shape == (n, state[0].shape[0])
-                    for j in range(n):
-                        c_t = model.percept_vector(inst.world, siblings[j], tape_states[j])
-                        tape_states[j], dist_ref = model.decode_step(tape_states[j], c_t,
-                                                                     prev[j])
-                        where = (n, depth, j)
-                        assert np.array_equal(dist[j], dist_ref.data), where
-                        assert np.array_equal(h[j], tape_states[j][0].data), where
-                        assert np.array_equal(c[j], tape_states[j][1].data), where
+        for n in range(1, 5):
+            rollout = Rollout(model, Percepts(inst.world))
+            h = np.tile(state[0].data, (n, 1))
+            c = np.tile(state[1].data, (n, 1))
+            tape_states = [state] * n
+            for depth in range(2):
+                h, c, dist = rollout.step(h, c, siblings[:n],
+                                          [ACTION_INDEX[a] for a in prev[:n]])
+                assert dist.shape == (n, 4)
+                assert h.shape == c.shape == (n, state[0].shape[0])
+                for j in range(n):
+                    c_t = tape_model.percept_vector(inst.world, siblings[j], tape_states[j])
+                    tape_states[j], dist_ref = tape_model.decode_step(tape_states[j], c_t,
+                                                                      prev[j])
+                    where = (n, depth, j)
+                    assert np.array_equal(dist[j], dist_ref.data), where
+                    assert np.array_equal(h[j], tape_states[j][0].data), where
+                    assert np.array_equal(c[j], tape_states[j][1].data), where
 
     @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
     def test_rows_match_tape_step(self, shared_vocab, lo_instances, variant):
@@ -741,25 +748,25 @@ class TestBeamSearch:
         def brute_force():
             best = (-np.inf, None)
             fallback = (-np.inf, None)
-            with nnet.no_grad():
-                enc = model.encode(model.vocab.encode(inst.instruction))
-                stack = [(inst.start, enc, Action.STOP, 0.0, [])]
-                while stack:
-                    pose, state, prev, score, acts = stack.pop()
-                    if len(acts) == budget:
-                        best = max(best, (score, acts))
-                        continue
-                    new_state, dist = model.decode_step(state, None, prev)
-                    for idx, action in enumerate(ACTIONS):
-                        s = score + math.log(dist.data[idx])
-                        nxt = step(inst.world, pose, action)
-                        seq = acts + [action]
-                        if action is Action.STOP:
-                            best = max(best, (s, seq))
-                        elif nxt is None:
-                            fallback = max(fallback, (s, seq))
-                        else:
-                            stack.append((nxt, new_state, action, s, seq))
+            tape_model = TapeModel(model)
+            enc = tape_model.encode(model.vocab.encode(inst.instruction))
+            stack = [(inst.start, enc, Action.STOP, 0.0, [])]
+            while stack:
+                pose, state, prev, score, acts = stack.pop()
+                if len(acts) == budget:
+                    best = max(best, (score, acts))
+                    continue
+                new_state, dist = tape_model.decode_step(state, None, prev)
+                for idx, action in enumerate(ACTIONS):
+                    s = score + math.log(dist.data[idx])
+                    nxt = step(inst.world, pose, action)
+                    seq = acts + [action]
+                    if action is Action.STOP:
+                        best = max(best, (s, seq))
+                    elif nxt is None:
+                        fallback = max(fallback, (s, seq))
+                    else:
+                        stack.append((nxt, new_state, action, s, seq))
             return best if best[1] is not None else fallback
 
         expected_score, expected = brute_force()
@@ -816,12 +823,12 @@ def step_calls(monkeypatch):
 
 def first_step_mean(models, inst):
     """The ensemble's mean distribution over the first action, from the tape."""
-    with nnet.no_grad():
-        dists = []
-        for model in models:
-            state = model.encode(model.vocab.encode(inst.instruction))
-            c_t = model.percept_vector(inst.world, inst.start, state)
-            dists.append(model.decode_step(state, c_t, Action.STOP)[1].data)
+    dists = []
+    for model in models:
+        tape_model = TapeModel(model)
+        state = tape_model.encode(model.vocab.encode(inst.instruction))
+        c_t = tape_model.percept_vector(inst.world, inst.start, state)
+        dists.append(tape_model.decode_step(state, c_t, Action.STOP)[1].data)
     return np.mean(dists, axis=0)
 
 
@@ -861,6 +868,40 @@ class TestBeamPruning:
                               beam_width=4, max_actions=budget)
             assert len(got) == budget
             assert step_calls[0] == budget * len(models), inst.id
+
+
+# The model's functions that the benchmark's tracer wraps, looked up by
+# these names at call time.
+TRACED_NAMES = [(nnet, "lstm_cell"), (nnet, "conv2d_valid"), (nnet, "backward"),
+                (NavModel, "encode"), (NavModel, "attend"), (NavModel, "perceive"),
+                (NavModel, "decode_step"), (NavModel, "sequence_loss")]
+
+
+def test_traced_names_run_in_training_and_decoding(monkeypatch, shared_vocab, lo_instances):
+    # A training step runs every traced name and forms its gradients in one
+    # backward; decoding runs every one but the loss and backward.
+    calls = Counter()
+    for owner, name in TRACED_NAMES:
+        key = f"{owner.__name__}.{name}"
+
+        def counted(*args, _key=key, _original=owner.__dict__[name], **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    model = make_model(shared_vocab, seed=42)
+    inst = lo_instances[0]
+    model.train_on(inst)
+    trained = calls.copy()
+    calls.clear()
+    beam_search(inst.world, inst.start, [inst.instruction], [model], beam_width=4)
+    decoded = calls.copy()
+    assert trained["mazenav.nnet.backward"] == 1
+    for owner, name in TRACED_NAMES:
+        key = f"{owner.__name__}.{name}"
+        assert trained[key] > 0, key
+        training_only = key in ("mazenav.nnet.backward", "NavModel.sequence_loss")
+        assert (decoded[key] == 0) if training_only else (decoded[key] > 0), key
 
 
 class TestCheckpoints:

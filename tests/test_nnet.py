@@ -1,75 +1,64 @@
 """Kernel and gradient tests.
 
-Every primitive's backward pass is verified against central finite
-differences computed in 64-bit; the analytic and numeric routes are kept
-fully independent. The fused LSTM cell is compared bit for bit with the
-composed cell it replaces, and a convolution's input gradient bit for bit
-with the per-offset slice loop it replaces. Three kernels are exact rewrites
-that round differently, so each is compared at a stated tolerance with the
-plain form kept here: weight gradients, which backward sums with one GEMM
-per parameter, with the per-step sum of rank-1 products; the dot-product
-gradient norm and Adam's efficient form with the allocating textbook
-formulas. The tape-level training tests train through `tape_train_on`,
-the tape's form of NavModel.train_on. Adam split over the helper thread
-is compared bit for bit with the inline update.
+Every primitive of the reference tape (tape.py) has its backward pass
+verified against central finite differences computed in 64-bit; the
+analytic and numeric routes are kept fully independent. The array LSTM
+cell is compared bit for bit with the tape's composed cell, and a
+convolution's input gradient bit for bit with the per-offset slice loop it
+replaces. Three kernels are exact rewrites that round differently, so each
+is compared at a stated tolerance with the plain form kept here: weight
+gradients, summed with one GEMM per parameter, with the per-step sum of
+rank-1 products; the dot-product gradient norm and Adam's efficient form
+with the allocating textbook formulas. The tape-level training tests train
+through `tape_train_on`, the tape's form of NavModel.train_on. Adam split
+over the helper thread is compared bit for bit with the inline update.
 """
 
 import math
 import os
-import random
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import tape
 from mazenav import nnet
-from mazenav.datastore import build_vocab
 from mazenav.langgen import TaskCategory, generate_dataset
 from mazenav.navmodel import ModelConfig, NavModel
 from mazenav.nnet import (
     Param,
-    Tensor,
     adam_step,
+    clip_global_norm,
+    finite_diff_check,
+    global_grad_norm,
+    zero_grad,
+)
+from tape import (
+    Leaf,
+    Tensor,
+    Var,
     add,
     backward,
-    clip_global_norm,
     concat,
     constant,
     conv2d_valid,
     cross_entropy,
     embed,
-    finite_diff_check,
-    global_grad_norm,
     linear,
-    lstm_cell,
     matmul,
     mul,
     narrow,
-    no_grad,
     relu,
     reshape,
     sigmoid,
     softmax,
     tanh,
-    zero_grad,
+    tape_train_on,
 )
-from mazenav.worldsim import WorldConfig
-
-
-def composite_lstm_cell(W, b, x, state):
-    """Reference LSTM cell composed of tape primitives (the unfused form)."""
-    h_prev, c_prev = state
-    hidden = h_prev.data.shape[0]
-    gates = linear(W, concat([x, h_prev]), b)
-    i = sigmoid(narrow(gates, 0, hidden))
-    f = sigmoid(narrow(gates, hidden, hidden))
-    g = tanh(narrow(gates, 2 * hidden, hidden))
-    o = sigmoid(narrow(gates, 3 * hidden, hidden))
-    c_new = add(mul(f, c_prev), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+from tape import lstm_cell as composite_lstm_cell
 
 
 def numeric_grad(func, param, h=1e-6):
@@ -93,8 +82,7 @@ def check_param_grad(build_loss, param, tol=1e-6):
     loss = build_loss()
     backward(loss)
     analytic = param.grad.copy()
-    with no_grad():
-        numeric = numeric_grad(lambda: float(build_loss().data), param)
+    numeric = numeric_grad(lambda: float(build_loss().data), param)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
     assert np.max(np.abs(analytic - numeric) / denom) < tol
 
@@ -104,7 +92,7 @@ class TestPrimitiveGradients:
         self.rng = np.random.default_rng(0)
 
     def test_matmul_vector(self):
-        W = Param("W", self.rng.normal(size=(4, 6)))
+        W = Var("W", self.rng.normal(size=(4, 6)))
         x = constant(self.rng.normal(size=6))
         target = constant(self.rng.normal(size=4))
 
@@ -115,8 +103,8 @@ class TestPrimitiveGradients:
         check_param_grad(loss, W)
 
     def test_matmul_matrix_times_matrix(self):
-        A = Param("A", self.rng.normal(size=(3, 4)))
-        B = Param("B", self.rng.normal(size=(4, 2)))
+        A = Var("A", self.rng.normal(size=(3, 4)))
+        B = Var("B", self.rng.normal(size=(4, 2)))
 
         def loss():
             prod = matmul(A, B)
@@ -127,7 +115,7 @@ class TestPrimitiveGradients:
         check_param_grad(loss, B)
 
     def test_add_broadcast_bias(self):
-        b = Param("b", self.rng.normal(size=4))
+        b = Var("b", self.rng.normal(size=4))
         x = constant(self.rng.normal(size=(5, 4)))
 
         def loss():
@@ -138,7 +126,7 @@ class TestPrimitiveGradients:
         check_param_grad(loss, b)
 
     def test_mul_broadcast_channels(self):
-        beta = Param("beta", self.rng.normal(size=3))
+        beta = Var("beta", self.rng.normal(size=3))
         x = constant(self.rng.normal(size=(4, 5, 3)))
 
         def loss():
@@ -150,7 +138,7 @@ class TestPrimitiveGradients:
 
     def test_activations(self):
         for act in (sigmoid, tanh, relu):
-            p = Param("p", self.rng.normal(size=7) + 0.3)  # keep clear of relu kink
+            p = Var("p", self.rng.normal(size=7) + 0.3)  # keep clear of relu kink
 
             def loss():
                 y = act(p)
@@ -159,7 +147,7 @@ class TestPrimitiveGradients:
             check_param_grad(loss, p)
 
     def test_softmax_gradient(self):
-        p = Param("p", self.rng.normal(size=5))
+        p = Var("p", self.rng.normal(size=5))
         w = constant(self.rng.normal(size=5))
 
         def loss():
@@ -168,7 +156,7 @@ class TestPrimitiveGradients:
         check_param_grad(loss, p)
 
     def test_cross_entropy_gradient(self):
-        p = Param("p", self.rng.normal(size=4))
+        p = Var("p", self.rng.normal(size=4))
 
         def loss():
             return cross_entropy(softmax(p), 2)
@@ -176,7 +164,7 @@ class TestPrimitiveGradients:
         check_param_grad(loss, p)
 
     def test_narrow_and_concat(self):
-        p = Param("p", self.rng.normal(size=8))
+        p = Var("p", self.rng.normal(size=8))
 
         def loss():
             a = narrow(p, 0, 3)
@@ -187,7 +175,7 @@ class TestPrimitiveGradients:
         check_param_grad(loss, p)
 
     def test_embed_gradient(self):
-        We = Param("We", self.rng.normal(size=(6, 3)))
+        We = Var("We", self.rng.normal(size=(6, 3)))
 
         def loss():
             rows = embed(We, [0, 4, 4, 2])
@@ -197,8 +185,8 @@ class TestPrimitiveGradients:
         check_param_grad(loss, We)
 
     def test_conv2d_filter_and_input_gradients(self):
-        F = Param("F", self.rng.normal(size=(2, 3, 4, 5)))
-        Xp = Param("X", self.rng.normal(size=(5, 20, 4)))
+        F = Var("F", self.rng.normal(size=(2, 3, 4, 5)))
+        Xp = Var("X", self.rng.normal(size=(5, 20, 4)))
 
         def loss():
             y = conv2d_valid(F, Xp)
@@ -211,23 +199,23 @@ class TestPrimitiveGradients:
 
     def test_lstm_cell_gradients(self):
         H, D = 5, 3
-        W = Param("W", self.rng.normal(size=(4 * H, D + H)) * 0.4)
-        b = Param("b", self.rng.normal(size=4 * H) * 0.1)
+        W = Var("W", self.rng.normal(size=(4 * H, D + H)) * 0.4)
+        b = Var("b", self.rng.normal(size=4 * H) * 0.1)
         x = constant(self.rng.normal(size=D))
 
         def loss():
             h0 = constant(np.zeros(H))
             c0 = constant(np.zeros(H))
-            h1, c1 = lstm_cell(W, b, x, (h0, c0))
-            h2, _ = lstm_cell(W, b, x, (h1, c1))  # reuse -> through-time grads
+            h1, c1 = composite_lstm_cell(W, b, x, (h0, c0))
+            h2, _ = composite_lstm_cell(W, b, x, (h1, c1))  # reuse -> through-time grads
             return matmul(h2, h2)
 
         check_param_grad(loss, W)
         check_param_grad(loss, b)
 
     def test_unused_param_gets_no_gradient(self):
-        used = Param("used", self.rng.normal(size=3))
-        unused = Param("unused", self.rng.normal(size=3))
+        used = Var("used", self.rng.normal(size=3))
+        unused = Var("unused", self.rng.normal(size=3))
         zero_grad([used, unused])
         loss = matmul(used, used)
         backward(loss)
@@ -235,7 +223,7 @@ class TestPrimitiveGradients:
         assert unused.grad is None
 
     def test_linear_weight_grad_is_outer_product(self):
-        W = Param("W", self.rng.normal(size=(3, 4)))
+        W = Var("W", self.rng.normal(size=(3, 4)))
         x = constant(self.rng.normal(size=4))
         up = self.rng.normal(size=3)
         zero_grad([W])
@@ -247,13 +235,14 @@ class TestPrimitiveGradients:
 
 class TestForwardSemantics:
     def test_conv_output_width(self):
-        F = constant(np.zeros((1, 5, 20, 7)))
-        x = constant(np.zeros((5, 20, 20)))
-        assert conv2d_valid(F, x).shape == (5, 16, 7)
+        filt = nnet._filter_matrix(np.zeros((1, 5, 20, 7)))
+        x = np.zeros((2, 5, 20, 20))
+        assert nnet.conv2d_valid(x, filt, np.zeros(7), (1, 5)).shape == (2, 5, 16, 7)
 
     def test_conv_shape_mismatch_raises(self):
+        filt = nnet._filter_matrix(np.zeros((1, 5, 3, 7)))
         with pytest.raises(ValueError, match="channel"):
-            conv2d_valid(constant(np.zeros((1, 5, 3, 7))), constant(np.zeros((5, 20, 20))))
+            nnet.conv2d_valid(np.zeros((1, 5, 20, 20)), filt, np.zeros(7), (1, 5))
 
     def test_matmul_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -288,24 +277,19 @@ class TestForwardSemantics:
     def test_lstm_hidden_bounded(self):
         rng = np.random.default_rng(2)
         H, D = 6, 4
-        W = constant(rng.normal(size=(4 * H, D + H)) * 3)
-        b = constant(rng.normal(size=4 * H))
-        h = constant(np.zeros(H))
-        c = constant(np.zeros(H))
+        W = rng.normal(size=(4 * H, D + H)) * 3
+        b = rng.normal(size=4 * H)
+        h = np.zeros((1, H))
+        c = np.zeros((1, H))
         for _ in range(10):
-            h, c = lstm_cell(W, b, constant(rng.normal(size=D)), (h, c))
-            assert (np.abs(h.data) < 1.0).all()
+            z = np.concatenate([rng.normal(size=(1, D)), h], axis=1)
+            _, c, _, h = nnet.lstm_cell((W,), b, z, c)
+            assert (np.abs(h) < 1.0).all()
 
     def test_sigmoid_is_the_plain_logistic_formula(self):
         # the composite LSTM reference shares sigmoid, so pin its rounding here
         x = np.random.default_rng(6).normal(size=1000) * 8
         assert np.array_equal(sigmoid(constant(x)).data, 1.0 / (1.0 + np.exp(-x)))
-
-    def test_no_grad_builds_no_graph(self):
-        p = Param("p", np.ones(3))
-        with no_grad():
-            y = matmul(p, p)
-        assert y.parents == () and not y.requires_grad
 
 
 class TestOptimization:
@@ -360,7 +344,8 @@ class TestOptimization:
 
 
 class _QuadModel:
-    """Minimal model protocol for finite_diff_check itself."""
+    """Minimal model protocol for finite_diff_check itself; the analytic
+    gradient comes from the tape."""
 
     def __init__(self):
         self.w = Param("w", np.array([0.3, -0.7, 1.2]))
@@ -369,18 +354,19 @@ class _QuadModel:
     def params(self):
         return [self.w]
 
+    def tape_loss(self, w):
+        return matmul(w, w)
+
     def sequence_loss(self, instance):
-        loss = matmul(self.w, self.w)
-        if self.broken and nnet._GRAD_ENABLED:
-            # corrupt the recorded gradient path deliberately
-            return mul(loss, constant(np.asarray(1.01)))
-        return loss
+        loss = self.tape_loss(Leaf(self.w))
+        return SimpleNamespace(loss=float(loss.data), tape=loss)
 
-    # The analytic side: the recorded forward is the tape's loss.
-    def forward(self, instance):
-        return self.sequence_loss(instance)
-
-    def backward(self, loss):
+    def backward(self, record):
+        zero_grad(self.params())
+        loss = record.tape
+        if self.broken:
+            # corrupt the analytic route deliberately
+            loss = mul(loss, constant(np.asarray(1.01)))
         backward(loss)
 
 
@@ -401,8 +387,8 @@ class TestFiniteDiffCheck:
         # quadratic loss: central differences are exact for any h, so use a
         # curved model to show degradation
         class Curved(_QuadModel):
-            def sequence_loss(self, instance):
-                return cross_entropy(softmax(self.w), 0)
+            def tape_loss(self, w):
+                return cross_entropy(softmax(w), 0)
 
         fine = finite_diff_check(Curved(), None, h=1e-5, samples_per_param=None)
         coarse = finite_diff_check(Curved(), None, h=1e-1, samples_per_param=None)
@@ -410,108 +396,61 @@ class TestFiniteDiffCheck:
         assert exact["pass"] and fine["pass"]
 
 
-class TestFusedLstmCell:
-    H, D, STEPS = 5, 3, 6
+class TestLstmCell:
+    """nnet.lstm_cell and its reverse (nnet._lstm_grad) against the tape's
+    composed cell, one row at a time."""
 
-    def make_inputs(self):
+    H, D = 5, 3
+
+    def test_rows_match_composite_bitwise(self):
+        # Three rows, the first and last sharing a weight matrix, advance six
+        # steps. At each step every row's gates, cell and hidden state, and
+        # the gradients its reverse sends to the weights, bias, input and
+        # previous state from random gradients of the new h and c, equal the
+        # composed cell's on that row alone.
         rng = np.random.default_rng(11)
-        H, D = self.H, self.D
-        return dict(
-            W=Param("W", rng.normal(size=(4 * H, D + H)) * 1.5),
-            b=Param("b", rng.normal(size=4 * H)),
-            x=Param("x", rng.normal(size=D)),
-            h0=Param("h0", rng.normal(size=H) * 0.5),
-            c0=Param("c0", rng.normal(size=H)),
-            A=constant(rng.normal(size=(D, H))),
-            head=constant(rng.normal(size=H)),
-            c_out=constant(rng.normal(size=H)),
-        )
-
-    def chain(self, cell, p):
-        """6 steps; each h feeds a linear head and the next step's input,
-        so h has three consumers as the decoder state does."""
-        h, c = p["h0"], p["c0"]
-        x = p["x"]
-        loss = constant(np.asarray(0.0))
-        states = []
-        for _ in range(self.STEPS):
-            h_prev = h
-            h, c = cell(p["W"], p["b"], x, (h, c))
-            states.append((h.data, c.data))
-            loss = add(loss, matmul(p["head"], h))
-            x = add(p["x"], tanh(matmul(p["A"], h_prev)))
-        return add(loss, matmul(p["c_out"], c)), states
-
-    def run(self, cell):
-        p = self.make_inputs()
-        params = [p[k] for k in ("W", "b", "x", "h0", "c0")]
-        zero_grad(params)
-        loss, states = self.chain(cell, p)
-        backward(loss)
-        return loss.data, states, {q.name: q.grad.copy() for q in params}
-
-    def test_matches_composite_bitwise(self):
-        loss, states, grads = self.run(lstm_cell)
-        ref_loss, ref_states, ref_grads = self.run(composite_lstm_cell)
-        assert np.array_equal(loss, ref_loss)
-        for (h, c), (ref_h, ref_c) in zip(states, ref_states):
-            assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
-        assert grads.keys() == ref_grads.keys() == {"W", "b", "x", "h0", "c0"}
-        for name in grads:
-            assert np.array_equal(grads[name], ref_grads[name]), name
-
-    def test_no_grad_forward_matches_composite(self):
-        p = self.make_inputs()
-        with no_grad():
-            _, states = self.chain(lstm_cell, p)
-            _, ref_states = self.chain(composite_lstm_cell, p)
-        for (h, c), (ref_h, ref_c) in zip(states, ref_states):
-            assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
-
-    def test_three_tape_nodes_per_step(self):
-        p = self.make_inputs()
-        h, c = lstm_cell(p["W"], p["b"], p["x"], (p["h0"], p["c0"]))
-        act, c_prev = c.parents
-        assert h.parents == (act, c) and c_prev is p["c0"]
-        assert act.parents == (p["W"], p["b"], p["x"], p["h0"])
+        H, D, n = self.H, self.D, 3
+        mats = [rng.normal(size=(4 * H, D + H)) * 1.5 for _ in range(2)]
+        weights = (mats[0], mats[1], mats[0])
+        bias = rng.normal(size=(n, 4 * H))
+        h, c = rng.normal(size=(n, H)) * 0.5, rng.normal(size=(n, H))
+        for step in range(6):
+            z = np.concatenate([rng.normal(size=(n, D)), h], axis=1)
+            gates, c_new, tc, h_new = nnet.lstm_cell(weights, bias, z, c)
+            dh, dc = rng.normal(size=(n, H)), rng.normal(size=(n, H))
+            d_gates = np.empty_like(gates)
+            dc_prev = nnet._lstm_grad(dh, dc, *nnet._lstm_grad_factors(gates, c, tc),
+                                      out=d_gates)
+            for j in range(n):
+                W, b = Var("W", weights[j]), Var("b", bias[j])
+                x, h_prev, c_prev = Var("x", z[j, :D]), Var("h", h[j]), Var("c", c[j])
+                ref_h, ref_c = composite_lstm_cell(W, b, x, (h_prev, c_prev))
+                where = (step, j)
+                assert np.array_equal(h_new[j], ref_h.data), where
+                assert np.array_equal(c_new[j], ref_c.data), where
+                backward(add(matmul(ref_h, constant(dh[j])), matmul(ref_c, constant(dc[j]))))
+                assert np.array_equal(b.grad, d_gates[j]), where
+                assert np.array_equal(W.grad, np.outer(d_gates[j], z[j])), where
+                dz = weights[j].T @ d_gates[j]
+                assert np.array_equal(x.grad, dz[:D]), where
+                assert np.array_equal(h_prev.grad, dz[D:]), where
+                assert np.array_equal(c_prev.grad, dc_prev[j]), where
+            h, c = h_new, c_new
 
     def test_saturated_gates_do_not_warn(self):
         H, D = 2, 1
-        W = Param("W", np.zeros((4 * H, D + H)))
-        b = Param("b", np.full(4 * H, -800.0))
+        W = np.zeros((4 * H, D + H))
+        b = np.full(4 * H, -800.0)
+        c_prev = np.ones((1, H))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h, c = lstm_cell(W, b, constant(np.ones(D)), (constant(np.ones(H)),
-                                                         constant(np.ones(H))))
-            zero_grad([W, b])
-            backward(matmul(h, h) + matmul(c, c))
+            gates, c, tc, h = nnet.lstm_cell((W,), b, np.ones((1, D + H)), c_prev)
+            d_gates = np.empty_like(gates)
+            dc_prev = nnet._lstm_grad(2 * h, 2 * c, *nnet._lstm_grad_factors(gates, c_prev, tc),
+                                      out=d_gates)
             assert np.array_equal(sigmoid(constant([-800.0, 800.0])).data, [0.0, 1.0])
-        assert np.array_equal(c.data, np.zeros(H)) and np.array_equal(h.data, np.zeros(H))
-        assert np.isfinite(W.grad).all() and np.isfinite(b.grad).all()
-
-    def test_training_matches_composite_bitwise(self, monkeypatch):
-        mix = {TaskCategory.LANGUAGE_ONLY: 1.0}
-        data = list(generate_dataset(mix, 6, master_seed=5,
-                                     config=WorldConfig(width=5, height=5)))
-        vocab = build_vocab(data)
-        config = ModelConfig(vocab_size=len(vocab), embed_dim=8, encoder_hidden=8,
-                             attention_hidden=8, conv_width=3, conv_channels=4,
-                             extra_convs=((3, 3, 4),))
-
-        def train(cell):
-            monkeypatch.setattr(nnet, "lstm_cell", cell)
-            model = NavModel(config, vocab, seed=1)
-            steps = [tape_train_on(model, inst, clip_threshold=threshold)
-                     for threshold in (5.0, 0.5) for inst in data]
-            return steps, model
-
-        steps, model = train(lstm_cell)
-        ref_steps, ref_model = train(composite_lstm_cell)
-        assert steps == ref_steps
-        for p, ref in zip(model.params(), ref_model.params()):
-            assert p.t == ref.t == 2 * len(data)
-            for a, r in ((p.data, ref.data), (p.m, ref.m), (p.v, ref.v)):
-                assert np.array_equal(a, r), p.name
+        assert np.array_equal(c, np.zeros((1, H))) and np.array_equal(h, np.zeros((1, H)))
+        assert np.isfinite(d_gates).all() and np.isfinite(dc_prev).all()
 
 
 def slice_loop_conv_input_grad(g, filters):
@@ -541,7 +480,7 @@ class TestConvInputGrad:
 
 def per_step_outer(t, u, v):
     """Reference rank-1 accumulation: each product formed on its own and
-    added to the gradient at once, the sum the GEMM in backward replaces."""
+    added to the gradient at once, the sum the GEMM at the end of the sweep replaces."""
     t.accumulate(np.einsum("i,j->ij", u, v))
 
 
@@ -550,9 +489,9 @@ class TestWeightGradientGemm:
         """W (5x5) steps a recurrence 6 times, V (5x3) reads every state from
         the left, and W also gets a dense gradient through mul."""
         rng = np.random.default_rng(8)
-        W = Param("W", rng.normal(size=(5, 5)) * 0.6)
-        V = Param("V", rng.normal(size=(5, 3)))
-        U = Param("U", rng.normal(size=(5, 2)))
+        W = Var("W", rng.normal(size=(5, 5)) * 0.6)
+        V = Var("V", rng.normal(size=(5, 3)))
+        U = Var("U", rng.normal(size=(5, 2)))
         mask = constant(rng.normal(size=(5, 5)))
         xs = [constant(x) for x in rng.normal(size=(6, 2))]
         head = constant(rng.normal(size=3))
@@ -575,14 +514,14 @@ class TestWeightGradientGemm:
     def test_matches_per_step_sum(self, monkeypatch):
         params, loss = self.shared_weight_loss()
         grads = self.grads(params, loss)
-        monkeypatch.setattr(nnet, "_accumulate_outer", per_step_outer)
+        monkeypatch.setattr(tape, "_accumulate_outer", per_step_outer)
         ref = self.grads(params, loss)
         for p, g, r in zip(params, grads, ref):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=0, err_msg=p.name)
 
     def test_non_leaf_matrix_gets_its_product_before_its_backward(self):
         rng = np.random.default_rng(9)
-        flat = Param("flat", rng.normal(size=12))
+        flat = Var("flat", rng.normal(size=12))
         x = constant(rng.normal(size=4))
         up = rng.normal(size=3)
         zero_grad([flat])
@@ -608,7 +547,7 @@ class TestWeightGradientGemm:
             backward(matmul(matmul(bad, V), constant(np.ones(3))))
         assert V.grad is None
         grads = self.grads(params, loss)
-        monkeypatch.setattr(nnet, "_accumulate_outer", per_step_outer)
+        monkeypatch.setattr(tape, "_accumulate_outer", per_step_outer)
         ref = self.grads(params, loss)
         for p, g, r in zip(params, grads, ref):
             np.testing.assert_allclose(g, r, rtol=1e-12, atol=0, err_msg=p.name)
@@ -616,27 +555,10 @@ class TestWeightGradientGemm:
     def test_training_matches_per_step_sum(self, monkeypatch):
         train = crit10_training(50, tape_train_on)
         losses, model = train()
-        monkeypatch.setattr(nnet, "_accumulate_outer", per_step_outer)
+        monkeypatch.setattr(tape, "_accumulate_outer", per_step_outer)
         ref_losses, ref_model = train()
         np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
         assert_same_training(model, ref_model, 50)
-
-
-def tape_train_on(model, instance, lr=1e-3, clip_threshold=5.0):
-    """NavModel.train_on with the gradients taken on nnet's tape: backward
-    of sequence_loss in place of the model's own forward and backward."""
-    params = model.params()
-    zero_grad(params)
-    loss = model.sequence_loss(instance)
-    if not np.isfinite(loss.data):
-        raise FloatingPointError(f"non-finite loss on instance {instance.id}")
-    backward(loss)
-    nnet.clip_global_norm(params, clip_threshold)
-    post_norm = nnet.global_grad_norm(params)
-    if not math.isfinite(post_norm):
-        raise FloatingPointError(f"non-finite gradient norm on instance {instance.id}")
-    nnet.adam_step(params, lr=lr)
-    return float(loss.data), post_norm
 
 
 def crit10_training(steps, train_on=NavModel.train_on):
@@ -805,22 +727,26 @@ class TestInPlaceOptimizer:
             assert clip_global_norm([p], threshold=5.0) == 1.0
 
     def test_gradient_buffer_reused_across_passes(self):
+        # backward forms each gradient in its Param's buffer, replacing what
+        # the buffer held; a Param without a term gets no gradient.
         rng = np.random.default_rng(5)
         W = Param("W", rng.normal(size=(8, 4)))
         b = Param("b", rng.normal(size=8))
-        x = constant(rng.normal(size=2))
+        unused = Param("unused", np.zeros(3))
+        d, z = rng.normal(size=(3, 8)), rng.normal(size=(3, 4))
 
-        def loss():
-            h, c = lstm_cell(W, b, x, (constant(np.zeros(2)), constant(np.zeros(2))))
-            h, c = lstm_cell(W, b, x, (h, c))
-            return matmul(h, h)
+        def terms():
+            yield W, np.matmul, d.T, z
+            yield b, np.add.reduce, d, 0
 
-        zero_grad([W, b])
-        backward(loss())
+        nnet.backward([W, b, unused], terms())
+        assert np.array_equal(W.grad, d.T @ z)
+        assert np.array_equal(b.grad, np.add.reduce(d, 0))
         first = {p.name: (p.grad, p.grad.copy()) for p in (W, b)}
-        zero_grad([W, b])
-        assert W.grad is None and b.grad is None
-        backward(loss())
+        W.grad *= 0.5  # as a clip would
+        unused.grad = np.ones(3)
+        nnet.backward([W, b, unused], terms())
+        assert unused.grad is None
         for p in (W, b):
             buffer, values = first[p.name]
             assert p.grad is buffer

@@ -448,16 +448,20 @@ class TestCliErrors:
         ("hpo", "--lr", "nan"), ("hpo", "--threshold", "nan"), ("hpo", "--threshold", "0"),
         ("hpo", "--tol", "0"), ("hpo", "--tol", "nan"), ("hpo", "--lo", "0"),
         ("hpo", "--lo", "nan"), ("hpo", "--hi", "-2"), ("hpo", "--hi", "inf"),
+        *(("gen", "--p-item", v) for v in ("nan", "-1", "1.5", "inf")),
+        ("bench", "--p-item", "-1"), ("hpo", "--p-item", "1.5"),
     ], ids=lambda x: x)
     def test_bad_numeric_flags_rejected(self, command, flag, value, capsys):
         # at the start, before any data is read or any model trains
         argv = {"train": ["train", "--data", "d.jsonl", "--out-checkpoint", "m"],
+                "gen": ["gen", "--count", "3", "--out", "d.jsonl"],
                 "bench": ["bench"],
                 "hpo": ["hpo", "--param", "lr", "--lo", "1", "--hi", "2"]}[command]
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, value])
         assert exc.value.code == 2
-        rule = "must be in (0, 1]" if flag == "--threshold" else "must be finite and > 0"
+        rule = {"--threshold": "must be in (0, 1]",
+                "--p-item": "must be in [0, 1]"}.get(flag, "must be finite and > 0")
         assert f"argument {flag}: {rule}, got {value}" in capsys.readouterr().err
 
     def test_numeric_flags_accept_their_bounds(self):
@@ -465,6 +469,9 @@ class TestCliErrors:
             ["hpo", "--param", "lr", "--lo", "1e-4", "--hi", "1", "--tol", "0.01",
              "--lr", "0.5", "--threshold", "1"])
         assert (args.lo, args.hi, args.tol, args.lr, args.threshold) == (1e-4, 1, 0.01, 0.5, 1)
+        for p_item in (0, 1):
+            args = build_parser().parse_args(["gen", "--out", "d.jsonl", "--p-item", str(p_item)])
+            assert args.p_item == p_item
 
     def test_missing_data_exits_2(self, capsys):
         rc = main(["eval", "--data", "/nonexistent.jsonl",

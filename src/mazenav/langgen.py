@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Iterator, NamedTuple, Optional, Sequence
+from itertools import groupby, islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .worldsim import (
     DELTAS,
@@ -33,6 +34,7 @@ from .worldsim import (
     generate_world,
     norm_edge,
     path_to_actions,
+    randbelow,
     sample_endpoints,
     shortest_path,
 )
@@ -211,29 +213,28 @@ def realize(template: Template, slots: dict[str, str], rng: random.Random) -> li
 # ---------------------------------------------------------------------------
 # Path segmentation
 
+# The segment kind of each action; STOP ends the segments.
+_KINDS = {Action.MOVE: "move", Action.RIGHT: "turn", Action.LEFT: "turn", Action.STOP: None}
+
+
+def _segments(actions: Iterable[Action]) -> Iterator[Segment]:
+    """The maximal turn/move runs of `actions` up to the first STOP, in
+    order, each made only when it is asked for."""
+    for kind, run in groupby(actions, _KINDS.__getitem__):
+        if kind is None:
+            return
+        yield Segment(kind, tuple(run))
+
+
 def segment_path(actions: Sequence[Action]) -> list[Segment]:
     """Split an action sequence into maximal turn/move runs.
 
     A trailing STOP is stripped; STOP anywhere else is rejected.
     """
     body = list(actions)
-    if body and body[-1] is Action.STOP:
-        body.pop()
-    if Action.STOP in body:
+    if Action.STOP in body[:-1]:
         raise ValueError("STOP before end of action sequence")
-    segments: list[Segment] = []
-    run: list[Action] = []
-    kind = ""
-    for act in body:
-        act_kind = "turn" if act is Action.RIGHT or act is Action.LEFT else "move"
-        if act_kind != kind:
-            if run:
-                segments.append(Segment(kind, tuple(run)))
-            run, kind = [], act_kind
-        run.append(act)
-    if run:
-        segments.append(Segment(kind, tuple(run)))
-    return segments
+    return list(_segments(body))
 
 
 def segment_actions(segments: Sequence[Segment]) -> list[Action]:
@@ -561,9 +562,11 @@ def generate_instance(category: Optional[TaskCategory], config: WorldConfig,
             s, g = sample_endpoints(world, rng, config.min_dist)
         except MapResampleNeeded:
             continue
-        start = Pose(s[0], s[1], Direction(rng.randrange(4)))
+        start = Pose(s[0], s[1], Direction(randbelow(rng, 4)))
         path = shortest_path(world, s, g)
-        segments = segment_path(path_to_actions(path, start.dir))
+        # No category binds more than two segments (match_pattern), so only
+        # the first two are made.
+        segments = list(islice(_segments(path_to_actions(path, start.dir)), 2))
         if category is None:
             order = list(TaskCategory)
             rng.shuffle(order)

@@ -7,7 +7,7 @@ growing South, so North decreases y. Clockwise order is N, E, S, W.
 from __future__ import annotations
 
 import functools
-import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -109,21 +109,24 @@ class Lookup(dict):
 # worlds: _EDGE_ATTRS[floor][wall].
 _EDGE_ATTRS = Lookup({f: Lookup({w: (f, w) for w in WALL_PAINTINGS}, "unknown wall {!r}".format)
                      for f in FLOORS}, "unknown floor {!r}".format)
+_FLOOR_ATTRS = tuple(_EDGE_ATTRS[f] for f in FLOORS)  # [floor index][wall]
 
 
 class _Grid(NamedTuple):
     """Tables of one width x height grid, indexed by node index y*width + x.
 
-    A node's links are its grid neighbours as (node index, normalised edge)
-    in N, E, S, W order; bit p of an open mask stands for link p. The node
-    and edge tuples are shared by every world of this size, generated or
-    read, so set and dict lookups of them mostly succeed on identity, and
-    containers that hold only them drop out of the garbage collector.
+    A node's links are its grid neighbours in N, E, S, W order, each as
+    (neighbour index, normalised edge, the link's bit in this node's open
+    mask, the bit of the way back in the neighbour's); bit p of an open
+    mask stands for link p. The node and edge tuples are shared by every
+    world of this size, generated or read, so set and dict lookups of them
+    mostly succeed on identity, and containers that hold only them drop
+    out of the garbage collector.
     The tables hold O(width * height) entries.
     """
 
     nodes: tuple[Node, ...]
-    candidates: tuple[tuple[tuple[tuple[int, Edge], ...], ...], ...]  # [node][open mask] -> links
+    candidates: tuple[tuple[tuple[tuple[int, Edge, int, int], ...], ...], ...]  # [node][open mask] -> links
     all_open: tuple[int, ...]  # [node] -> open mask with every link set
     closers: tuple[tuple[tuple[int, int], ...], ...]  # [node] -> (neighbour, mask clearing node's bit there)
     open_nodes: tuple[tuple[tuple[Node, ...], ...], ...]  # [node][open mask] -> neighbour nodes
@@ -141,31 +144,35 @@ class _Grid(NamedTuple):
 @functools.lru_cache(maxsize=16)
 def _grid(width: int, height: int) -> _Grid:
     nodes = tuple((x, y) for y in range(height) for x in range(width))
-    links = []
-    one: dict[Edge, Edge] = {}  # one tuple per edge, shared by both of its links
+    adjacent = []  # [node] -> neighbour indices in N, E, S, W order
     for x, y in nodes:
         row = []
         for dx, dy in DELTAS.values():
             nx, ny = x + dx, y + dy
             if 0 <= nx < width and 0 <= ny < height:
-                e = norm_edge(nodes[y * width + x], nodes[ny * width + nx])
-                row.append((ny * width + nx, one.setdefault(e, e)))
-        links.append(row)
+                row.append(ny * width + nx)
+        adjacent.append(row)
+    one: dict[Edge, Edge] = {}  # one tuple per edge, shared by both of its links
+    links = []
+    for i, row in enumerate(adjacent):
+        links.append([])
+        for p, j in enumerate(row):
+            e = norm_edge(nodes[i], nodes[j])
+            links[i].append((j, one.setdefault(e, e), 1 << p, 1 << adjacent[j].index(i)))
     candidates = tuple(
         tuple(tuple(link for p, link in enumerate(row) if mask >> p & 1)
               for mask in range(1 << len(row)))
         for row in links)
     all_open = tuple((1 << len(row)) - 1 for row in links)
-    closers = tuple(
-        tuple((j, ~(1 << [k for k, _ in links[j]].index(i))) for j, _ in row)
-        for i, row in enumerate(links))
-    open_nodes = tuple(tuple(tuple(nodes[j] for j, _ in opts) for opts in row)
+    closers = tuple(tuple((j, ~back) for j, _, _, back in row) for row in links)
+    open_nodes = tuple(tuple(tuple(nodes[link[0]] for link in opts) for opts in row)
                        for row in candidates)
     where = f"the {width}x{height} map"
     edge_links = Lookup((), lambda e: f"edge {e} does not join grid neighbours of {where}")
     for i, row in enumerate(links):
-        for p, (_, e) in enumerate(row):
-            edge_links[e] = edge_links.get(e, ()) + (i, 1 << p)
+        for j, e, bit, back in row:
+            if i < j:
+                edge_links[e] = (i, bit, j, back)
     quad_edges = Lookup((), lambda q: f"edge {list(q)} does not join grid neighbours of {where}")
     for e in edge_links:
         (x0, y0), (x1, y1) = e
@@ -215,7 +222,7 @@ class WorldMap:
         for i, bit_i, j, bit_j in map(grid.edge_links.__getitem__, self.edge_attrs):
             masks[i] |= bit_i
             masks[j] |= bit_j
-        self.neighbors = {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
+        self.neighbors = _open_neighbors(grid, masks)
         return self.neighbors
 
     def in_bounds(self, node: Node) -> bool:
@@ -228,39 +235,82 @@ class WorldMap:
         return nxt if norm_edge(node, nxt) in self.edge_attrs else None
 
 
+def _open_neighbors(grid: _Grid, masks: list[int]) -> dict[Node, tuple[Node, ...]]:
+    """WorldMap.neighbors of the world whose nodes have these open masks."""
+    return {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), drawn exactly as CPython draws it: the same value,
+    and the same generator state after the call.
+
+    For n >= 1, randrange(n) is Random._randbelow_with_getrandbits(n) in
+    CPython 3.10 to 3.13: take k = n.bit_length() bits with getrandbits(k)
+    until the result is below n. Calling getrandbits directly skips the
+    argument handling that makes randrange about seven times as slow. The
+    draws match for random.Random and any subclass that keeps its
+    getrandbits. ValueError for n < 1.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        if n < 1:
+            raise ValueError(f"randbelow needs n >= 1, got {n}")
+        r = rng.getrandbits(k)
+    return r
+
+
 def generate_maze(width: int, height: int, rng: random.Random) -> set[Edge]:
     """Carve a perfect maze over the width x height grid with an iterative
     depth-first backtracker from a random start node.
 
-    The RNG is drawn exactly as follows: randrange(width) and randrange(height)
-    for the start, then randrange(len(candidates)) at each step with more than
-    one unvisited neighbour, the candidates listed in N, E, S, W order. Each
+    The RNG is drawn exactly as follows: randbelow(width) and
+    randbelow(height) for the start, then randbelow(len(candidates)) at each
+    step with more than one unvisited neighbour, the candidates listed in
+    N, E, S, W order; each draw equals rng.randrange of the same bound. Each
     node keeps a mask of its unvisited neighbours, so a step is two lookups.
     """
+    return _carve(width, height, rng)[0]
+
+
+def _carve(width: int, height: int, rng: random.Random) -> tuple[set[Edge], list[int]]:
+    """generate_maze's edges, and the open mask of each node, which the
+    carving sets as it opens each edge."""
     if width < 1 or height < 1:
         raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
     grid = _grid(width, height)
     candidates, closers = grid.candidates, grid.closers
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     unvisited = list(grid.all_open)
+    opened = [0] * len(unvisited)
     edges: set[Edge] = set()
-    x = randrange(width)
-    here = randrange(height) * width + x
+    x = randbelow(rng, width)
+    here = randbelow(rng, height) * width + x
     for j, close in closers[here]:
         unvisited[j] &= close
     stack = [here]
     while stack:
         top = stack[-1]
         options = candidates[top][unvisited[top]]
-        if not options:
+        n = len(options)
+        if not n:
             stack.pop()
             continue
-        nxt, edge = options[randrange(len(options))] if len(options) > 1 else options[0]
+        if n > 1:
+            k = n.bit_length()  # randbelow(rng, n), inlined
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            nxt, edge, bit, back = options[r]
+        else:
+            nxt, edge, bit, back = options[0]
+        opened[top] |= bit
+        opened[nxt] |= back
         for j, close in closers[nxt]:
             unvisited[j] &= close
         edges.add(edge)
         stack.append(nxt)
-    return edges
+    return edges, opened
 
 
 def _table_runs(grid: _Grid, edges: Collection[Edge]) -> list[tuple[Edge, ...]]:
@@ -287,7 +337,7 @@ def _cut_bounds(width: int, height: int, n_areas: int,
     longer side; returns the cut axis (0 for x, 1 for y) and the strip bounds
     [0, cuts..., size]."""
     axes = [ax for ax, size in ((0, width), (1, height)) if size >= n_areas]
-    axis = axes[rng.randrange(len(axes))]
+    axis = axes[randbelow(rng, len(axes))]
     size = height if axis else width
     return axis, [0, *sorted(rng.sample(range(1, size), n_areas - 1)), size]
 
@@ -303,17 +353,17 @@ def decorate(edges: Collection[Edge], rng: random.Random,
     """
     cfg = config or WorldConfig()
     width, height = cfg.width, cfg.height
-    randrange, random_ = rng.randrange, rng.random
+    random_ = rng.random
     p_item, n_items = cfg.p_item, len(ITEMS)
     items: dict[Node, str] = {}
     grid = _grid(width, height)
     for node in grid.nodes:
         if random_() < p_item:
-            items[node] = ITEMS[randrange(n_items)]
+            items[node] = ITEMS[randbelow(rng, n_items)]
     n_floors = len(FLOORS)
-    floored = [(run, FLOORS[randrange(n_floors)]) for run in _table_runs(grid, edges)]
+    floored = [(run, _FLOOR_ATTRS[randbelow(rng, n_floors)]) for run in _table_runs(grid, edges)]
 
-    n_areas = min(rng.choice((2, 3)), max(width, height), max(len(edges), 1))
+    n_areas = min(2 + randbelow(rng, 2), max(width, height), max(len(edges), 1))
     # Per axis, the coordinates of the smaller endpoints of the edges: a strip
     # owns an edge iff it holds one of these.
     owners = ({a[0] for a, _ in edges}, {a[1] for a, _ in edges})
@@ -326,13 +376,17 @@ def decorate(edges: Collection[Edge], rng: random.Random,
     n_strips = len(bounds) - 1
     paintings = rng.sample(WALL_PAINTINGS, n_strips)
     wall_at = [paintings[i] for i in range(n_strips) for _ in range(bounds[i], bounds[i + 1])]
-    edge_attrs = {e: _EDGE_ATTRS[floor][wall_at[e[0][axis]]] for run, floor in floored for e in run}
+    edge_attrs = {e: attrs[wall_at[e[0][axis]]] for run, attrs in floored for e in run}
     return WorldMap(width, height, items, edge_attrs)
 
 
 def generate_world(rng: random.Random, config: WorldConfig | None = None) -> WorldMap:
+    """A decorated maze, its neighbours already set from the carving."""
     cfg = config or WorldConfig()
-    return decorate(generate_maze(cfg.width, cfg.height, rng), rng, cfg)
+    edges, opened = _carve(cfg.width, cfg.height, rng)
+    world = decorate(edges, rng, cfg)
+    world.neighbors = _open_neighbors(_grid(cfg.width, cfg.height), opened)
+    return world
 
 
 def step(world: WorldMap, pose: Pose, action: Action) -> Pose | None:
@@ -365,83 +419,80 @@ def execute(world: WorldMap, pose: Pose, actions: list[Action],
     return pose, Outcome.EXHAUSTED
 
 
+def _reached(world: WorldMap, start: Node, stop_at: Node | None) -> dict[Node, Node]:
+    """Breadth-first search from `start`: each node reached, in the order
+    reached, mapped to the node it was reached from (`start` to itself).
+    The search ends once `stop_at` is reached, so farther nodes may be
+    missing."""
+    parent = {start: start}
+    if start == stop_at:
+        return parent
+    neighbors = world.neighbors
+    queue = [start]
+    for node in queue:
+        for nb in neighbors[node]:
+            if nb not in parent:
+                parent[nb] = node
+                if nb == stop_at:
+                    return parent
+                queue.append(nb)
+    return parent
+
+
+def _route(world: WorldMap, start: Node, goal: Node) -> list[Node] | None:
+    """A path with the fewest hops from `start` to `goal`, both included, or
+    None when `goal` cannot be reached."""
+    parent = _reached(world, start, goal)
+    if goal not in parent:
+        return None
+    node, path = goal, [goal]
+    while node != start:
+        node = parent[node]
+        path.append(node)
+    path.reverse()
+    return path
+
+
 def shortest_path(world: WorldMap, start: Node, goal: Node) -> list[Node]:
-    """A* with the Manhattan heuristic; returns the node path including both
-    endpoints."""
+    """A path with the fewest hops, including both endpoints, found by one
+    breadth-first search that stops at the goal. In a perfect maze, which
+    every generated world is, it is the only simple path."""
     if not (world.in_bounds(start) and world.in_bounds(goal)):
         raise ValueError(f"endpoints out of bounds: {start}, {goal}")
-    if start == goal:
-        return [start]
-    gx, gy = goal
-    g: dict[Node, int] = {start: 0}
-    parent: dict[Node, Node] = {}
-    frontier: list[tuple[int, int, Node]] = [(abs(start[0] - gx) + abs(start[1] - gy), 0, start)]
-    counter = 0
-    while frontier:
-        _, _, node = heapq.heappop(frontier)
-        if node == goal:
-            path = [node]
-            while node != start:
-                node = parent[node]
-                path.append(node)
-            path.reverse()
-            return path
-        base = g[node] + 1
-        for nb in world.neighbors[node]:
-            if base < g.get(nb, 1 << 30):
-                g[nb] = base
-                parent[nb] = node
-                counter += 1
-                heapq.heappush(frontier, (base + abs(nb[0] - gx) + abs(nb[1] - gy), counter, nb))
-    raise NoPathError(f"no path from {start} to {goal}")
+    path = _route(world, start, goal)
+    if path is None:
+        raise NoPathError(f"no path from {start} to {goal}")
+    return path
 
 
 def bfs_distances(world: WorldMap, start: Node, stop_at: Node | None = None) -> dict[Node, int]:
     """Hop distances from `start` to every reachable node. With `stop_at`, the
     search ends once that node is reached, so farther nodes may be missing."""
+    parent = _reached(world, start, stop_at)
     dist = {start: 0}
-    if start == stop_at:
-        return dist
-    neighbors = world.neighbors
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        reached = []
-        for node in frontier:
-            for nb in neighbors[node]:
-                if nb not in dist:
-                    dist[nb] = d
-                    if nb == stop_at:
-                        return dist
-                    reached.append(nb)
-        frontier = reached
+    for node in itertools.islice(parent, 1, None):
+        dist[node] = dist[parent[node]] + 1
     return dist
 
 
 _DIRECTION_OF: dict[tuple[int, int], Direction] = {delta: d for d, delta in DELTAS.items()}
 
-# Minimal turns indexed by (target - current) % 4; 180 degrees is two RIGHTs.
-_TURNS: tuple[tuple[Action, ...], ...] = (
-    (), (Action.RIGHT,), (Action.RIGHT, Action.RIGHT), (Action.LEFT,))
-
-
-def direction_between(a: Node, b: Node) -> Direction:
-    direction = _DIRECTION_OF.get((b[0] - a[0], b[1] - a[1]))
-    if direction is None:
-        raise InvalidPathError(f"nodes {a} and {b} are not adjacent")
-    return direction
+# The actions of one hop toward direction t from heading f, indexed by
+# (t - f) % 4: the fewest turns (180 degrees is two RIGHTs), then MOVE.
+_HOPS: tuple[tuple[Action, ...], ...] = (
+    (Action.MOVE,), (Action.RIGHT, Action.MOVE), (Action.RIGHT, Action.RIGHT, Action.MOVE),
+    (Action.LEFT, Action.MOVE))
 
 
 def path_to_actions(path: list[Node], start_dir: Direction) -> list[Action]:
     """Translate a node path into turn/move actions ending in STOP."""
     actions: list[Action] = []
-    move = Action.MOVE
     facing = start_dir
     for a, b in zip(path, path[1:]):
-        target = direction_between(a, b)
-        actions += _TURNS[(target - facing) % 4]
-        actions.append(move)
+        target = _DIRECTION_OF.get((b[0] - a[0], b[1] - a[1]))
+        if target is None:
+            raise InvalidPathError(f"nodes {a} and {b} are not adjacent")
+        actions += _HOPS[(target - facing) % 4]
         facing = target
     actions.append(Action.STOP)
     return actions
@@ -454,12 +505,12 @@ def sample_endpoints(world: WorldMap, rng: random.Random, min_dist: int = 4,
         raise ValueError("min_dist must be >= 1")
     width, height = world.width, world.height
     for _ in range(max_attempts):
-        start = (rng.randrange(width), rng.randrange(height))
-        goal = (rng.randrange(width), rng.randrange(height))
+        start = (randbelow(rng, width), randbelow(rng, height))
+        goal = (randbelow(rng, width), randbelow(rng, height))
         if start == goal:
             continue
-        dist = bfs_distances(world, start, stop_at=goal).get(goal)
-        if dist is not None and dist >= min_dist:
+        path = _route(world, start, goal)
+        if path is not None and len(path) > min_dist:
             return start, goal
     raise MapResampleNeeded(
         f"no node pair at distance >= {min_dist} found in {max_attempts} attempts")

@@ -1,9 +1,12 @@
 """World generation, dynamics, and pathfinding tests.
 
-Pathfinding is checked against an independent BFS oracle rather than
-against fixtures, so the two route computations must agree everywhere.
+Pathfinding is checked against oracles rather than fixtures: path lengths
+against the hop distances of `bfs_distances`, and paths themselves against
+an A* search written independently of the breadth-first search that
+`shortest_path` runs, so the route computations must agree everywhere.
 """
 
+import heapq
 import random
 import tracemalloc
 from dataclasses import dataclass
@@ -317,6 +320,78 @@ class TestPathfinding:
     def test_path_to_actions_rejects_disconnected_nodes(self):
         with pytest.raises(InvalidPathError):
             path_to_actions([(0, 0), (2, 0)], Direction.EAST)
+
+
+def astar_path(world: WorldMap, start, goal):
+    """A* with the Manhattan heuristic, ties broken by push order; the node
+    path including both endpoints, or None. shortest_path ran this search
+    before it became a breadth-first search; in a perfect maze both find
+    the one simple path."""
+    gx, gy = goal
+    g = {start: 0}
+    parent = {}
+    frontier = [(abs(start[0] - gx) + abs(start[1] - gy), 0, start)]
+    counter = 0
+    while frontier:
+        _, _, node = heapq.heappop(frontier)
+        if node == goal:
+            path = [node]
+            while node != start:
+                node = parent[node]
+                path.append(node)
+            return path[::-1]
+        base = g[node] + 1
+        for nb in world.neighbors[node]:
+            if base < g.get(nb, 1 << 30):
+                g[nb] = base
+                parent[nb] = node
+                counter += 1
+                heapq.heappush(frontier, (base + abs(nb[0] - gx) + abs(nb[1] - gy), counter, nb))
+    return None
+
+
+def open_grid(width, height):
+    """A world with every grid edge open, so most node pairs have many
+    shortest paths."""
+    nodes = [(x, y) for y in range(height) for x in range(width)]
+    edges = [norm_edge(a, (a[0] + dx, a[1] + dy)) for a in nodes for dx, dy in ((1, 0), (0, 1))
+             if a[0] + dx < width and a[1] + dy < height]
+    return WorldMap(width, height, {}, {e: ("blue", "fish") for e in edges})
+
+
+class TestShortestPathOracle:
+    def test_equals_astar_on_generated_worlds(self):
+        rng = random.Random(2024)
+        sizes = [WorldConfig()] * 3 + [WorldConfig(5, 9), WorldConfig(12, 3)]
+        for k in range(1000):
+            cfg = sizes[k % len(sizes)]
+            world = generate_world(rng, cfg)
+            start = (rng.randrange(cfg.width), rng.randrange(cfg.height))
+            goal = (rng.randrange(cfg.width), rng.randrange(cfg.height))
+            assert shortest_path(world, start, goal) == astar_path(world, start, goal)
+
+    def check_shortest(self, world, start, goal):
+        path = shortest_path(world, start, goal)
+        assert path[0] == start and path[-1] == goal
+        assert len(path) - 1 == bfs_distances(world, start)[goal]
+        assert len(path) == len(astar_path(world, start, goal))
+        for a, b in zip(path, path[1:]):
+            assert norm_edge(a, b) in world.edge_attrs
+
+    def test_shortest_on_worlds_with_cycles(self):
+        world = open_grid(5, 4)
+        for start in world.neighbors:
+            for goal in world.neighbors:
+                self.check_shortest(world, start, goal)
+        # a perfect maze with extra edges opened: loops of every length
+        rng = random.Random(8)
+        for _ in range(50):
+            edges = generate_maze(8, 8, rng)
+            extra = rng.sample(sorted(open_grid(8, 8).edge_attrs.keys() - edges), 12)
+            world = WorldMap(8, 8, {}, {e: ("grass", "tower") for e in (*edges, *extra)})
+            for _ in range(20):
+                self.check_shortest(world, (rng.randrange(8), rng.randrange(8)),
+                                    (rng.randrange(8), rng.randrange(8)))
 
 
 class TestEndpointSampling:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
 from pathlib import Path
@@ -75,7 +74,7 @@ def compare(parent: dict[int, float], change: dict[int, float], better: str | No
            "change": {"by_seed": {str(s): v for s, v in sorted(change.items())},
                       **summary(list(change.values()))}}
     base = out["parent"]["median"]
-    out["ratio"] = out["change"]["median"] / base if base else math.nan
+    out["ratio"] = out["change"]["median"] / base if base else None
     paired = sorted(parent.keys() & change.keys())
     out["pairs"] = len(paired)
     if better is None:
@@ -92,8 +91,8 @@ def compare(parent: dict[int, float], change: dict[int, float], better: str | No
     return out
 
 
-def workload_block(name: str, parent: list[dict], change: list[dict],
-                   better: dict[str, str]) -> dict:
+def workload_block(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """One workload's figures, fingerprints and per-layer blocks, both sides."""
     plain = {side: {r["seed"]: r for r in records if r["trace"] == 0}
              for side, records in (("parent", parent), ("change", change))}
     block: dict = {"seeds": {side: sorted(runs) for side, runs in plain.items()}}
@@ -111,8 +110,6 @@ def workload_block(name: str, parent: list[dict], change: list[dict],
             metrics[metric] = {"unit": entry["unit"], "better": better.get(metric),
                                "alias": first["workload_names"].get(metric)}
             for kind in ("metrics", "raw_metrics"):
-                if metric not in first[kind]:
-                    continue
                 sides = {side: {s: r[kind][metric]["value"] for s, r in runs.items()}
                          for side, runs in plain.items()}
                 metrics[metric]["corrected" if kind == "metrics" else "raw"] = compare(
@@ -138,7 +135,7 @@ def build(parent_dir: Path, change_dir: Path, label: str, notes: list[str],
     names = sorted({r["workload"] for r in parent} | {r["workload"] for r in change})
     workloads = {}
     for name in names:
-        block = workload_block(name, [r for r in parent if r["workload"] == name],
+        block = workload_block([r for r in parent if r["workload"] == name],
                                [r for r in change if r["workload"] == name], better)
         if previous is not None:
             before = previous.get("workloads", {}).get(name, {}).get("metrics", {})
@@ -175,11 +172,9 @@ def main(argv=None) -> int:
               f" of {len(block['fingerprints_equal'])} seeds")
         for metric, entry in block["metrics"].items():
             for kind in ("corrected", "raw"):
-                c = entry.get(kind)
-                if c is None:
-                    continue
+                c = entry[kind]
                 print(f"  {metric:<18} {kind:<9} parent {c['parent']['median']:12.6g} "
-                      f"change {c['change']['median']:12.6g} ratio {c['ratio']:.4f} "
+                      f"change {c['change']['median']:12.6g} ratio {c['ratio']} "
                       f"wins {c['wins']}/{c['pairs']}")
     print(f"wrote {out}")
     return 0

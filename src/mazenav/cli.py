@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,10 +64,33 @@ def resolve_mix(spec: str) -> Optional[dict[TaskCategory, float]]:
     return mix
 
 
+# The source checkout this package runs from, when it runs from one.
+_CHECKOUT = Path(__file__).resolve().parents[2]
+
+
+def _git_revision() -> Optional[str]:
+    """HEAD of the checkout, read from its .git directory without running
+    git; None outside a checkout."""
+    git = _CHECKOUT / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # detached
+        ref = head[len("ref: "):]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
 def _environment() -> dict:
-    """What a run's numbers depend on besides its flags: the Python and numpy
-    versions, the BLAS numpy was built with, the usable CPUs, and the
-    process's peak resident memory so far."""
+    """What a run's numbers depend on besides its flags: the code's git
+    revision, the Python and numpy versions, the BLAS numpy was built with,
+    the usable CPUs, and the process's peak resident memory so far."""
     blas = None
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -80,8 +104,9 @@ def _environment() -> dict:
     else:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         peak_rss_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes or KiB
-    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "usableCpus": nnet._usable_cpus(), "peakRssMb": peak_rss_mb}
+    return {"gitRevision": _git_revision(), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas, "usableCpus": nnet._usable_cpus(),
+            "peakRssMb": peak_rss_mb}
 
 
 def write_manifest(artifact: str, command: str, args: argparse.Namespace,
@@ -142,6 +167,18 @@ def _load_instances(path: str, limit: Optional[int] = None) -> list:
     return list(islice(stream, limit) if limit else stream)
 
 
+def _check_grids_fit(path: str, instances: Sequence) -> None:
+    """Raise ValueError, naming the instance, when a world's lines of sight
+    do not fit the percept grid. train and eval check a full model's data
+    with it up front; a decode would otherwise fail mid-run, at the first
+    pose whose view overflows."""
+    for inst in instances:
+        try:
+            percept.check_grid_fits(inst.world.width, inst.world.height)
+        except percept.GridOverflowError as exc:
+            raise ValueError(f"{path}: instance {inst.id}: {exc}") from None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
     instances = _load_instances(args.data, args.limit)
@@ -162,11 +199,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     vocab = datastore.build_vocab(train_set)
     config = _model_config(args, len(vocab))
     if config.variant == "full":
-        for inst in instances:
-            try:
-                percept.check_grid_fits(inst.world.width, inst.world.height)
-            except percept.GridOverflowError as exc:
-                raise ValueError(f"{args.data}: instance {inst.id}: {exc}") from None
+        _check_grids_fit(args.data, instances)
     model = navmodel.NavModel(config, vocab, seed=args.seed)
     parent = os.path.dirname(args.out_checkpoint)
     if parent:
@@ -192,6 +225,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     instances = _load_instances(args.data, args.limit)
     if not instances:
         raise ValueError(f"no instances in {args.data}")
+    if any(m.config.variant == "full" for m in models):
+        _check_grids_fit(args.data, instances)
     mode = "singleSentence" if args.mode == "single" else "paragraph"
     rate = evalbench.evaluate_ensemble(models, instances, mode=mode,
                                        beam_width=args.beam)

@@ -60,7 +60,7 @@ class ModelRunner:
 
     def predict(self, instance: Instance) -> list[Action]:
         return navmodel.beam_search(instance.world, instance.start,
-                                    [instance.instruction], [self._model],
+                                    instance.instruction, [self._model],
                                     beam_width=self.beam_width,
                                     max_actions=self.max_actions)
 
@@ -151,11 +151,6 @@ def learning_efficiency(model_factory: Callable[[], object],
     return report
 
 
-def oracle_crossing_batch(threshold: float = 0.90) -> int:
-    """Closed form: smallest k with 1 - 0.95**k >= threshold."""
-    return math.ceil(math.log(1.0 - threshold) / math.log(0.95))
-
-
 # ---------------------------------------------------------------------------
 # Golden-section search
 
@@ -221,7 +216,7 @@ def evaluate_ensemble(models: Sequence, instances: Iterable[Instance],
         return 0.0
     wins = 0
     for inst in instances:
-        predicted = navmodel.beam_search(inst.world, inst.start, [inst.instruction],
+        predicted = navmodel.beam_search(inst.world, inst.start, inst.instruction,
                                          models, beam_width=beam_width,
                                          max_actions=max_actions)
         wins += int(success(inst, predicted, mode))

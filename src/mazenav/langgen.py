@@ -226,17 +226,6 @@ def _segments(actions: Iterable[Action]) -> Iterator[Segment]:
         yield Segment(kind, tuple(run))
 
 
-def segment_path(actions: Sequence[Action]) -> list[Segment]:
-    """Split an action sequence into maximal turn/move runs.
-
-    A trailing STOP is stripped; STOP anywhere else is rejected.
-    """
-    body = list(actions)
-    if Action.STOP in body[:-1]:
-        raise ValueError("STOP before end of action sequence")
-    return list(_segments(body))
-
-
 def segment_actions(segments: Sequence[Segment]) -> list[Action]:
     """Flatten segments back to actions, appending the terminating STOP."""
     out = [a for seg in segments for a in seg.actions]

@@ -35,7 +35,7 @@ import os
 import random
 from dataclasses import dataclass, field, asdict
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -469,16 +469,6 @@ class NavModel:
         d_hidden *= 1.0 - hidden * hidden  # the tanh
         return p["attn_W1"].data.T @ d_hidden
 
-    def action_accuracy(self, instances: Iterable[Instance]) -> float:
-        """Per-action greedy teacher-forced accuracy (training diagnostics)."""
-        correct = total = 0
-        for inst in instances:
-            record = self.sequence_loss(inst)
-            for step_record, gold in zip(record.steps, record.golds):
-                correct += int(np.argmax(step_record["dist"][0]) == gold)
-                total += 1
-        return correct / max(total, 1)
-
     def train_on(self, instance: Instance, lr: float = 1e-3,
                  clip_threshold: float = 5.0) -> tuple[float, float]:
         """Single-instance update: forward, backward, clip at 5, Adam.
@@ -662,46 +652,40 @@ class Rollout:
         return self.model.decode_step(z, c, percept, record)
 
 
-def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]],
+def beam_search(world: WorldMap, start: Pose, instruction: Sequence[str],
                 models: Sequence[NavModel], beam_width: Optional[int] = None,
                 max_actions: Optional[int] = None) -> list[Action]:
-    """Ensemble beam search over action sequences, chained across sentences.
+    """Ensemble beam search over the action sequences for one instruction.
 
     Candidate scores are sums of log of the ensemble-averaged action
     probabilities, with no length normalization. A hypothesis ends when it
     emits STOP, walks into a wall (kept only as a last resort if every
-    hypothesis fails), or uses up `max_actions` for the current sentence.
-    Between sentences the surviving poses and scores are kept and the next
-    sentence is freshly encoded. Ties break toward the lower action index,
-    so beam_width=1 reproduces a greedy argmax rollout exactly.
+    hypothesis fails), or uses up `max_actions`. Ties break toward the
+    lower action index, so beam_width=1 reproduces a greedy argmax rollout
+    exactly.
 
     The live hypotheses are rows: row j has score scores[j], stands at
     poses[j] after the actions paths[j], and is row j of every member's
     Rollout state, which it advances exactly as it would on its own.
 
-    A sentence's result is decided by its `decisive` best finished entries:
-    the first on the last sentence, whose path is returned, and the
-    `width` carried over to the next sentence before it. Once that many
-    have finished, every live row scoring at or below the bar (the
-    `decisive`-th best finished score) is dropped after each step's
-    selection, and the sentence ends when no row is left (Huang, Zhao & Ma
-    2017, "When to Finish? Optimal Beam Search for Neural Text
-    Generation"). The pruning is exact. A step adds the log of a mean of
-    softmax rows, which is <= 0, and rounding is monotone, so a dropped
-    row's descendants all end at or below the bar; one that ties the bar
-    ends later than the entries it ties, so the stable reverse sort puts
-    it after them, and no descendant enters the decisive entries. Every
-    candidate above the bar outranks every descendant of a dropped row, so
-    it keeps its rank in each step's selection: the rows that stay live,
-    the decisive entries and their order are the same as without pruning.
-    At width 1 nothing has finished while a row is live, so greedy decoding
-    never prunes. While a finished score is NaN, nothing is pruned; a NaN
-    row is never at or below the bar, so it is never dropped.
+    The best finished entry's path is returned. Once one has finished,
+    every live row scoring at or below the bar (the best finished score) is
+    dropped after each step's selection, and the search ends when no row is
+    left (Huang, Zhao & Ma 2017, "When to Finish? Optimal Beam Search for
+    Neural Text Generation"). The pruning is exact. A step adds the log of
+    a mean of softmax rows, which is <= 0, and rounding is monotone, so a
+    dropped row's descendants all end at or below the bar; one that ties
+    the bar ends later than the entry it ties, so the stable reverse sort
+    puts it after that entry. Every candidate above the bar outranks every
+    descendant of a dropped row, so it keeps its rank in each step's
+    selection: the rows that stay live and the best finished entry are the
+    same as without pruning. At width 1 nothing has finished while a row is
+    live, so greedy decoding never prunes. While a finished score is NaN,
+    nothing is pruned; a NaN row is never at or below the bar, so it is
+    never dropped.
     """
     if not models:
         raise ValueError("beam_search needs at least one model")
-    if not sentences:
-        raise ValueError("beam_search needs at least one sentence")
     config = models[0].config
     width = beam_width if beam_width is not None else config.beam_width
     budget = max_actions if max_actions is not None else config.max_actions
@@ -712,62 +696,55 @@ def beam_search(world: WorldMap, start: Pose, sentences: Sequence[Sequence[str]]
 
     percepts = Percepts(world)
     rollouts = [Rollout(m, percepts) for m in models]
+    states = []
+    for m in models:
+        h, c, _ = m.encode(m.vocab.encode(instruction))
+        states.append((h[None], c[None]))
     n_act = len(ACTIONS)
     scores = np.zeros(1)
     poses = [start]
     paths: list[list[Action]] = [[]]
-    for n, sentence in enumerate(sentences):
-        decisive = 1 if n == len(sentences) - 1 else width
-        states = []
-        for m in models:
-            h, c, _ = m.encode(m.vocab.encode(list(sentence)))
-            states.append((np.tile(h, (len(poses), 1)), np.tile(c, (len(poses), 1))))
-        prev = np.full(len(poses), ACTION_INDEX[Action.STOP])
-        finished: list[tuple[float, Pose, list[Action]]] = []
-        failed: list[tuple[float, Pose, list[Action]]] = []
-        for _ in range(budget):
-            if not poses:
-                break
-            dists = []
-            for k, rollout in enumerate(rollouts):
-                h, c, dist = rollout.step(*states[k], poses, prev)
-                states[k] = (h, c)
-                dists.append(dist)
-            totals = (scores[:, None] + np.log(np.mean(dists, axis=0))).ravel()
-            # Best first; the stable sort breaks ties by row, then action.
-            best = np.argsort(-totals, kind="stable")[:width]
-            live = []  # (flat index, pose, path) of the candidates that stay live
-            for flat in best.tolist():
-                row, a_idx = divmod(flat, n_act)
-                action = ACTIONS[a_idx]
-                pose = step(world, poses[row], action)
-                path = paths[row] + [action]
-                if action is Action.STOP:
-                    finished.append((totals[flat], poses[row], path))
-                elif pose is None:
-                    failed.append((totals[flat], poses[row], path))
-                else:
-                    live.append((flat, pose, path))
-            if live and len(finished) >= decisive:
-                ends = sorted(score for score, _, _ in finished)
-                if not any(map(math.isnan, ends)):
-                    bar = ends[-decisive]
-                    live = [entry for entry in live if not totals[entry[0]] <= bar]
-            kept = [flat for flat, _, _ in live]
-            rows, prev = np.divmod(np.array(kept, dtype=np.intp), n_act)
-            scores = totals[kept]
-            poses = [pose for _, pose, _ in live]
-            paths = [path for _, _, path in live]
-            states = [(h[rows], c[rows]) for h, c in states]
-        finished += zip(scores, poses, paths)  # ran out of the per-sentence budget
-        # reverse=True keeps hypotheses of equal score in the order they ended
-        pool = sorted(finished or failed, key=itemgetter(0), reverse=True)[:width]
-        if not pool:
-            raise RuntimeError("beam search lost every hypothesis")
-        scores = np.array([score for score, _, _ in pool])
-        poses = [pose for _, pose, _ in pool]
-        paths = [path for _, _, path in pool]
-    return paths[0]
+    prev = np.full(1, ACTION_INDEX[Action.STOP])
+    finished: list[tuple[float, list[Action]]] = []
+    failed: list[tuple[float, list[Action]]] = []
+    for _ in range(budget):
+        if not poses:
+            break
+        dists = []
+        for k, rollout in enumerate(rollouts):
+            h, c, dist = rollout.step(*states[k], poses, prev)
+            states[k] = (h, c)
+            dists.append(dist)
+        totals = (scores[:, None] + np.log(np.mean(dists, axis=0))).ravel()
+        # Best first; the stable sort breaks ties by row, then action.
+        best = np.argsort(-totals, kind="stable")[:width]
+        live = []  # (flat index, pose, path) of the candidates that stay live
+        for flat in best.tolist():
+            row, a_idx = divmod(flat, n_act)
+            action = ACTIONS[a_idx]
+            pose = step(world, poses[row], action)
+            path = paths[row] + [action]
+            if action is Action.STOP:
+                finished.append((totals[flat], path))
+            elif pose is None:
+                failed.append((totals[flat], path))
+            else:
+                live.append((flat, pose, path))
+        if live and finished:
+            ends = [score for score, _ in finished]
+            if not any(map(math.isnan, ends)):
+                bar = max(ends)
+                live = [entry for entry in live if not totals[entry[0]] <= bar]
+        kept = [flat for flat, _, _ in live]
+        rows, prev = np.divmod(np.array(kept, dtype=np.intp), n_act)
+        scores = totals[kept]
+        poses = [pose for _, pose, _ in live]
+        paths = [path for _, _, path in live]
+        states = [(h[rows], c[rows]) for h, c in states]
+    finished += zip(scores, paths)  # ran out of the action budget
+    # reverse=True keeps hypotheses of equal score in the order they ended;
+    # the first step ends or keeps at least one, so the list is never empty
+    return sorted(finished or failed, key=itemgetter(0), reverse=True)[0][1]
 
 
 # ---------------------------------------------------------------------------

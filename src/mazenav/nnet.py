@@ -47,7 +47,6 @@ import contextvars
 import functools
 import math
 import os
-import random
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -590,55 +589,3 @@ def _adam_blocks(todo: collections.deque, beta1: float, beta2: float,
         np.divide(mb, s, out=s)
         s *= alpha
         data -= s
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-
-
-def finite_diff_check(model, instance, h: float = 1e-5, tol: float = 1e-4,
-                      samples_per_param: Optional[int] = 8,
-                      seed: int = 0) -> dict:
-    """Compare backprop gradients against central finite differences.
-
-    `model` must expose params(), sequence_loss(instance), whose result
-    holds the loss as `loss`, and backward(result), which writes the
-    gradients that training applies into each Param's grad. For each
-    parameter a deterministic sample of entries (all entries when
-    samples_per_param is None) is perturbed by ±h and the difference of
-    the loss is compared with that gradient. Relative error uses
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-6) so that
-    near-zero gradient pairs are compared absolutely.
-
-    Returns {"pass": bool, "maxRelError": float, "perParam": {name: err}}.
-    """
-    params = list(model.params())
-    model.backward(model.sequence_loss(instance))
-    grads = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-             for p in params}
-
-    rng = random.Random(seed)
-    per_param: dict[str, float] = {}
-    worst = 0.0
-    for p in params:
-        size = p.data.size
-        if samples_per_param is None or samples_per_param >= size:
-            entries = range(size)
-        else:
-            entries = rng.sample(range(size), samples_per_param)
-        flat = p.data.reshape(-1)
-        err = 0.0
-        for k in entries:
-            orig = flat[k]
-            flat[k] = orig + h
-            up = float(model.sequence_loss(instance).loss)
-            flat[k] = orig - h
-            down = float(model.sequence_loss(instance).loss)
-            flat[k] = orig
-            numeric = (up - down) / (2.0 * h)
-            analytic = float(grads[p.name].reshape(-1)[k])
-            denom = max(abs(analytic), abs(numeric), 1e-6)
-            err = max(err, abs(analytic - numeric) / denom)
-        per_param[p.name] = err
-        worst = max(worst, err)
-    return {"pass": worst < tol, "maxRelError": worst, "perParam": per_param}

@@ -7,7 +7,6 @@ growing South, so North decreases y. Clockwise order is N, E, S, W.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -463,16 +462,6 @@ def shortest_path(world: WorldMap, start: Node, goal: Node) -> list[Node]:
     if path is None:
         raise NoPathError(f"no path from {start} to {goal}")
     return path
-
-
-def bfs_distances(world: WorldMap, start: Node, stop_at: Node | None = None) -> dict[Node, int]:
-    """Hop distances from `start` to every reachable node. With `stop_at`, the
-    search ends once that node is reached, so farther nodes may be missing."""
-    parent = _reached(world, start, stop_at)
-    dist = {start: 0}
-    for node in itertools.islice(parent, 1, None):
-        dist[node] = dist[parent[node]] + 1
-    return dist
 
 
 _DIRECTION_OF: dict[tuple[int, int], Direction] = {delta: d for d, delta in DELTAS.items()}

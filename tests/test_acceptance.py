@@ -28,7 +28,6 @@ from mazenav.evalbench import (
     ModelRunner,
     evaluate_ensemble,
     learning_efficiency,
-    oracle_crossing_batch,
     run_fixed_experiment,
     success,
 )
@@ -37,22 +36,26 @@ from mazenav.langgen import (
     TaskCategory,
     generate_dataset,
     match_pattern,
-    segment_path,
 )
 from mazenav.navmodel import ModelConfig, NavModel, beam_search
-from mazenav.nnet import finite_diff_check
 from mazenav.worldsim import (
     ACTION_INDEX,
     ACTIONS,
     Action,
     Outcome,
     WorldConfig,
-    bfs_distances,
     execute,
     generate_maze,
     sample_endpoints,
     shortest_path,
     step,
+)
+from oracles import (
+    action_accuracy,
+    bfs_distances,
+    finite_diff_check,
+    oracle_crossing_batch,
+    segment_path,
 )
 from tape import TapeModel
 
@@ -255,7 +258,7 @@ def test_criterion_07_conv_shape():
     nnet.conv2d_valid = spy
     try:
         inst = instances[0]
-        beam_search(inst.world, inst.start, [inst.instruction], [model],
+        beam_search(inst.world, inst.start, inst.instruction, [model],
                     beam_width=1, max_actions=1)
     finally:
         nnet.conv2d_valid = original
@@ -284,7 +287,7 @@ def test_criterion_08_optimization_smoke():
         for i in order:
             _, post_norm = model.train_on(instances[i])
             max_norm = max(max_norm, post_norm)
-        accuracy = model.action_accuracy(instances)
+        accuracy = action_accuracy(model, instances)
         if accuracy >= 0.99:
             reached_at = epoch
             break
@@ -414,13 +417,13 @@ def test_criterion_12_beam_and_ensemble_identities():
     beam_mismatches = 0
     ensemble_mismatches = 0
     for inst in instances:
-        one = beam_search(inst.world, inst.start, [inst.instruction], [model],
+        one = beam_search(inst.world, inst.start, inst.instruction, [model],
                           beam_width=1)
         if one != greedy(inst):
             beam_mismatches += 1
-        single = beam_search(inst.world, inst.start, [inst.instruction],
+        single = beam_search(inst.world, inst.start, inst.instruction,
                              [model], beam_width=4)
-        duo = beam_search(inst.world, inst.start, [inst.instruction],
+        duo = beam_search(inst.world, inst.start, inst.instruction,
                           [model, model], beam_width=4)
         if duo != single:
             ensemble_mismatches += 1

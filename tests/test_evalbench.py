@@ -16,13 +16,13 @@ from mazenav.evalbench import (
     gold_final_pose,
     golden_section,
     learning_efficiency,
-    oracle_crossing_batch,
     run_fixed_experiment,
     success,
 )
 from mazenav.langgen import TaskCategory, generate_dataset
 from mazenav.navmodel import ModelConfig, NavModel
 from mazenav.worldsim import Action, Direction, WorldConfig, execute
+from oracles import oracle_crossing_batch
 
 SMALL_WORLD = WorldConfig(width=5, height=5)
 LO_MIX = {TaskCategory.LANGUAGE_ONLY: 1.0}

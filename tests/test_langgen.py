@@ -30,7 +30,6 @@ from mazenav.langgen import (
     realize,
     realize_binding,
     segment_actions,
-    segment_path,
 )
 from mazenav.worldsim import (
     Action,
@@ -38,10 +37,10 @@ from mazenav.worldsim import (
     Outcome,
     Pose,
     WorldConfig,
-    bfs_distances,
     execute,
     generate_world,
 )
+from oracles import bfs_distances, segment_path
 
 BANK = TemplateBank.load_default()
 

@@ -25,6 +25,7 @@ from mazenav.navmodel import (
     train,
 )
 from mazenav.worldsim import ACTION_INDEX, ACTIONS, Action, WorldConfig, step
+from oracles import action_accuracy
 from tape import TapeModel, tape_train_on
 from tape import backward as tape_backward
 from test_nnet import (  # noqa: F401 (fresh_helper is a fixture)
@@ -421,7 +422,7 @@ class TestBackward:
                 correct += int(np.argmax(dist.data) == ACTION_INDEX[action])
                 total += 1
                 pose, prev = step(inst.world, pose, action), action
-        assert model.action_accuracy(lo_instances) == correct / total
+        assert action_accuracy(model, lo_instances) == correct / total
 
     def test_training_matches_tape_training(self):
         # train_on's gradients are the tape's, so 50 updates equal those of a
@@ -528,50 +529,46 @@ def greedy_rollout(model, inst, budget):
     return out
 
 
-def oracle_beam_search(world, start, sentences, models, width, budget):
+def oracle_beam_search(world, start, instruction, models, width, budget):
     """Independent per-hypothesis beam search: each hypothesis keeps its own
     per-member states and is advanced through the tape's percept_vector +
     decode_step, one member at a time. The reference that beam_search must
     match."""
-    beam = [(start, 0.0, [])]  # pose, score, actions
     tape_models = [TapeModel(m) for m in models]
-    for sentence in sentences:
-        encoded = [tm.encode(tm.vocab.encode(list(sentence))) for tm in tape_models]
-        live = [(pose, score, acts, encoded, Action.STOP)
-                for pose, score, acts in beam]
-        finished, failed = [], []
-        for _ in range(budget):
-            if not live:
-                break
-            candidates = []
-            for k, (pose, score, _, states, prev) in enumerate(live):
-                dists, advanced = [], []
-                for tape_model, state in zip(tape_models, states):
-                    c_t = tape_model.percept_vector(world, pose, state)
-                    new_state, dist = tape_model.decode_step(state, c_t, prev)
-                    dists.append(dist.data)
-                    advanced.append(new_state)
-                avg = np.mean(dists, axis=0)
-                for a in range(len(ACTIONS)):
-                    candidates.append((score + float(np.log(avg[a])), k, a, advanced))
-            candidates.sort(key=lambda cand: (-cand[0], cand[1], cand[2]))
-            next_live = []
-            for score, k, a, advanced in candidates[:width]:
-                pose, acts = live[k][0], live[k][2]
-                nxt = step(world, pose, ACTIONS[a])
-                hyp = (nxt or pose, score, acts + [ACTIONS[a]], advanced, ACTIONS[a])
-                if ACTIONS[a] is Action.STOP:
-                    finished.append(hyp)
-                elif nxt is None:
-                    failed.append(hyp)
-                else:
-                    next_live.append(hyp)
-            live = next_live
-        finished.extend(live)  # ran out of the per-sentence budget
-        pool = finished if finished else failed
-        pool.sort(key=lambda hyp: -hyp[1])
-        beam = [(pose, score, acts) for pose, score, acts, _, _ in pool[:width]]
-    return beam[0][2]
+    encoded = [tm.encode(tm.vocab.encode(list(instruction))) for tm in tape_models]
+    live = [(start, 0.0, [], encoded, Action.STOP)]  # pose, score, actions, states, prev
+    finished, failed = [], []
+    for _ in range(budget):
+        if not live:
+            break
+        candidates = []
+        for k, (pose, score, _, states, prev) in enumerate(live):
+            dists, advanced = [], []
+            for tape_model, state in zip(tape_models, states):
+                c_t = tape_model.percept_vector(world, pose, state)
+                new_state, dist = tape_model.decode_step(state, c_t, prev)
+                dists.append(dist.data)
+                advanced.append(new_state)
+            avg = np.mean(dists, axis=0)
+            for a in range(len(ACTIONS)):
+                candidates.append((score + float(np.log(avg[a])), k, a, advanced))
+        candidates.sort(key=lambda cand: (-cand[0], cand[1], cand[2]))
+        next_live = []
+        for score, k, a, advanced in candidates[:width]:
+            pose, acts = live[k][0], live[k][2]
+            nxt = step(world, pose, ACTIONS[a])
+            hyp = (nxt or pose, score, acts + [ACTIONS[a]], advanced, ACTIONS[a])
+            if ACTIONS[a] is Action.STOP:
+                finished.append(hyp)
+            elif nxt is None:
+                failed.append(hyp)
+            else:
+                next_live.append(hyp)
+        live = next_live
+    finished.extend(live)  # ran out of the action budget
+    pool = finished if finished else failed
+    pool.sort(key=lambda hyp: -hyp[1])
+    return pool[0][2]
 
 
 def steer(model):
@@ -586,20 +583,17 @@ def steer(model):
 
 class TestBeamOracle:
     """beam_search returns the oracle's actions, variant by variant, for
-    ensembles and for chained sentences; each case runs with the models as
+    single members and ensembles; each case runs with the models as
     initialized (beams end after a step or two) and steered (the oracle's
     beams, which are never pruned, use the whole budget)."""
 
-    def check(self, models, instances, width, steered, budget=10, sentences=1):
+    def check(self, models, instances, width, steered, budget=10):
         if steered:
             models = [steer(m) for m in models]
-        for i, inst in enumerate(instances):
-            # chain the instructions of the instances that follow, cyclically
-            chain = [instances[(i + k) % len(instances)].instruction
-                     for k in range(sentences)]
-            expected = oracle_beam_search(inst.world, inst.start, chain, models,
+        for inst in instances:
+            expected = oracle_beam_search(inst.world, inst.start, inst.instruction, models,
                                           width, budget)
-            got = beam_search(inst.world, inst.start, chain, models,
+            got = beam_search(inst.world, inst.start, inst.instruction, models,
                               beam_width=width, max_actions=budget)
             assert got == expected, inst.id
 
@@ -629,25 +623,6 @@ class TestBeamOracle:
         models = [make_model(shared_vocab, variant="full", seed=24),
                   make_model(shared_vocab, variant="bagOfFeatures", seed=25)]
         self.check(models, lo_instances, width, steered)
-
-    @pytest.mark.parametrize("steered", [False, True])
-    @pytest.mark.parametrize("width", [1, 2, 4])
-    def test_chained_sentences(self, shared_vocab, lo_instances, width, steered):
-        models = [make_model(shared_vocab, variant="full", seed=s) for s in (26, 27)]
-        self.check(models, lo_instances[:6], width, steered, budget=6, sentences=2)
-
-    @pytest.mark.parametrize("steered", [False, True])
-    @pytest.mark.parametrize("zeroed", [False, True], ids=["plain", "zeroed"])
-    @pytest.mark.parametrize("width", [2, 3, 4])
-    @pytest.mark.parametrize("variant", ["full", "languageOnly", "bagOfFeatures"])
-    def test_three_chained_sentences(self, shared_vocab, lo_instances, variant, width,
-                                     zeroed, steered):
-        # before the last sentence the pruning bar is the width-th best
-        # finished score, and the whole pool carries over in its order
-        models = [make_model(shared_vocab, variant=variant, seed=s) for s in (30, 31)]
-        if zeroed:
-            models = [zero_model(m) for m in models]
-        self.check(models, lo_instances[:10], width, steered, budget=6, sentences=3)
 
     @pytest.mark.parametrize("steered", [False, True])
     @pytest.mark.parametrize("width", [2, 4])
@@ -722,7 +697,7 @@ class TestBeamSearch:
     def test_beam_one_equals_greedy(self, shared_vocab, lo_instances):
         model = make_model(shared_vocab, seed=5)
         for inst in lo_instances:
-            predicted = beam_search(inst.world, inst.start, [inst.instruction],
+            predicted = beam_search(inst.world, inst.start, inst.instruction,
                                     [model], beam_width=1, max_actions=10)
             assert predicted == greedy_rollout(model, inst, 10)
 
@@ -730,11 +705,11 @@ class TestBeamSearch:
         # averaging k identical distributions is bit-exact for power-of-two k
         model = make_model(shared_vocab, seed=6)
         for inst in lo_instances[:6]:
-            single = beam_search(inst.world, inst.start, [inst.instruction],
+            single = beam_search(inst.world, inst.start, inst.instruction,
                                  [model], beam_width=4, max_actions=8)
-            duo = beam_search(inst.world, inst.start, [inst.instruction],
+            duo = beam_search(inst.world, inst.start, inst.instruction,
                               [model, model], beam_width=4, max_actions=8)
-            quad = beam_search(inst.world, inst.start, [inst.instruction],
+            quad = beam_search(inst.world, inst.start, inst.instruction,
                                [model] * 4, beam_width=4, max_actions=8)
             assert duo == single
             assert quad == single
@@ -770,18 +745,9 @@ class TestBeamSearch:
             return best if best[1] is not None else fallback
 
         expected_score, expected = brute_force()
-        got = beam_search(inst.world, inst.start, [inst.instruction], [model],
+        got = beam_search(inst.world, inst.start, inst.instruction, [model],
                           beam_width=300, max_actions=budget)
         assert got == expected
-
-    def test_multi_sentence_chains_poses(self, shared_vocab, lo_instances):
-        model = make_model(shared_vocab, seed=8)
-        a, b = lo_instances[0], lo_instances[1]
-        combined = beam_search(a.world, a.start,
-                               [a.instruction, b.instruction], [model],
-                               beam_width=2, max_actions=6)
-        assert len(combined) <= 12
-        assert all(isinstance(x, Action) for x in combined)
 
     @pytest.mark.parametrize("name, value", [("beam_width", 0), ("beam_width", -2),
                                              ("max_actions", 0), ("max_actions", -1)])
@@ -791,19 +757,19 @@ class TestBeamSearch:
         model = make_model(shared_vocab)
         message = f"{name} must be at least 1, got {value}"
         with pytest.raises(ValueError, match=message):
-            beam_search(inst.world, inst.start, [inst.instruction], [model],
+            beam_search(inst.world, inst.start, inst.instruction, [model],
                         **{name: value})
         # the same check applies to the model config's defaults
         model = make_model(shared_vocab, **{name: value})
         with pytest.raises(ValueError, match=message):
-            beam_search(inst.world, inst.start, [inst.instruction], [model])
+            beam_search(inst.world, inst.start, inst.instruction, [model])
 
     def test_requires_models_and_sentences(self, shared_vocab, lo_instances):
         inst = lo_instances[0]
         model = make_model(shared_vocab)
         with pytest.raises(ValueError):
-            beam_search(inst.world, inst.start, [inst.instruction], [])
-        with pytest.raises(ValueError):
+            beam_search(inst.world, inst.start, inst.instruction, [])
+        with pytest.raises(ValueError, match="empty instruction"):
             beam_search(inst.world, inst.start, [], [model])
 
 
@@ -846,7 +812,7 @@ class TestBeamPruning:
         assert settled
         for inst in settled:
             step_calls[0] = 0
-            got = beam_search(inst.world, inst.start, [inst.instruction], models,
+            got = beam_search(inst.world, inst.start, inst.instruction, models,
                               beam_width=4, max_actions=10)
             assert got == [Action.STOP]
             assert step_calls[0] == len(models), inst.id
@@ -864,7 +830,7 @@ class TestBeamPruning:
         budget = 10
         for inst in lo_instances:
             step_calls[0] = 0
-            got = beam_search(inst.world, inst.start, [inst.instruction], models,
+            got = beam_search(inst.world, inst.start, inst.instruction, models,
                               beam_width=4, max_actions=budget)
             assert len(got) == budget
             assert step_calls[0] == budget * len(models), inst.id
@@ -894,7 +860,7 @@ def test_traced_names_run_in_training_and_decoding(monkeypatch, shared_vocab, lo
     model.train_on(inst)
     trained = calls.copy()
     calls.clear()
-    beam_search(inst.world, inst.start, [inst.instruction], [model], beam_width=4)
+    beam_search(inst.world, inst.start, inst.instruction, [model], beam_width=4)
     decoded = calls.copy()
     assert trained["mazenav.nnet.backward"] == 1
     for owner, name in TRACED_NAMES:
@@ -923,9 +889,9 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         again = load_checkpoint(path)
         inst = lo_instances[2]
-        mine = beam_search(inst.world, inst.start, [inst.instruction], [model],
+        mine = beam_search(inst.world, inst.start, inst.instruction, [model],
                            beam_width=4, max_actions=8)
-        theirs = beam_search(inst.world, inst.start, [inst.instruction],
+        theirs = beam_search(inst.world, inst.start, inst.instruction,
                              [again], beam_width=4, max_actions=8)
         assert mine == theirs
 

@@ -32,10 +32,10 @@ from mazenav.nnet import (
     Param,
     adam_step,
     clip_global_norm,
-    finite_diff_check,
     global_grad_norm,
     zero_grad,
 )
+from oracles import finite_diff_check
 from tape import (
     Leaf,
     Tensor,

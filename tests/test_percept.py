@@ -27,7 +27,6 @@ from mazenav.worldsim import (
     Direction,
     Pose,
     WorldConfig,
-    bfs_distances,
     generate_world,
     norm_edge,
 )

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -15,9 +16,10 @@ import sys
 import numpy as np
 import pytest
 
-from mazenav import datastore
+from mazenav import cli, datastore, navmodel
 from mazenav.cli import MIX_PRESETS, build_parser, default_seed, main, resolve_mix
-from mazenav.langgen import DEFAULT_MIX, TaskCategory, generate_dataset
+from mazenav.langgen import DEFAULT_MIX, TaskCategory, generate_dataset, generate_instance
+from mazenav.navmodel import ModelConfig, NavModel, save_checkpoint
 from mazenav.render import (
     AGENT_CHARS,
     ITEM_CHARS,
@@ -210,7 +212,9 @@ class TestCliWorkflow:
         assert manifest["config"]["count"] == 30
         assert manifest["timestamps"]["end"] >= manifest["timestamps"]["start"]
         env = manifest["environment"]
-        assert sorted(env) == ["blas", "numpy", "peakRssMb", "python", "usableCpus"]
+        assert sorted(env) == ["blas", "gitRevision", "numpy", "peakRssMb", "python",
+                               "usableCpus"]
+        assert env["gitRevision"] == cli._git_revision()
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["blas"] is None or sorted(env["blas"]) == ["name", "version"]
@@ -321,6 +325,43 @@ class TestCliWorkflow:
         assert summary["evals"] == 3
 
 
+class TestGitRevision:
+    HASH = "0123456789abcdef0123456789abcdef01234567"
+
+    def test_checkout_head(self):
+        # HEAD of the tests' own checkout, or None where the package runs from
+        # no checkout; git itself is the reference where it can read the checkout
+        revision = cli._git_revision()
+        if not (cli._CHECKOUT / ".git").exists():
+            assert revision is None
+            return
+        assert re.fullmatch("[0-9a-f]{40}([0-9a-f]{24})?", revision)
+        try:
+            expected = subprocess.run(
+                ["git", "--git-dir", str(cli._CHECKOUT / ".git"), "rev-parse", "HEAD"],
+                capture_output=True, text=True, check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return  # no git to compare with
+        assert revision == expected
+
+    @pytest.mark.parametrize("layout", ["detached", "loose", "packed", "unborn", "none"])
+    def test_reads_head_without_git(self, tmp_path, monkeypatch, layout):
+        git = tmp_path / ".git"
+        if layout != "none":
+            (git / "refs" / "heads").mkdir(parents=True)
+            head = self.HASH if layout == "detached" else "ref: refs/heads/main"
+            (git / "HEAD").write_text(head + "\n")
+        if layout == "loose":
+            (git / "refs" / "heads" / "main").write_text(self.HASH + "\n")
+        if layout == "packed":
+            (git / "packed-refs").write_text(
+                "# pack-refs with: peeled fully-peeled sorted\n"
+                f"{'f' * 40} refs/heads/other\n{self.HASH} refs/heads/main\n")
+        monkeypatch.setattr(cli, "_CHECKOUT", tmp_path)
+        expected = None if layout in ("unborn", "none") else self.HASH
+        assert cli._git_revision() == expected
+
+
 class TestCliErrors:
     def test_unknown_mix_exits_2(self, tmp_path, capsys):
         rc = main(["gen", "--count", "1", "--mix", "nope",
@@ -388,6 +429,44 @@ class TestCliErrors:
         assert rc == 2
         assert "12x12" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("variants, rc", [(("full",), 2),
+                                              (("languageOnly", "full"), 2),
+                                              (("languageOnly", "bagOfFeatures"), 0)],
+                             ids=["full", "lo+full", "lo+bof"])
+    def test_eval_checks_full_members_grids_before_decoding(self, tmp_path, capsys,
+                                                            monkeypatch, variants, rc):
+        # 14x14 worlds have lines of sight of up to 27 cells: a full member
+        # cannot encode them, the other variants read no grid
+        data = tmp_path / "big.jsonl"
+        datastore.write_instances(
+            [generate_instance(None, WorldConfig(width=14, height=14), random.Random(k),
+                               instance_id=k) for k in range(6)], str(data))
+        vocab = datastore.Vocabulary(["go", "left", "right"])
+        handles = []
+        for k, variant in enumerate(variants):
+            config = ModelConfig(vocab_size=len(vocab), embed_dim=8, encoder_hidden=8,
+                                 attention_hidden=8, conv_channels=4,
+                                 extra_convs=((3, 3, 4),), variant=variant)
+            handles.append(str(tmp_path / f"m{k}"))
+            save_checkpoint(NavModel(config, vocab, seed=k), handles[-1])
+        decodes = []
+        real_beam_search = navmodel.beam_search
+
+        def counted(*args, **kwargs):
+            decodes.append(1)
+            return real_beam_search(*args, **kwargs)
+
+        monkeypatch.setattr(navmodel, "beam_search", counted)
+        assert main(["eval", "--data", str(data), "--checkpoint", *handles]) == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert f"error: {data}: instance 0: a 14x14 world has lines of sight of up to " \
+                   "27 cells, the percept grid holds 20" in err
+            assert not decodes
+        else:
+            assert json.loads(out.strip().splitlines()[-1])["instances"] == 6
+            assert len(decodes) == 6
 
     def test_train_rejects_malformed_map_before_model(self, tmp_path, capsys):
         data = tmp_path / "bad.jsonl"

@@ -27,7 +27,6 @@ from mazenav.worldsim import (
     WorldMap,
     _grid,
     _table_runs,
-    bfs_distances,
     decorate,
     execute,
     generate_maze,
@@ -40,6 +39,7 @@ from mazenav.worldsim import (
     world_from_dict,
     world_to_dict,
 )
+from oracles import bfs_distances
 
 FLOORS = ("blue", "brick", "concrete", "flower", "grass", "gravel", "wood", "yellow")
 

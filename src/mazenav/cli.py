@@ -136,8 +136,10 @@ def _model_config(args: argparse.Namespace, vocab_size: int) -> navmodel.ModelCo
     config = navmodel.ModelConfig()
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        config = navmodel.ModelConfig.from_dict({**config.to_dict(), **overrides})
+            try:
+                config = navmodel.ModelConfig.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"--config {args.config}: {exc}") from None
     variant = VARIANT_ALIASES.get(args.variant)
     if variant is None:
         raise ValueError(f"unknown variant {args.variant!r}")
@@ -212,7 +214,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                    extra_artifacts=[history_path])
     print(json.dumps({
         "epochs": result.epochs_run,
-        "bestDevSuccess": result.best_dev_success if result.epochs_run else None,
+        "bestDevSuccess": result.best_dev_success,
         "checkpoint": args.out_checkpoint,
     }))
     return 0
@@ -399,7 +401,7 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--height", type=int, default=8)
     p.add_argument("--p-item", type=_probability, default=0.25, dest="p_item")
-    p.add_argument("--min-dist", type=int, default=4, dest="min_dist")
+    p.add_argument("--min-dist", type=_positive_int, default=4, dest="min_dist")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -441,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     _add_model_flags(p)
     p.add_argument("--out-checkpoint", required=True, dest="out_checkpoint")
-    p.add_argument("--max-epochs", type=int, default=200, dest="max_epochs")
+    p.add_argument("--max-epochs", type=_positive_int, default=200, dest="max_epochs")
     p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--limit", type=_positive_int, default=None)
     p.add_argument("--dev-limit", type=_positive_int, default=None, dest="dev_limit")

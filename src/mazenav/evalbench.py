@@ -176,6 +176,8 @@ def golden_section(objective: Callable[[float], float], lo: float, hi: float,
     """
     if not lo < hi:
         raise ValueError("golden_section requires lo < hi")
+    if max_evals < 2:  # the first two probes are always taken
+        raise ValueError(f"golden_section needs max_evals >= 2, got {max_evals}")
     a, b = float(lo), float(hi)
     x1 = b - GOLDEN_RATIO * (b - a)
     x2 = a + GOLDEN_RATIO * (b - a)

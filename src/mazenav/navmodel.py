@@ -28,12 +28,11 @@ tape's bit for bit.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-import os
 import random
-from dataclasses import dataclass, field, asdict
+import zipfile
+from dataclasses import dataclass, field, fields, asdict
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -103,8 +102,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """The config a JSON object describes; a key it leaves out keeps its
+        default. Raises ValueError for a value that is not an object, or one
+        with keys ModelConfig does not have."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a model config is a JSON object, not {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model-config keys {unknown}")
         data = dict(data)
-        data["extra_convs"] = tuple(tuple(k) for k in data.get("extra_convs", ()))
+        if "extra_convs" in data:
+            data["extra_convs"] = tuple(tuple(k) for k in data["extra_convs"])
         return cls(**data)
 
 
@@ -751,74 +759,56 @@ def beam_search(world: WorldMap, start: Pose, instruction: Sequence[str],
 # Checkpoints
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The npz entry that holds the config and vocabulary; no Param name starts
+# with "_", so it cannot collide with a parameter.
+METADATA_ENTRY = "__checkpoint__"
 
 
-def checkpoint_paths(handle: str) -> tuple[str, str, str]:
-    """Files of the checkpoint saved or loaded as `handle`; `run/m` and
-    `run/m.npz` name the same checkpoint. Returns the weights `run/m.npz`,
-    the sidecar `run/m.npz.json`, and `run/m.json`, where a bare handle's
-    sidecar used to go (a name that could be, say, a model-config file)."""
-    base = handle[:-len(".npz")] if handle.endswith(".npz") else handle
-    return base + ".npz", base + ".npz.json", base + ".json"
+def checkpoint_file(handle: str) -> str:
+    """The file a checkpoint handle names: `run/m` and `run/m.npz` both
+    name `run/m.npz`."""
+    return handle if handle.endswith(".npz") else handle + ".npz"
 
 
-def _sha256_of(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def save_checkpoint(model: NavModel, handle: str) -> None:
+    """Write one npz, atomically: the parameters, plus a 0-d string entry
+    holding the version, config and vocabulary as JSON."""
+    metadata = json.dumps({"version": CHECKPOINT_VERSION,
+                           "config": model.config.to_dict(),
+                           "vocab": model.vocab.to_list()})
+    with atomic_write(checkpoint_file(handle), binary=True) as fh:
+        np.savez(fh, **model.state_dict(), **{METADATA_ENTRY: np.array(metadata)})
 
 
-def save_checkpoint(model: NavModel, path: str) -> None:
-    """Write parameters as npz, then a JSON sidecar with the config, the
-    vocabulary and the npz's sha256, each file atomically. A crash between
-    the two leaves a pair whose digest does not match."""
-    npz_path, sidecar_path, _ = checkpoint_paths(path)
-    with atomic_write(npz_path, binary=True) as fh:
-        np.savez(fh, **model.state_dict())
-    sidecar = {
-        "version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
-        "vocab": model.vocab.to_list(),
-        "npz_sha256": _sha256_of(npz_path),
-    }
-    with atomic_write(sidecar_path) as fh:
-        json.dump(sidecar, fh, indent=2)
-
-
-def load_checkpoint(path: str) -> NavModel:
+def load_checkpoint(handle: str) -> NavModel:
     """Load a checkpoint by either form of its handle.
 
-    The sidecar is read from its current name or else from the older
-    `run/m.json`; a JSON file there without a "version" key is not a
-    checkpoint sidecar and is passed over. A sidecar that records the
-    npz's sha256 must match the npz; one without it (older checkpoints)
-    is not checked.
+    A file that is missing, corrupt (zip checks each entry's CRC-32), not
+    an npz, or not a checkpoint of this version raises ValueError naming
+    the handle and the file.
     """
-    npz_path, *candidates = checkpoint_paths(path)
-    sidecar = None
-    for candidate in candidates:
-        if os.path.exists(candidate):
-            with open(candidate, encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-            if isinstance(sidecar, dict) and "version" in sidecar:
-                break
-            sidecar = None
-    if sidecar is None:
-        raise FileNotFoundError(
-            f"checkpoint {path!r}: no sidecar at {' or '.join(candidates)}")
-    if sidecar["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {sidecar['version']}")
-    digest = sidecar.get("npz_sha256")
-    if digest is not None and _sha256_of(npz_path) != digest:
-        raise ValueError(
-            f"checkpoint {path!r}: {npz_path} does not match the sha256 "
-            f"recorded in {candidate}; the pair was not saved together")
-    config = ModelConfig.from_dict(sidecar["config"])
-    vocab = Vocabulary.from_list(sidecar["vocab"])
-    model = NavModel(config, vocab, seed=0)
-    with np.load(npz_path) as data:
-        model.load_state_dict({k: data[k] for k in data.files})
+    path = checkpoint_file(handle)
+    try:
+        data = np.load(path)  # allow_pickle=False: pickled data raises ValueError
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with data:
+            state = {name: data[name] for name in data.files}
+        entry = state.pop(METADATA_ENTRY, None)
+        if entry is None:
+            raise ValueError(
+                f"no {METADATA_ENTRY!r} entry, so not a version-{CHECKPOINT_VERSION} "
+                f"checkpoint; version 1, which kept its config and vocabulary in a "
+                f"separate JSON file, is not read any more")
+        metadata = json.loads(str(entry[()]))
+        version = metadata.get("version") if isinstance(metadata, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r}")
+        model = NavModel(ModelConfig.from_dict(metadata.get("config")),
+                         Vocabulary.from_list(metadata.get("vocab")), seed=0)
+        model.load_state_dict(state)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        cause = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ValueError(f"checkpoint {handle!r}: {path}: {cause}") from exc
     return model

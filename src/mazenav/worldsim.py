@@ -403,12 +403,9 @@ def step(world: WorldMap, pose: Pose, action: Action) -> Pose | None:
     return None if nxt is None else Pose(nxt[0], nxt[1], pose.dir)
 
 
-def execute(world: WorldMap, pose: Pose, actions: list[Action],
-            max_actions: int = 1_000_000) -> tuple[Pose, Outcome]:
-    """Run actions until STOP, a wall hit, or the list/budget runs out."""
-    for taken, action in enumerate(actions):
-        if taken >= max_actions:
-            return pose, Outcome.EXHAUSTED
+def execute(world: WorldMap, pose: Pose, actions: list[Action]) -> tuple[Pose, Outcome]:
+    """Run actions until STOP, a wall hit, or the list runs out."""
+    for action in actions:
         nxt = step(world, pose, action)
         if nxt is None:
             return pose, Outcome.WALL_HIT

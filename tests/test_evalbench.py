@@ -296,6 +296,13 @@ class TestGoldenSection:
         with pytest.raises(ValueError):
             golden_section(lambda x: x, 2.0, 2.0)
 
+    @pytest.mark.parametrize("max_evals", [0, 1])
+    def test_budget_below_two_probes_rejected_before_probing(self, max_evals):
+        probes = []
+        with pytest.raises(ValueError, match=f"max_evals >= 2, got {max_evals}"):
+            golden_section(probes.append, 0.0, 1.0, max_evals=max_evals)
+        assert probes == []
+
 
 class TestFixedExperiment:
     def test_small_grid_run(self, instances, tmp_path):

@@ -7,6 +7,7 @@ checked cheaply; one subprocess test confirms the module entry point.
 import contextlib
 import io
 import json
+import pickle
 import platform
 import random
 import re
@@ -34,6 +35,7 @@ from mazenav.worldsim import (
     generate_world,
     world_to_dict,
 )
+from test_navmodel import rewrite_metadata
 
 
 @pytest.fixture(scope="module")
@@ -239,9 +241,9 @@ class TestCliWorkflow:
     def test_train_artifacts(self, workspace):
         ckpt = workspace["ckpt"]
         assert ckpt.exists()
-        sidecar = json.loads((workspace["root"] / "model.npz.json").read_text())
-        assert sidecar["config"]["variant"] == "languageOnly"
-        assert sidecar["config"]["embed_dim"] == 8
+        config = navmodel.load_checkpoint(str(ckpt)).config
+        assert config.variant == "languageOnly"
+        assert config.embed_dim == 8
         history = (str(ckpt) + ".history.csv")
         lines = open(history).read().strip().splitlines()
         assert lines[0] == "epoch,trainLoss,devSuccess"
@@ -373,16 +375,12 @@ class TestCliErrors:
         from mazenav.navmodel import load_checkpoint, save_checkpoint
 
         # workspace["ckpt"] was saved as `model.npz`, beside the model-config
-        # file `model.json`; save a copy as `bare`, and one with its sidecar
-        # under the older name `<handle>.json`.
+        # file `model.json`; save a copy as `bare`
         model = load_checkpoint(str(workspace["ckpt"]))
         save_checkpoint(model, str(tmp_path / "bare"))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.npz", "bare.npz.json"]
-        save_checkpoint(model, str(tmp_path / "old"))
-        (tmp_path / "old.npz.json").rename(tmp_path / "old.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["bare.npz"]
         handles = [str(workspace["ckpt"]), str(workspace["root"] / "model"),
-                   str(tmp_path / "bare"), str(tmp_path / "bare.npz"),
-                   str(tmp_path / "old"), str(tmp_path / "old.npz")]
+                   str(tmp_path / "bare"), str(tmp_path / "bare.npz")]
         rates = []
         for handle in handles:
             rc = main(["eval", "--data", str(workspace["data"]), "--checkpoint", handle,
@@ -401,7 +399,8 @@ class TestCliErrors:
         assert rc == 0
         capsys.readouterr()
         assert config.read_text() == workspace["config"].read_text()
-        assert (tmp_path / "m.npz").exists() and (tmp_path / "m.npz.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.history.csv", "m.json", "m.manifest.json", "m.npz"]
 
     @pytest.mark.parametrize("size", [["--width", "12", "--height", "12"],
                                       ["--width", "0"], ["--height", "-3"]])
@@ -514,6 +513,10 @@ class TestCliErrors:
         (["hpo", "--param", "lr", "--lo", "1", "--hi", "2", "--eval-batch", "0"],
          "--eval-batch"),
         (["hpo", "--param", "lr", "--lo", "1", "--hi", "2", "--budget", "-10"], "--budget"),
+        (["train", "--data", "d.jsonl", "--out-checkpoint", "m", "--max-epochs", "0"],
+         "--max-epochs"),
+        (["gen", "--out", "d.jsonl", "--min-dist", "0"], "--min-dist"),
+        (["bench", "--min-dist", "-2"], "--min-dist"),
     ])
     def test_nonpositive_count_flags_rejected(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -558,8 +561,17 @@ class TestCliErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault, cause", [("missing", "no sidecar"),
-                                              ("mismatched", "does not match the sha256")])
+    @pytest.mark.parametrize("fault, cause", [
+        ("missing", "No such file or directory"),
+        ("corrupt", "Bad CRC-32"),
+        ("pickled", "contains pickled (object) data"),
+        ("npy", "not an npz archive"),
+        ("plain npz", "no '__checkpoint__' entry"),
+        ("version 1", "which kept its config and vocabulary in a separate JSON file"),
+        ("version 99", "unsupported checkpoint version 99"),
+        ("unknown key", "unknown model-config keys ['bogus']"),
+    ], ids=["missing", "corrupt", "pickled", "npy", "plain npz", "version 1", "version 99",
+            "unknown key"])
     def test_eval_checks_checkpoints_before_reading_data(self, workspace, tmp_path, capsys,
                                                          fault, cause):
         # the data file's last line is malformed; a bad checkpoint is named
@@ -568,17 +580,55 @@ class TestCliErrors:
 
         data = tmp_path / "data.jsonl"
         data.write_text(workspace["data"].read_text() + "{notjson\n")
-        handle = tmp_path / fault
-        if fault == "mismatched":
-            save_checkpoint(load_checkpoint(str(workspace["ckpt"])), str(handle))
-            with open(str(handle) + ".npz", "ab") as fh:
-                fh.write(b"\0")
+        handle = str(tmp_path / fault.replace(" ", "_"))
+        path = handle + ".npz"
+        model = load_checkpoint(str(workspace["ckpt"]))
+        if fault == "corrupt":
+            save_checkpoint(model, handle)
+            body = bytearray(open(path, "rb").read())
+            body[len(body) // 2] ^= 1  # a byte of an entry's data
+            open(path, "wb").write(body)
+        elif fault == "pickled":
+            with open(path, "wb") as fh:
+                pickle.dump(model.state_dict(), fh)
+        elif fault == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, model.param("out_b").data)
+        elif fault in ("plain npz", "version 1"):
+            np.savez(path, **model.state_dict())
+            if fault == "version 1":  # with its sidecar, as version 1 saved it
+                sidecar = {"version": 1, "config": model.config.to_dict(),
+                           "vocab": model.vocab.to_list()}
+                open(path + ".json", "w").write(json.dumps(sidecar))
+        elif fault == "version 99":
+            save_checkpoint(model, handle)
+            rewrite_metadata(path, version=99)
+        elif fault == "unknown key":
+            save_checkpoint(model, handle)
+            rewrite_metadata(path, config={**model.config.to_dict(), "bogus": 1})
         rc = main(["eval", "--data", str(data),
-                   "--checkpoint", str(workspace["ckpt"]), str(handle)])
+                   "--checkpoint", str(workspace["ckpt"]), handle])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"error: checkpoint {str(handle)!r}: " in err and cause in err
+        assert f"error: checkpoint {handle!r}: {path}: " in err and cause in err
         assert str(data) not in err
+
+    @pytest.mark.parametrize("text, cause", [
+        ('{"embed_dim": 8, "bogus": 1}', "unknown model-config keys ['bogus']"),
+        ("[1, 2]", "a model config is a JSON object, not list"),
+        ("{notjson", "Expecting property name"),
+    ], ids=["unknown key", "list", "not json"])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_bad_config_file_exits_2(self, workspace, tmp_path, capsys, command, text, cause):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        argv = {"train": ["train", "--data", str(workspace["data"]),
+                          "--out-checkpoint", str(tmp_path / "m")],
+                "bench": ["bench", "--cap", "10"]}[command]
+        assert main([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --config {config}: {cause}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_bad_variant_exits_2(self, workspace, tmp_path, capsys):
         rc = main(["train", "--data", str(workspace["data"]),

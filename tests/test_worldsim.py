@@ -256,8 +256,6 @@ class TestDynamics:
         assert outcome is Outcome.WALL_HIT
         pose, outcome = execute(world, start, [Action.MOVE])
         assert outcome is Outcome.EXHAUSTED and pose == Pose(1, 0, Direction.EAST)
-        pose, outcome = execute(world, start, [Action.RIGHT] * 9, max_actions=4)
-        assert outcome is Outcome.EXHAUSTED
 
     def test_stop_is_terminal_and_pose_preserving(self):
         world = self.build_line_world()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .langgen import Instance, TaskCategory
-from .worldsim import (Action, Direction, Lookup, Pose, WorldMap, map_object_hook,
-                       world_from_dict, world_to_dict)
+from .worldsim import (Action, Direction, Lookup, Pose, WorldMap, world_from_dict,
+                       world_to_dict)
 
 UNK = "<unk>"
 UNK_INDEX = 0
@@ -45,12 +45,10 @@ _pose = functools.lru_cache(maxsize=4096)(Pose)
 
 
 def instance_from_dict(data: dict) -> Instance:
-    """Inverse of instance_to_dict; ValueError names a start pose off the map
-    or an unknown category, direction or action. The map may already be a
-    WorldMap (as json.loads with worldsim.map_object_hook leaves it)."""
-    world = data["map"]
-    if not isinstance(world, WorldMap):
-        world = world_from_dict(world)
+    """Inverse of instance_to_dict; ValueError names a start pose off the map,
+    an unknown category, direction or action, or what world_from_dict finds
+    wrong with the map."""
+    world = world_from_dict(data["map"])
     start = data["start"]
     x, y = start["x"], start["y"]
     category = _CATEGORIES[data["category"]]
@@ -129,8 +127,8 @@ def parse_line(path: str, lineno: int, line: str) -> Instance | WorldMap:
     holds; a malformed line raises DatasetError naming the file, the line
     and the cause."""
     try:
-        data = json.loads(line, object_hook=map_object_hook)
-        return data if isinstance(data, WorldMap) else instance_from_dict(data)
+        data = json.loads(line)
+        return world_from_dict(data) if "edgeAttrs" in data else instance_from_dict(data)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
 

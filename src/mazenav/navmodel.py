@@ -103,16 +103,31 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         """The config a JSON object describes; a key it leaves out keeps its
-        default. Raises ValueError for a value that is not an object, or one
-        with keys ModelConfig does not have."""
+        default. Raises ValueError for a value that is not an object, one
+        with keys ModelConfig does not have, or a value of another type
+        than its default's: an int that is not a bool, a str for `variant`,
+        and for `extra_convs` a list of [height, width, channels] int lists.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"a model config is a JSON object, not {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown model-config keys {unknown}")
         data = dict(data)
-        if "extra_convs" in data:
-            data["extra_convs"] = tuple(tuple(k) for k in data["extra_convs"])
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            if f.name == "extra_convs":
+                if not (isinstance(value, (list, tuple)) and all(
+                        isinstance(k, (list, tuple)) and len(k) == 3
+                        and all(type(n) is int for n in k) for k in value)):
+                    raise ValueError(f"model-config key 'extra_convs' must be a list of "
+                                     f"[height, width, channels] int lists, got {value!r}")
+                data[f.name] = tuple(tuple(k) for k in value)
+            elif type(value) is not type(f.default):
+                raise ValueError(f"model-config key {f.name!r} must be of type "
+                                 f"{type(f.default).__name__}, got {value!r}")
         return cls(**data)
 
 

@@ -130,14 +130,15 @@ class _Grid(NamedTuple):
     closers: tuple[tuple[tuple[int, int], ...], ...]  # [node] -> (neighbour, mask clearing node's bit there)
     open_nodes: tuple[tuple[tuple[Node, ...], ...], ...]  # [node][open mask] -> neighbour nodes
     edge_links: Lookup  # edge -> (i, bit of its link in i's open mask, j, bit in j's)
-    quad_edges: Lookup  # (x0, y0, x1, y1), either way round -> edge
     key_nodes: Lookup  # "x,y" -> node
     # Hall order: horizontal edges by row then column, then vertical edges by
-    # column then row. Line k of either kind starts at its offset plus k times
-    # one more than the line holds, so the ranks of a straight run are
-    # consecutive and two lines never touch.
+    # column then row. The edge (x, y)-(x+1, y) has rank y*width + x and
+    # (x, y)-(x, y+1) has rank width*height + x*height + y, so the ranks of a
+    # straight run are consecutive and two lines never touch. A rank is an
+    # edge's id in a JSONL map.
     rank: dict[Edge, int]
     by_rank: tuple[Edge | None, ...]  # [rank] -> edge; None between lines
+    edge_ids: Lookup  # rank -> edge, for the ranks that hold an edge
 
 
 @functools.lru_cache(maxsize=16)
@@ -172,23 +173,31 @@ def _grid(width: int, height: int) -> _Grid:
         for j, e, bit, back in row:
             if i < j:
                 edge_links[e] = (i, bit, j, back)
-    quad_edges = Lookup((), lambda q: f"edge {list(q)} does not join grid neighbours of {where}")
-    for e in edge_links:
-        (x0, y0), (x1, y1) = e
-        quad_edges[(x0, y0, x1, y1)] = quad_edges[(x1, y1, x0, y0)] = e
     key_nodes = Lookup({f"{n[0]},{n[1]}": n for n in nodes},
                        lambda key: f"item node {key!r} is outside {where}")
     vertical_from = width * height
-    by_rank: list[Edge | None] = [None] * (2 * vertical_from)
+    slots = 2 * vertical_from
+
+    def slot_edge(r: int) -> list[int]:  # [x0, y0, x1, y1] of the edge rank r would name
+        if r < vertical_from:
+            return [r % width, r // width, r % width + 1, r // width]
+        x, y = divmod(r - vertical_from, height)
+        return [x, y, x, y + 1]
+
+    by_rank: list[Edge | None] = [None] * slots
     for y in range(height):
         for x in range(width - 1):
-            by_rank[y * width + x] = quad_edges[(x, y, x + 1, y)]
+            by_rank[y * width + x] = one[(x, y), (x + 1, y)]
     for x in range(width):
         for y in range(height - 1):
-            by_rank[vertical_from + x * height + y] = quad_edges[(x, y, x, y + 1)]
+            by_rank[vertical_from + x * height + y] = one[(x, y), (x, y + 1)]
     rank = {e: r for r, e in enumerate(by_rank) if e is not None}
-    return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_links, quad_edges,
-                 key_nodes, rank, tuple(by_rank))
+    edge_ids = Lookup({r: e for e, r in rank.items()}, lambda r: (
+        f"edge {slot_edge(r)} (id {r}) does not join grid neighbours of {where}"
+        if 0 <= r < slots else
+        f"edge id {r!r} is out of range for {where} (ids run from 0 to {slots - 1})"))
+    return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_links, key_nodes,
+                 rank, tuple(by_rank), edge_ids)
 
 
 @dataclass
@@ -503,65 +512,78 @@ def sample_endpoints(world: WorldMap, rng: random.Random, min_dist: int = 4,
 
 
 def world_to_dict(world: WorldMap) -> dict:
-    """Canonical JSON-ready form with stable key and element order; the
-    edge attribute entries are sorted by edge."""
+    """Canonical JSON-ready form with stable key and element order.
+
+    `edgeAttrs` maps floor -> wall painting -> the ascending ids (the grid
+    ranks) of the edges with that floor and painting, floors and paintings
+    sorted by name.
+    """
+    rank = _grid(world.width, world.height).rank
+    groups: dict[tuple[str, str], list[int]] = {}
+    for e, attrs in world.edge_attrs.items():
+        groups.setdefault(attrs, []).append(rank[e])
+    edge_attrs: dict[str, dict[str, list[int]]] = {}
+    for floor, wall in sorted(groups):
+        ids = groups[floor, wall]
+        ids.sort()
+        edge_attrs.setdefault(floor, {})[wall] = ids
     return {
         "width": world.width,
         "height": world.height,
         "items": {f"{x},{y}": world.items[(x, y)] for x, y in sorted(world.items)},
-        "edgeAttrs": [
-            {"edge": [a[0], a[1], b[0], b[1]], "floor": floor, "wall": wall}
-            for (a, b), (floor, wall) in sorted(world.edge_attrs.items())
-        ],
+        "edgeAttrs": edge_attrs,
     }
 
 
 # Known names, mapped to the module's own strings so that read worlds share them.
 _ITEM_NAMES = Lookup({n: n for n in ITEMS}, "unknown item {!r}".format)
-
-
-def map_object_hook(obj: dict):
-    """`object_hook` for json.loads of text holding world_to_dict maps.
-
-    Each edge attribute becomes a tuple as soon as it is parsed, and each
-    map a WorldMap, so the parse tree's many small dicts and lists are freed
-    while the line is still being read instead of all living until its end
-    (fewer garbage collections per line read). A malformed map raises the
-    ValueError of world_from_dict.
-    """
-    if "edge" in obj:
-        return tuple(obj["edge"]), obj["floor"], obj["wall"]
-    if "edgeAttrs" in obj:
-        return _world_of(obj)
-    return obj
+_INT_ONLY = frozenset((int,))  # True and 1.0 would otherwise find edge id 1
+_EARLIER_LAYOUT = (
+    "edgeAttrs is a list of {edge, floor, wall} entries, the map layout of JSONL "
+    "versions 1 to 3, which is not read any more; regenerate the file with "
+    "`mazenav gen` and the arguments in its .manifest.json (generation is "
+    "unchanged, so the instances come out the same)")
 
 
 def world_from_dict(data: dict) -> WorldMap:
-    """Inverse of world_to_dict.
+    """Inverse of world_to_dict, and the one reader of a serialised map.
 
     Edges and nodes resolve through the per-size table and names through
     the known-name tables, so a read world holds the same edge, node and
-    name objects as a generated world of its size. The edges are those of
-    `edgeAttrs`. Keys the world is not built from are ignored: the `edges`
-    list of files written before `edgeAttrs` became the one record of the
-    edges, and the `halls` and `areas` blocks of files written before
-    worlds stopped storing them. An entry off the grid or an unknown name
-    raises ValueError naming it.
+    name objects as a generated world of its size. Raises ValueError naming
+    the cause for a side that is not an integer >= 1, an item off the grid
+    or unknown, an unknown floor or wall painting, an edge id that is not
+    an int, is out of range, names a slot that holds no edge or is listed
+    twice, and for the list-shaped `edgeAttrs` of earlier layouts. The
+    order of floors, paintings and ids is not checked.
     """
-    compact = dict(data)
-    compact["edgeAttrs"] = [map_object_hook(entry) for entry in data["edgeAttrs"]]
-    return _world_of(compact)
-
-
-def _world_of(data: dict) -> WorldMap:
-    """A serialised map whose edge attributes are the tuples
-    map_object_hook makes of them."""
     width, height = data["width"], data["height"]
     if type(width) is not int or type(height) is not int or width < 1 or height < 1:
         raise ValueError(f"map sides must be integers >= 1, got {width!r} x {height!r}")
     grid = _grid(width, height)
-    quad_edges, key_nodes = grid.quad_edges, grid.key_nodes
+    key_nodes, edge_ids = grid.key_nodes, grid.edge_ids
     items = {key_nodes[key]: _ITEM_NAMES[item] for key, item in data["items"].items()}
-    edge_attrs = {quad_edges[quad]: _EDGE_ATTRS[floor][wall]
-                  for quad, floor, wall in data["edgeAttrs"]}
+    groups = data["edgeAttrs"]
+    if type(groups) is list:
+        raise ValueError(_EARLIER_LAYOUT)
+    edge_attrs: dict[Edge, tuple[str, str]] = {}
+    listed = 0
+    for floor, walls in groups.items():
+        by_wall = _EDGE_ATTRS[floor]
+        for wall, ids in walls.items():
+            attrs = by_wall[wall]
+            if not _INT_ONLY.issuperset(map(type, ids)):
+                bad = next(i for i in ids if type(i) is not int)
+                raise ValueError(f"edge id {bad!r} is not an integer")
+            for e in map(edge_ids.__getitem__, ids):
+                edge_attrs[e] = attrs
+            listed += len(ids)
+    if listed != len(edge_attrs):
+        seen: set[int] = set()
+        for walls in groups.values():
+            for ids in walls.values():
+                for i in ids:
+                    if i in seen:
+                        raise ValueError(f"edge id {i} is listed twice")
+                    seen.add(i)
     return WorldMap(width, height, items, edge_attrs)

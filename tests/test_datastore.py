@@ -206,30 +206,63 @@ def read_one(tmp_path, data):
     return list(read_instances(str(path)))
 
 
+# Faults in the map of a line_instance() line: each mutation of the map dict
+# and the cause the reader names. The 3x1 map's edges are ids 0 and 1. Its
+# ids run from 0 to 5, and ids 2 (x = width - 1) and 3 to 5 (vertical, on a
+# map one node high) are slots that hold no edge.
+MAP_FAULTS = [
+    (lambda m: m["edgeAttrs"].update(blue={"fish": [4]}),
+     r"edge \[1, 0, 1, 1\] \(id 4\) does not join grid neighbours of the 3x1 map"),
+    (lambda m: m["edgeAttrs"].update(blue={"fish": [2]}),
+     r"edge \[2, 0, 3, 0\] \(id 2\) does not join grid neighbours of the 3x1 map"),
+    (lambda m: m["edgeAttrs"].update(blue={"fish": [-1]}),
+     r"edge id -1 is out of range for the 3x1 map \(ids run from 0 to 5\)"),
+    (lambda m: m["edgeAttrs"].update(blue={"fish": [6]}),
+     r"edge id 6 is out of range for the 3x1 map \(ids run from 0 to 5\)"),
+    (lambda m: m["edgeAttrs"].update(blue={"fish": [True]}), r"edge id True is not an integer"),
+    (lambda m: m["edgeAttrs"].update(blue={"fish": [1.0]}), r"edge id 1\.0 is not an integer"),
+    (lambda m: m.update(edgeAttrs={"blue": {"fish": [0, 1, 1]}}), r"edge id 1 is listed twice"),
+    (lambda m: m.update(edgeAttrs={"blue": {"fish": [0, 1]}, "wood": {"tower": [0]}}),
+     r"edge id 0 is listed twice"),
+    (lambda m: m["items"].update({"3,0": "lamp"}), r"item node '3,0' is outside the 3x1 map"),
+    (lambda m: m.update(width=0), r"map sides must be integers >= 1, got 0 x 1"),
+    (lambda m: m.update(height=-2), r"map sides must be integers >= 1"),
+    (lambda m: m["items"].update({"1,0": "piano"}), r"unknown item 'piano'"),
+    (lambda m: m["edgeAttrs"].update(lava=m["edgeAttrs"].popitem()[1]), r"unknown floor 'lava'"),
+    (lambda m: (w := next(iter(m["edgeAttrs"].values()))).update(moon=w.popitem()[1]),
+     r"unknown wall 'moon'"),
+]
+
+
+def earlier_layout(data, version):
+    """A copy of the instance dict `data` as a JSONL version 1, 2 or 3 line
+    held its map: edgeAttrs a list of {edge, floor, wall} entries, with an
+    edges list in versions 1 and 2 and halls and areas blocks in version 1."""
+    world = world_from_dict(data["map"])
+    old = json.loads(json.dumps(data))
+    m = old["map"]
+    m["edgeAttrs"] = [{"edge": [a[0], a[1], b[0], b[1]], "floor": floor, "wall": wall}
+                      for (a, b), (floor, wall) in sorted(world.edge_attrs.items())]
+    if version in ("v1", "v2"):
+        m["edges"] = [entry["edge"] for entry in m["edgeAttrs"]]
+    if version == "v1":
+        m["halls"] = [{"axis": "horizontal", "edges": [[0, 0, 1, 0]], "floor": "blue"}]
+        m["areas"] = [{"id": 0, "nodes": [[0, 0]], "wall": "fish"}]
+    return old
+
+
 class TestReaderValidation:
     def test_valid_line_reads(self, tmp_path):
         (inst,) = read_one(tmp_path, line_instance())
         assert inst.world.width == 3 and inst.start == Pose(0, 0, Direction.EAST)
 
     @pytest.mark.parametrize("mutate, cause", [
-        (lambda d: d["map"]["edgeAttrs"].append({"edge": [0, 0, 2, 0], "floor": "blue",
-                                                 "wall": "fish"}),
-         r"edge \[0, 0, 2, 0\] does not join grid neighbours of the 3x1 map"),
-        (lambda d: d["map"]["edgeAttrs"].append({"edge": [1, 0, 1, 1], "floor": "blue",
-                                                 "wall": "fish"}),
-         r"edge \[1, 0, 1, 1\] does not join grid neighbours of the 3x1 map"),
-        (lambda d: d["map"]["items"].update({"3,0": "lamp"}),
-         r"item node '3,0' is outside the 3x1 map"),
+        *[(lambda d, f=fault: f(d["map"]), cause) for fault, cause in MAP_FAULTS],
         (lambda d: d["start"].update(x=3), r"start \(3, 0\) is outside the 3x1 map"),
         (lambda d: d["start"].update(y=-1), r"start \(0, -1\) is outside the 3x1 map"),
-        (lambda d: d["map"].update(width=0), r"map sides must be integers >= 1, got 0 x 1"),
-        (lambda d: d["map"].update(height=-2), r"map sides must be integers >= 1"),
         (lambda d: d["actions"].insert(0, "JUMP"), r"unknown action 'JUMP'"),
         (lambda d: d["start"].update(dir="UP"), r"unknown direction 'UP'"),
         (lambda d: d.update(category="Dance"), r"unknown category 'Dance'"),
-        (lambda d: d["map"]["items"].update({"1,0": "piano"}), r"unknown item 'piano'"),
-        (lambda d: d["map"]["edgeAttrs"][0].update(floor="lava"), r"unknown floor 'lava'"),
-        (lambda d: d["map"]["edgeAttrs"][1].update(wall="moon"), r"unknown wall 'moon'"),
     ])
     def test_malformed_map_names_cause(self, tmp_path, mutate, cause):
         data = line_instance()
@@ -239,46 +272,33 @@ class TestReaderValidation:
 
     def test_world_from_dict_raises_value_error(self):
         data = line_instance()["map"]
-        data["edgeAttrs"].append({"edge": [0, 0, 2, 0], "floor": "blue", "wall": "fish"})
+        data["edgeAttrs"]["blue"] = {"fish": [4]}
         with pytest.raises(ValueError, match="does not join grid neighbours"):
             world_from_dict(data)
 
     def test_missing_key_still_named(self, tmp_path):
         data = line_instance()
-        del data["map"]["edgeAttrs"][0]["floor"]
-        with pytest.raises(DatasetError, match="line 1: 'floor'"):
+        del data["map"]["edgeAttrs"]
+        with pytest.raises(DatasetError, match="line 1: 'edgeAttrs'"):
             read_one(tmp_path, data)
 
     def test_bare_map_line_is_not_an_instance(self, tmp_path):
         with pytest.raises(DatasetError, match="line 1: a bare map, not an instance"):
             read_one(tmp_path, line_instance()["map"])
 
-    @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_v1_halls_and_areas_are_ignored(self, tmp_path, version):
-        # Files written before edgeAttrs became the one record of a map's
-        # edges also hold an `edges` list (v2), and files written before
-        # worlds stopped storing halls and areas hold those blocks as well
-        # (v1). A reader builds the world from the other keys only, so an
-        # edges list or a halls block that disagrees with edgeAttrs changes
-        # nothing.
-        plain = line_instance(4, 3, seed=1)
-        assert list(plain["map"]) == ["width", "height", "items", "edgeAttrs"]
-        old = json.loads(json.dumps(plain))
-        edges = [entry["edge"] for entry in plain["map"]["edgeAttrs"]]
-        if version == "v2":
-            edges = edges[1:] + [[9, 9, 9, 10]]
-        m = old["map"]
-        old["map"] = {"width": m["width"], "height": m["height"], "edges": edges,
-                      "items": m["items"], "edgeAttrs": m["edgeAttrs"]}
-        if version == "v1":
-            old["map"]["halls"] = [
-                {"axis": "horizontal", "edges": [[0, 0, 1, 0]], "floor": "lava"},
-                {"axis": "vertical", "edges": [[3, 0, 3, 1], [9, 9, 9, 10]], "floor": None},
-            ]
-            old["map"]["areas"] = [{"id": 0, "nodes": [[0, 0], [7, 7]], "wall": "moon"}]
-        (inst,) = read_one(tmp_path, old)
-        assert instance_to_dict(inst) == plain
-        assert instance_to_dict(instance_from_dict(old)) == plain
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_earlier_layouts_are_refused_by_name(self, tmp_path, version):
+        # Versions 1 to 3 held edgeAttrs as a list of {edge, floor, wall}
+        # entries. The reader names the layout and how to remake the file,
+        # rather than failing on the first entry.
+        old = earlier_layout(line_instance(4, 3, seed=1), version)
+        with pytest.raises(DatasetError, match=r"one\.jsonl: line 1: edgeAttrs is a list of "
+                           r"\{edge, floor, wall\} entries, the map layout of JSONL versions "
+                           r"1 to 3, which is not read any more; regenerate the file with "
+                           r"`mazenav gen` and the arguments in its \.manifest\.json"):
+            read_one(tmp_path, old)
+        with pytest.raises(ValueError, match="the map layout of JSONL versions 1 to 3"):
+            instance_from_dict(old)
 
 
 class TestAtomicWrite:
@@ -393,7 +413,7 @@ class TestGcBudget:
         for inst in instances + back:
             grid = _grid(inst.world.width, inst.world.height)
             for e in inst.world.edge_attrs:
-                assert grid.quad_edges[(*e[0], *e[1])] is e
+                assert grid.edge_ids[grid.rank[e]] is e
             width = inst.world.width
             assert all(k is grid.nodes[k[1] * width + k[0]] for k in inst.world.items)
 

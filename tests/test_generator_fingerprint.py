@@ -11,8 +11,10 @@ layout or the serialized form moves them. Two digests are kept:
   attributes), which a leaner file format must keep unchanged.
 
 The JSONL digests were re-pinned when map lines stopped holding halls and
-areas, and again when they stopped holding an edge list besides
-`edgeAttrs`. The semantic digests have not moved since they were pinned.
+areas, again when they stopped holding an edge list besides `edgeAttrs`,
+and again when `edgeAttrs` became lists of edge ids grouped by floor and
+wall painting (JSONL v4). The semantic digests have not moved since they
+were pinned.
 """
 
 import hashlib
@@ -26,9 +28,9 @@ MASTER_SEEDS = (0, 1, 20240607)
 COUNT = 500
 
 JSONL_SHA256 = {
-    "sail": "1ebc4d62973f8247b835f27cccca437532bd558a92ed295e56d8cfe325c0b1dd",
-    "uniform": "50e57a206fe2a2c991fa2299808d64682f54508944902d5791ee1521be68c549",
-    "norestriction": "f98ddb2b6025774acaf471ed22a5424ac437e7a4d19bddbef26d7961b98ff34c",
+    "sail": "66939fac489f896c872c364a45b52eb4b2768d9d154d2a87113b332b489257c7",
+    "uniform": "797a78c647b123a7b50fa2780ce342c1ff3d29f69a52ae99b2a49c9f10006e79",
+    "norestriction": "e83f38a1ce2d14b00b2b44537db808afadd29dc0b5db4ecb6d1ac6d61a726af8",
 }
 
 SEMANTIC_SHA256 = {

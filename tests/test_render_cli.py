@@ -35,7 +35,13 @@ from mazenav.worldsim import (
     generate_world,
     world_to_dict,
 )
+from test_datastore import MAP_FAULTS, earlier_layout, line_instance
 from test_navmodel import rewrite_metadata
+
+
+# Model-config values of the wrong type, by test id.
+BAD_CONFIG_VALUES = {"str int": {"embed_dim": "x"}, "bool int": {"embed_dim": True},
+                     "float int": {"beam_width": 2.5}, "two-int conv": {"extra_convs": [[5, 5]]}}
 
 
 @pytest.fixture(scope="module")
@@ -471,15 +477,41 @@ class TestCliErrors:
         data = tmp_path / "bad.jsonl"
         inst = next(iter(generate_dataset(DEFAULT_MIX, 1, 3, config=WorldConfig(3, 1, min_dist=1))))
         line = datastore.instance_to_dict(inst)
-        line["map"]["edgeAttrs"].append({"edge": [0, 0, 2, 0], "floor": "blue", "wall": "fish"})
+        line["map"]["edgeAttrs"].setdefault("blue", {}).setdefault("fish", []).append(2)
         data.write_text(json.dumps(line) + "\n")
         ckpt = tmp_path / "m.npz"
         rc = main(["train", "--data", str(data), "--out-checkpoint", str(ckpt),
                    "--max-epochs", "1"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{data}: line 1: edge [0, 0, 2, 0] does not join grid neighbours of the 3x1 map" in err
+        assert (f"{data}: line 1: edge [2, 0, 3, 0] (id 2) does not join grid neighbours "
+                "of the 3x1 map") in err
         assert not ckpt.exists() and not (tmp_path / "m.npz.history.csv").exists()
+
+    @pytest.mark.parametrize("fault, cause", MAP_FAULTS)
+    def test_render_names_each_map_fault(self, tmp_path, capsys, fault, cause):
+        data = line_instance()
+        fault(data["map"])
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(data) + "\n")
+        assert main(["render", "--map", str(path)]) == 2
+        assert re.search(f"error: {re.escape(str(path))}: line 1: {cause}",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_train_and_eval_refuse_earlier_layouts_by_name(self, workspace, tmp_path, capsys,
+                                                         version):
+        data = tmp_path / "old.jsonl"
+        data.write_text(json.dumps(earlier_layout(line_instance(), version)) + "\n")
+        ckpt = tmp_path / "m.npz"
+        for argv in (["train", "--out-checkpoint", str(ckpt)],
+                     ["eval", "--checkpoint", str(workspace["ckpt"])]):
+            assert main([*argv, "--data", str(data)]) == 2
+            err = capsys.readouterr().err
+            assert (f"error: {data}: line 1: edgeAttrs is a list of {{edge, floor, wall}} "
+                    "entries, the map layout of JSONL versions 1 to 3") in err
+            assert "regenerate the file with `mazenav gen`" in err
+        assert not ckpt.exists()
 
     def test_train_rejects_empty_dev_split(self, tmp_path, capsys):
         # two instances split 2/0/0: no dev success can be measured, so
@@ -570,8 +602,13 @@ class TestCliErrors:
         ("version 1", "which kept its config and vocabulary in a separate JSON file"),
         ("version 99", "unsupported checkpoint version 99"),
         ("unknown key", "unknown model-config keys ['bogus']"),
+        ("str int", "model-config key 'embed_dim' must be of type int, got 'x'"),
+        ("bool int", "model-config key 'embed_dim' must be of type int, got True"),
+        ("float int", "model-config key 'beam_width' must be of type int, got 2.5"),
+        ("two-int conv", "model-config key 'extra_convs' must be a list of "
+                         "[height, width, channels] int lists, got [[5, 5]]"),
     ], ids=["missing", "corrupt", "pickled", "npy", "plain npz", "version 1", "version 99",
-            "unknown key"])
+            "unknown key", "str int", "bool int", "float int", "two-int conv"])
     def test_eval_checks_checkpoints_before_reading_data(self, workspace, tmp_path, capsys,
                                                          fault, cause):
         # the data file's last line is malformed; a bad checkpoint is named
@@ -606,6 +643,9 @@ class TestCliErrors:
         elif fault == "unknown key":
             save_checkpoint(model, handle)
             rewrite_metadata(path, config={**model.config.to_dict(), "bogus": 1})
+        elif fault in BAD_CONFIG_VALUES:
+            save_checkpoint(model, handle)
+            rewrite_metadata(path, config={**model.config.to_dict(), **BAD_CONFIG_VALUES[fault]})
         rc = main(["eval", "--data", str(data),
                    "--checkpoint", str(workspace["ckpt"]), handle])
         assert rc == 2
@@ -617,14 +657,26 @@ class TestCliErrors:
         ('{"embed_dim": 8, "bogus": 1}', "unknown model-config keys ['bogus']"),
         ("[1, 2]", "a model config is a JSON object, not list"),
         ("{notjson", "Expecting property name"),
-    ], ids=["unknown key", "list", "not json"])
-    @pytest.mark.parametrize("command", ["train", "bench"])
+        ('{"embed_dim": "x"}', "model-config key 'embed_dim' must be of type int, got 'x'"),
+        ('{"embed_dim": true}', "model-config key 'embed_dim' must be of type int, got True"),
+        ('{"beam_width": 2.5}', "model-config key 'beam_width' must be of type int, got 2.5"),
+        ('{"variant": 1}', "model-config key 'variant' must be of type str, got 1"),
+        ('{"extra_convs": [[5, 5]]}', "model-config key 'extra_convs' must be a list of "
+                                      "[height, width, channels] int lists, got [[5, 5]]"),
+        ('{"extra_convs": [[5, 5, 2.0]]}', "model-config key 'extra_convs' must be a list of "
+                                           "[height, width, channels] int lists, got "
+                                           "[[5, 5, 2.0]]"),
+    ], ids=["unknown key", "list", "not json", "str int", "bool int", "float int", "int str",
+            "two-int conv", "float conv"])
+    @pytest.mark.parametrize("command", ["train", "bench", "hpo"])
     def test_bad_config_file_exits_2(self, workspace, tmp_path, capsys, command, text, cause):
         config = tmp_path / "config.json"
         config.write_text(text)
         argv = {"train": ["train", "--data", str(workspace["data"]),
                           "--out-checkpoint", str(tmp_path / "m")],
-                "bench": ["bench", "--cap", "10"]}[command]
+                "bench": ["bench", "--cap", "10"],
+                "hpo": ["hpo", "--param", "lr", "--lo", "1e-4", "--hi", "1e-2",
+                        "--budget", "10"]}[command]
         assert main([*argv, "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"error: --config {config}: {cause}" in err

@@ -416,6 +416,31 @@ class TestSerialization:
             assert clone.items == world.items
             assert clone.edge_attrs == world.edge_attrs
 
+    def test_edge_ids_on_a_3x2_map(self):
+        # Pinned by hand: (x, y)-(x+1, y) is y*width + x and (x, y)-(x, y+1)
+        # is width*height + x*height + y. Each of the 7 edges has its own
+        # floor, so the file says which id names which edge; a round trip
+        # alone would pass for any numbering the writer and reader share.
+        edges = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((0, 1), (1, 1)), ((1, 1), (2, 1)),
+                 ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1))]
+        ids = [0, 1, 3, 4, 6, 8, 10]
+        world = WorldMap(3, 2, {(2, 1): "lamp"},
+                         {e: (floor, "fish") for e, floor in zip(edges, FLOORS)})
+        expected = {"width": 3, "height": 2, "items": {"2,1": "lamp"},
+                    "edgeAttrs": {floor: {"fish": [i]} for i, floor in zip(ids, FLOORS)}}
+        assert world_to_dict(world) == expected
+        assert list(world_to_dict(world)["edgeAttrs"]) == sorted(FLOORS[:7])
+        assert world_from_dict(expected) == world
+
+    def test_groups_are_sorted_and_ids_ascend(self):
+        rng = random.Random(5)
+        for _ in range(25):
+            groups = world_to_dict(generate_world(rng))["edgeAttrs"]
+            assert list(groups) == sorted(groups)
+            for walls in groups.values():
+                assert list(walls) == sorted(walls)
+                assert all(ids and ids == sorted(set(ids)) for ids in walls.values())
+
     def test_dict_form_is_stable(self):
         world = generate_world(random.Random(21))
         import json

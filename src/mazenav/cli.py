@@ -56,11 +56,15 @@ def resolve_mix(spec: str) -> Optional[dict[TaskCategory, float]]:
             cat = TaskCategory(name)
         except ValueError as exc:
             raise ValueError(f"mix file {spec!r}: unknown category {name!r}") from exc
-        if not isinstance(weight, (int, float)) or weight < 0:
-            raise ValueError(f"mix file {spec!r}: bad weight for {name!r}")
+        # json reads NaN and Infinity as floats, true is an int to isinstance,
+        # and an int above the float range would overflow float() below
+        if type(weight) not in (int, float) or not 0 <= weight <= sys.float_info.max:
+            raise ValueError(f"mix file {spec!r}: bad weight for {name!r}: {weight!r} "
+                             f"(a weight is a finite number >= 0)")
         mix[cat] = float(weight)
-    if sum(mix.values()) <= 0:
-        raise ValueError(f"mix file {spec!r}: weights sum to zero")
+    total = sum(mix.values())
+    if not 0 < total < math.inf:  # an overflowed sum would pick only the last category
+        raise ValueError(f"mix file {spec!r}: weights sum to {'zero' if total == 0 else total}")
     return mix
 
 
@@ -133,17 +137,19 @@ def _world_config(args: argparse.Namespace) -> worldsim.WorldConfig:
 
 
 def _model_config(args: argparse.Namespace, vocab_size: int) -> navmodel.ModelConfig:
-    config = navmodel.ModelConfig()
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                config = navmodel.ModelConfig.from_dict(json.load(fh))
-            except ValueError as exc:
-                raise ValueError(f"--config {args.config}: {exc}") from None
     variant = VARIANT_ALIASES.get(args.variant)
     if variant is None:
         raise ValueError(f"unknown variant {args.variant!r}")
-    return replace(config, variant=variant, vocab_size=vocab_size)
+    config = navmodel.ModelConfig(variant=variant, vocab_size=vocab_size)
+    if getattr(args, "config", None):
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                config = replace(navmodel.ModelConfig.from_dict(json.load(fh)),
+                                 variant=variant, vocab_size=vocab_size)
+                config.validate()
+            except ValueError as exc:
+                raise ValueError(f"--config {args.config}: {exc}") from None
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .worldsim import (
     path_to_actions,
     randbelow,
     sample_endpoints,
-    shortest_path,
+    shortest_path,  # unused here; perfbench's tracer wraps langgen.shortest_path
 )
 
 
@@ -548,11 +548,10 @@ def generate_instance(category: Optional[TaskCategory], config: WorldConfig,
     for _ in range(max_attempts):
         world = generate_world(rng, config)
         try:
-            s, g = sample_endpoints(world, rng, config.min_dist)
+            path = sample_endpoints(world, rng, config.min_dist)
         except MapResampleNeeded:
             continue
-        start = Pose(s[0], s[1], Direction(randbelow(rng, 4)))
-        path = shortest_path(world, s, g)
+        start = Pose(path[0][0], path[0][1], Direction(randbelow(rng, 4)))
         # No category binds more than two segments (match_pattern), so only
         # the first two are made.
         segments = list(islice(_segments(path_to_actions(path, start.dir)), 2))

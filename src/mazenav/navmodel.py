@@ -80,6 +80,10 @@ class ModelConfig:
             raise ValueError("vocab_size must be set (>= 2) before building a model")
         if not (1 <= self.conv_width <= GRID_COLS):
             raise ValueError("conv filter width out of range")
+        if self.action_count != len(ACTIONS):
+            # beam_search splits a row's flat scores into actions by len(ACTIONS)
+            raise ValueError(f"model-config key 'action_count' must be {len(ACTIONS)}, "
+                             f"the number of actions, got {self.action_count}")
 
     def percept_dim(self) -> int:
         """Length of the flattened percept vector fed to the decoder."""

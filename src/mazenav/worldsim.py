@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Collection, NamedTuple
 
@@ -115,21 +115,18 @@ class _Grid(NamedTuple):
     """Tables of one width x height grid, indexed by node index y*width + x.
 
     A node's links are its grid neighbours in N, E, S, W order, each as
-    (neighbour index, normalised edge, the link's bit in this node's open
-    mask, the bit of the way back in the neighbour's); bit p of an open
-    mask stands for link p. The node and edge tuples are shared by every
-    world of this size, generated or read, so set and dict lookups of them
-    mostly succeed on identity, and containers that hold only them drop
-    out of the garbage collector.
+    (neighbour index, normalised edge). Bit p of a node's mask stands for
+    its link p, so candidates[i][all_open[i]] lists every link of node i. The
+    node and edge tuples are shared by every world of this size, generated
+    or read, so set and dict lookups of them mostly succeed on identity,
+    and containers that hold only them drop out of the garbage collector.
     The tables hold O(width * height) entries.
     """
 
     nodes: tuple[Node, ...]
-    candidates: tuple[tuple[tuple[tuple[int, Edge, int, int], ...], ...], ...]  # [node][open mask] -> links
-    all_open: tuple[int, ...]  # [node] -> open mask with every link set
+    candidates: tuple[tuple[tuple[tuple[int, Edge], ...], ...], ...]  # [node][mask] -> links
+    all_open: tuple[int, ...]  # [node] -> mask with every link set
     closers: tuple[tuple[tuple[int, int], ...], ...]  # [node] -> (neighbour, mask clearing node's bit there)
-    open_nodes: tuple[tuple[tuple[Node, ...], ...], ...]  # [node][open mask] -> neighbour nodes
-    edge_links: Lookup  # edge -> (i, bit of its link in i's open mask, j, bit in j's)
     key_nodes: Lookup  # "x,y" -> node
     # Hall order: horizontal edges by row then column, then vertical edges by
     # column then row. The edge (x, y)-(x+1, y) has rank y*width + x and
@@ -156,23 +153,17 @@ def _grid(width: int, height: int) -> _Grid:
     links = []
     for i, row in enumerate(adjacent):
         links.append([])
-        for p, j in enumerate(row):
+        for j in row:
             e = norm_edge(nodes[i], nodes[j])
-            links[i].append((j, one.setdefault(e, e), 1 << p, 1 << adjacent[j].index(i)))
+            links[i].append((j, one.setdefault(e, e)))
     candidates = tuple(
         tuple(tuple(link for p, link in enumerate(row) if mask >> p & 1)
               for mask in range(1 << len(row)))
         for row in links)
     all_open = tuple((1 << len(row)) - 1 for row in links)
-    closers = tuple(tuple((j, ~back) for j, _, _, back in row) for row in links)
-    open_nodes = tuple(tuple(tuple(nodes[link[0]] for link in opts) for opts in row)
-                       for row in candidates)
+    closers = tuple(tuple((j, ~(1 << adjacent[j].index(i))) for j in row)
+                    for i, row in enumerate(adjacent))
     where = f"the {width}x{height} map"
-    edge_links = Lookup((), lambda e: f"edge {e} does not join grid neighbours of {where}")
-    for i, row in enumerate(links):
-        for j, e, bit, back in row:
-            if i < j:
-                edge_links[e] = (i, bit, j, back)
     key_nodes = Lookup({f"{n[0]},{n[1]}": n for n in nodes},
                        lambda key: f"item node {key!r} is outside {where}")
     vertical_from = width * height
@@ -196,8 +187,7 @@ def _grid(width: int, height: int) -> _Grid:
         f"edge {slot_edge(r)} (id {r}) does not join grid neighbours of {where}"
         if 0 <= r < slots else
         f"edge id {r!r} is out of range for {where} (ids run from 0 to {slots - 1})"))
-    return _Grid(nodes, candidates, all_open, closers, open_nodes, edge_links, key_nodes,
-                 rank, tuple(by_rank), edge_ids)
+    return _Grid(nodes, candidates, all_open, closers, key_nodes, rank, tuple(by_rank), edge_ids)
 
 
 @dataclass
@@ -206,32 +196,16 @@ class WorldMap:
     normalised unit edges between grid nodes, and each maps to the edge's
     floor and wall painting; no other record of the edges is kept.
 
-    Neighbour lists are tuples and the node and edge tuples come from the
-    per-size table, so the garbage collector stops tracking them (and the
-    dicts that hold only them) at its first pass over the world. Halls and
-    the areas that paint the walls are not stored.
+    The node and edge tuples come from the per-size table, so the garbage
+    collector stops tracking the dicts that hold only them at its first
+    pass over the world. Halls and the areas that paint the walls are not
+    stored.
     """
 
     width: int
     height: int
     items: dict[Node, str]
     edge_attrs: dict[Edge, tuple[str, str]]  # edge -> (floor, wall painting)
-
-    # Open neighbours of every node in N, E, S, W order, built on first use.
-    neighbors: dict[Node, tuple[Node, ...]] = field(init=False, repr=False, compare=False)
-
-    def __getattr__(self, name: str):
-        # Only reached while `neighbors` is unset; it is then stored as a plain
-        # attribute, which keeps the instance's attributes out of a tracked dict.
-        if name != "neighbors":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        grid = _grid(self.width, self.height)
-        masks = [0] * len(grid.nodes)
-        for i, bit_i, j, bit_j in map(grid.edge_links.__getitem__, self.edge_attrs):
-            masks[i] |= bit_i
-            masks[j] |= bit_j
-        self.neighbors = _open_neighbors(grid, masks)
-        return self.neighbors
 
     def in_bounds(self, node: Node) -> bool:
         return 0 <= node[0] < self.width and 0 <= node[1] < self.height
@@ -241,11 +215,6 @@ class WorldMap:
         dx, dy = DELTAS[direction]
         nxt = (node[0] + dx, node[1] + dy)
         return nxt if norm_edge(node, nxt) in self.edge_attrs else None
-
-
-def _open_neighbors(grid: _Grid, masks: list[int]) -> dict[Node, tuple[Node, ...]]:
-    """WorldMap.neighbors of the world whose nodes have these open masks."""
-    return {n: opts[m] for n, opts, m in zip(grid.nodes, grid.open_nodes, masks)}
 
 
 def randbelow(rng: random.Random, n: int) -> int:
@@ -278,19 +247,12 @@ def generate_maze(width: int, height: int, rng: random.Random) -> set[Edge]:
     N, E, S, W order; each draw equals rng.randrange of the same bound. Each
     node keeps a mask of its unvisited neighbours, so a step is two lookups.
     """
-    return _carve(width, height, rng)[0]
-
-
-def _carve(width: int, height: int, rng: random.Random) -> tuple[set[Edge], list[int]]:
-    """generate_maze's edges, and the open mask of each node, which the
-    carving sets as it opens each edge."""
     if width < 1 or height < 1:
         raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
     grid = _grid(width, height)
     candidates, closers = grid.candidates, grid.closers
     getrandbits = rng.getrandbits
     unvisited = list(grid.all_open)
-    opened = [0] * len(unvisited)
     edges: set[Edge] = set()
     x = randbelow(rng, width)
     here = randbelow(rng, height) * width + x
@@ -309,16 +271,14 @@ def _carve(width: int, height: int, rng: random.Random) -> tuple[set[Edge], list
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
-            nxt, edge, bit, back = options[r]
+            nxt, edge = options[r]
         else:
-            nxt, edge, bit, back = options[0]
-        opened[top] |= bit
-        opened[nxt] |= back
+            nxt, edge = options[0]
         for j, close in closers[nxt]:
             unvisited[j] &= close
         edges.add(edge)
         stack.append(nxt)
-    return edges, opened
+    return edges
 
 
 def _table_runs(grid: _Grid, edges: Collection[Edge]) -> list[tuple[Edge, ...]]:
@@ -389,12 +349,9 @@ def decorate(edges: Collection[Edge], rng: random.Random,
 
 
 def generate_world(rng: random.Random, config: WorldConfig | None = None) -> WorldMap:
-    """A decorated maze, its neighbours already set from the carving."""
+    """A maze carved by generate_maze and dressed by decorate."""
     cfg = config or WorldConfig()
-    edges, opened = _carve(cfg.width, cfg.height, rng)
-    world = decorate(edges, rng, cfg)
-    world.neighbors = _open_neighbors(_grid(cfg.width, cfg.height), opened)
-    return world
+    return decorate(generate_maze(cfg.width, cfg.height, rng), rng, cfg)
 
 
 def step(world: WorldMap, pose: Pose, action: Action) -> Pose | None:
@@ -424,36 +381,43 @@ def execute(world: WorldMap, pose: Pose, actions: list[Action]) -> tuple[Pose, O
     return pose, Outcome.EXHAUSTED
 
 
-def _reached(world: WorldMap, start: Node, stop_at: Node | None) -> dict[Node, Node]:
-    """Breadth-first search from `start`: each node reached, in the order
-    reached, mapped to the node it was reached from (`start` to itself).
-    The search ends once `stop_at` is reached, so farther nodes may be
+def _reached(world: WorldMap, start: int, stop_at: int | None) -> dict[int, int]:
+    """Breadth-first search from node index `start` (y*width + x): each
+    index reached, in the order reached, mapped to the index it was reached
+    from (`start` to itself). A node's grid links are tried in N, E, S, W
+    order, and a link is taken when its edge is in `world.edge_attrs`. The
+    search ends once `stop_at` is reached, so farther nodes may be
     missing."""
     parent = {start: start}
     if start == stop_at:
         return parent
-    neighbors = world.neighbors
+    grid = _grid(world.width, world.height)
+    candidates, all_open = grid.candidates, grid.all_open
+    open_edges = world.edge_attrs
     queue = [start]
-    for node in queue:
-        for nb in neighbors[node]:
-            if nb not in parent:
-                parent[nb] = node
-                if nb == stop_at:
+    for i in queue:
+        for j, edge in candidates[i][all_open[i]]:
+            if j not in parent and edge in open_edges:
+                parent[j] = i
+                if j == stop_at:
                     return parent
-                queue.append(nb)
+                queue.append(j)
     return parent
 
 
 def _route(world: WorldMap, start: Node, goal: Node) -> list[Node] | None:
     """A path with the fewest hops from `start` to `goal`, both included, or
     None when `goal` cannot be reached."""
-    parent = _reached(world, start, goal)
-    if goal not in parent:
+    width = world.width
+    s, g = start[1] * width + start[0], goal[1] * width + goal[0]
+    parent = _reached(world, s, g)
+    if g not in parent:
         return None
-    node, path = goal, [goal]
-    while node != start:
-        node = parent[node]
-        path.append(node)
+    nodes = _grid(width, world.height).nodes
+    i, path = g, [goal]
+    while i != s:
+        i = parent[i]
+        path.append(nodes[i])
     path.reverse()
     return path
 
@@ -494,8 +458,10 @@ def path_to_actions(path: list[Node], start_dir: Direction) -> list[Action]:
 
 
 def sample_endpoints(world: WorldMap, rng: random.Random, min_dist: int = 4,
-                     max_attempts: int = 64) -> tuple[Node, Node]:
-    """Uniform rejection sampling of node pairs at least min_dist hops apart."""
+                     max_attempts: int = 64) -> list[Node]:
+    """Uniform rejection sampling of node pairs at least min_dist hops apart.
+    Returns the path between the first such pair that shortest_path would
+    return: path[0] is the start and path[-1] the goal."""
     if min_dist < 1:
         raise ValueError("min_dist must be >= 1")
     width, height = world.width, world.height
@@ -506,7 +472,7 @@ def sample_endpoints(world: WorldMap, rng: random.Random, min_dist: int = 4,
             continue
         path = _route(world, start, goal)
         if path is not None and len(path) > min_dist:
-            return start, goal
+            return path
     raise MapResampleNeeded(
         f"no node pair at distance >= {min_dist} found in {max_attempts} attempts")
 
@@ -545,6 +511,24 @@ _EARLIER_LAYOUT = (
     "unchanged, so the instances come out the same)")
 
 
+def _edge_attrs_fault(groups) -> str | None:
+    """The first fault of an `edgeAttrs` value that world_from_dict could not
+    read: a part of the wrong shape, named by its floor and painting, or an
+    edge id that is not an int. Called only once a read has failed."""
+    if type(groups) is not dict:
+        return f"edgeAttrs must map floors to paintings to edge-id lists, got {groups!r}"
+    for floor, walls in groups.items():
+        if type(walls) is not dict:
+            return f"edgeAttrs floor {floor!r} must map paintings to edge-id lists, got {walls!r}"
+        for wall, ids in walls.items():
+            if type(ids) is not list:
+                return f"edgeAttrs {floor!r} {wall!r} must be a list of edge ids, got {ids!r}"
+            for i in ids:
+                if type(i) is not int:
+                    return f"edge id {i!r} is not an integer"
+    return None
+
+
 def world_from_dict(data: dict) -> WorldMap:
     """Inverse of world_to_dict, and the one reader of a serialised map.
 
@@ -552,10 +536,11 @@ def world_from_dict(data: dict) -> WorldMap:
     the known-name tables, so a read world holds the same edge, node and
     name objects as a generated world of its size. Raises ValueError naming
     the cause for a side that is not an integer >= 1, an item off the grid
-    or unknown, an unknown floor or wall painting, an edge id that is not
-    an int, is out of range, names a slot that holds no edge or is listed
-    twice, and for the list-shaped `edgeAttrs` of earlier layouts. The
-    order of floors, paintings and ids is not checked.
+    or unknown, an unknown floor or wall painting, an `edgeAttrs` or a part
+    of it that is not floor -> wall painting -> id list, an edge id that is
+    not an int, is out of range, names a slot that holds no edge or is
+    listed twice, and for the list-shaped `edgeAttrs` of earlier layouts.
+    The order of floors, paintings and ids is not checked.
     """
     width, height = data["width"], data["height"]
     if type(width) is not int or type(height) is not int or width < 1 or height < 1:
@@ -568,16 +553,21 @@ def world_from_dict(data: dict) -> WorldMap:
         raise ValueError(_EARLIER_LAYOUT)
     edge_attrs: dict[Edge, tuple[str, str]] = {}
     listed = 0
-    for floor, walls in groups.items():
-        by_wall = _EDGE_ATTRS[floor]
-        for wall, ids in walls.items():
-            attrs = by_wall[wall]
-            if not _INT_ONLY.issuperset(map(type, ids)):
-                bad = next(i for i in ids if type(i) is not int)
-                raise ValueError(f"edge id {bad!r} is not an integer")
-            for e in map(edge_ids.__getitem__, ids):
-                edge_attrs[e] = attrs
-            listed += len(ids)
+    try:
+        for floor, walls in groups.items():
+            by_wall = _EDGE_ATTRS[floor]
+            for wall, ids in walls.items():
+                attrs = by_wall[wall]
+                if not _INT_ONLY.issuperset(map(type, ids)):
+                    raise ValueError(_edge_attrs_fault(groups))
+                for e in map(edge_ids.__getitem__, ids):
+                    edge_attrs[e] = attrs
+                listed += len(ids)
+    except (AttributeError, TypeError):
+        fault = _edge_attrs_fault(groups)
+        if fault is None:
+            raise
+        raise ValueError(fault) from None
     if listed != len(edge_attrs):
         seen: set[int] = set()
         for walls in groups.values():

@@ -11,7 +11,6 @@ computations that the package's results are checked against.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from typing import Iterable, Optional, Sequence
@@ -19,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from mazenav.langgen import Instance, Segment, _segments
-from mazenav.worldsim import Action, Node, WorldMap, _reached
+from mazenav.worldsim import Action, Node, WorldMap, _grid, _reached
 
 
 def segment_path(actions: Sequence[Action]) -> list[Segment]:
@@ -36,11 +35,14 @@ def segment_path(actions: Sequence[Action]) -> list[Segment]:
 def bfs_distances(world: WorldMap, start: Node, stop_at: Node | None = None) -> dict[Node, int]:
     """Hop distances from `start` to every reachable node. With `stop_at`, the
     search ends once that node is reached, so farther nodes may be missing."""
-    parent = _reached(world, start, stop_at)
-    dist = {start: 0}
-    for node in itertools.islice(parent, 1, None):
-        dist[node] = dist[parent[node]] + 1
-    return dist
+    width = world.width
+    parent = _reached(world, start[1] * width + start[0],
+                      None if stop_at is None else stop_at[1] * width + stop_at[0])
+    hops = {}
+    for i, j in parent.items():
+        hops[i] = hops[j] + 1 if i != j else 0
+    nodes = _grid(width, world.height).nodes
+    return {nodes[i]: d for i, d in hops.items()}
 
 
 def action_accuracy(model, instances: Iterable[Instance]) -> float:

@@ -74,11 +74,12 @@ def audited_10k():
     violations = [0]
 
     def audited(world, rng, min_dist=4, max_attempts=64):
-        pair = original(world, rng, min_dist, max_attempts)
-        hops = bfs_distances(world, pair[0], stop_at=pair[1]).get(pair[1])
+        path = original(world, rng, min_dist, max_attempts)
+        start, goal = path[0], path[-1]
+        hops = bfs_distances(world, start, stop_at=goal).get(goal)
         if hops is None or hops < 4:
             violations[0] += 1
-        return pair
+        return path
 
     langgen.sample_endpoints = audited
     try:
@@ -129,10 +130,11 @@ def test_criterion_02_path_optimality():
         for _ in range(4):
             if checked >= 1000:
                 break
-            start, goal = sample_endpoints(world, rng, min_dist=1)
+            sampled = sample_endpoints(world, rng, min_dist=1)
+            start, goal = sampled[0], sampled[-1]
             path = shortest_path(world, start, goal)
             oracle = bfs_distances(world, start, stop_at=goal)[goal]
-            if len(path) - 1 != oracle:
+            if len(path) - 1 != oracle or sampled != path:
                 mismatches += 1
             checked += 1
     elapsed = time.time() - started

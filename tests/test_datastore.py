@@ -28,6 +28,7 @@ from mazenav.worldsim import (
     WorldConfig,
     _grid,
     generate_world,
+    shortest_path,
     world_from_dict,
     world_to_dict,
 )
@@ -231,6 +232,14 @@ MAP_FAULTS = [
     (lambda m: m["edgeAttrs"].update(lava=m["edgeAttrs"].popitem()[1]), r"unknown floor 'lava'"),
     (lambda m: (w := next(iter(m["edgeAttrs"].values()))).update(moon=w.popitem()[1]),
      r"unknown wall 'moon'"),
+    (lambda m: m.update(edgeAttrs="x"),
+     r"edgeAttrs must map floors to paintings to edge-id lists, got 'x'"),
+    (lambda m: m.update(edgeAttrs={"blue": [0, 1]}),
+     r"edgeAttrs floor 'blue' must map paintings to edge-id lists, got \[0, 1\]"),
+    (lambda m: m.update(edgeAttrs={"blue": {"fish": 5}}),
+     r"edgeAttrs 'blue' 'fish' must be a list of edge ids, got 5"),
+    (lambda m: m.update(edgeAttrs={"blue": {"fish": "01"}}),
+     r"edgeAttrs 'blue' 'fish' must be a list of edge ids, got '01'"),
 ]
 
 
@@ -380,17 +389,19 @@ class TestReadBackEquivalence:
         write_instances(instances, path)
         for inst, back in zip(instances, read_instances(path), strict=True):
             plain = world_from_dict(json.loads(json.dumps(world_to_dict(inst.world))))
+            width, height = inst.world.width, inst.world.height
+            ends = [(0, 0), (width - 1, height - 1), (width // 2, height // 2), (width - 1, 0)]
             for world in (back.world, plain):
                 assert world == inst.world
-                assert list(world.neighbors.items()) == list(inst.world.neighbors.items())
+                for a in ends:
+                    for b in ends:
+                        assert shortest_path(world, a, b) == shortest_path(inst.world, a, b)
             assert instance_to_dict(back) == instance_to_dict(inst)
 
 
 class TestGcBudget:
     def tracked(self, world):
-        objects = [("neighbors", world.neighbors), ("edge_attrs", world.edge_attrs),
-                   ("items", world.items)]
-        objects += [("neighbors value", v) for v in world.neighbors.values()]
+        objects = [("edge_attrs", world.edge_attrs), ("items", world.items)]
         return [name for name, obj in objects if gc.is_tracked(obj)]
 
     def test_world_data_drops_out_of_the_collector(self, tmp_path):
@@ -405,8 +416,6 @@ class TestGcBudget:
         path = str(tmp_path / "gc.jsonl")
         write_instances(instances, path)
         back = list(read_instances(path))
-        for inst in instances + back:
-            inst.world.neighbors  # built on first use
         gc.collect()
         for inst in instances + back:
             assert self.tracked(inst.world) == []

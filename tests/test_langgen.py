@@ -337,12 +337,24 @@ class TestGeneration:
         original = lg.sample_endpoints
 
         def spy(world, rng, min_dist=4, max_attempts=64):
-            pair = original(world, rng, min_dist, max_attempts)
-            recorded.append((world, pair))
-            return pair
+            path = original(world, rng, min_dist, max_attempts)
+            recorded.append((world, path))
+            return path
 
         monkeypatch.setattr(lg, "sample_endpoints", spy)
         list(lg.generate_dataset(DEFAULT_MIX, 50, master_seed=3))
         assert recorded
-        for world, (s, g) in recorded:
-            assert bfs_distances(world, s)[g] >= 4
+        for world, path in recorded:
+            assert bfs_distances(world, path[0])[path[-1]] >= 4
+
+    def test_gold_path_is_searched_once(self, monkeypatch):
+        # sample_endpoints returns the path it found, so generation never
+        # runs a second search for the gold path
+        import mazenav.langgen as lg
+
+        def spy(*args, **kwargs):
+            raise AssertionError("langgen.shortest_path was called")
+
+        monkeypatch.setattr(lg, "shortest_path", spy)
+        assert len(list(lg.generate_dataset(DEFAULT_MIX, 50, master_seed=3))) == 50
+        assert len(list(lg.generate_dataset(None, 50, master_seed=4))) == 50

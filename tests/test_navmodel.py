@@ -86,6 +86,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="vocab_size"):
             ModelConfig(vocab_size=0).validate()
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_validate_requires_one_output_per_action(self, count):
+        # beam_search reads a row's scores as len(ACTIONS) wide
+        ModelConfig(vocab_size=5).validate()
+        with pytest.raises(ValueError, match="'action_count' must be 4, .* got " + str(count)):
+            ModelConfig(vocab_size=5, action_count=count).validate()
+
     def test_percept_dim_by_variant(self):
         assert tiny_config("languageOnly", 5).percept_dim() == 0
         assert tiny_config("bagOfFeatures", 5).percept_dim() == 74

@@ -41,7 +41,8 @@ from test_navmodel import rewrite_metadata
 
 # Model-config values of the wrong type, by test id.
 BAD_CONFIG_VALUES = {"str int": {"embed_dim": "x"}, "bool int": {"embed_dim": True},
-                     "float int": {"beam_width": 2.5}, "two-int conv": {"extra_convs": [[5, 5]]}}
+                     "float int": {"beam_width": 2.5}, "two-int conv": {"extra_convs": [[5, 5]]},
+                     "action count": {"action_count": 5}}
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +150,13 @@ class TestRenderSvg:
             assert f">{item}</text>" in svg
 
 
+# Mix files with one bad weight beside a good one; json reads NaN and
+# Infinity as floats and true passes isinstance(int).
+BAD_WEIGHTS = ['{"TurnToX": NaN, "MoveToX": 1.0}', '{"TurnToX": Infinity, "MoveToX": 1.0}',
+               '{"TurnToX": -Infinity, "MoveToX": 1.0}', '{"TurnToX": true, "MoveToX": 1.0}',
+               '{"TurnToX": "1", "MoveToX": 1.0}', '{"TurnToX": 1%s, "MoveToX": 1.0}' % ("0" * 400)]
+
+
 class TestMixResolution:
     def test_presets(self):
         assert resolve_mix("sail") == DEFAULT_MIX
@@ -176,9 +184,16 @@ class TestMixResolution:
         bad_weight.write_text(json.dumps({"MoveToX": -2}))
         with pytest.raises(ValueError, match="bad weight"):
             resolve_mix(str(bad_weight))
+        for text in BAD_WEIGHTS:
+            bad_weight.write_text(text)
+            with pytest.raises(ValueError, match="bad weight for 'TurnToX'"):
+                resolve_mix(str(bad_weight))
         zero = tmp_path / "zero.json"
         zero.write_text(json.dumps({"MoveToX": 0}))
         with pytest.raises(ValueError, match="sum to zero"):
+            resolve_mix(str(zero))
+        zero.write_text('{"TurnToX": 1e308, "MoveToX": 1e308}')
+        with pytest.raises(ValueError, match="sum to inf"):
             resolve_mix(str(zero))
 
     def test_env_var_seed_default(self, monkeypatch):
@@ -376,6 +391,16 @@ class TestCliErrors:
                    "--out", str(tmp_path / "x.jsonl")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", BAD_WEIGHTS,
+                             ids=["nan", "infinity", "-infinity", "bool", "string", "huge int"])
+    def test_bad_mix_weight_exits_2(self, tmp_path, capsys, text):
+        mix = tmp_path / "mix.json"
+        mix.write_text(text)
+        rc = main(["gen", "--count", "3", "--mix", str(mix), "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        assert f"error: mix file {str(mix)!r}: bad weight for 'TurnToX'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.json"]
 
     def test_eval_accepts_either_checkpoint_handle(self, workspace, capsys, tmp_path):
         from mazenav.navmodel import load_checkpoint, save_checkpoint
@@ -607,8 +632,10 @@ class TestCliErrors:
         ("float int", "model-config key 'beam_width' must be of type int, got 2.5"),
         ("two-int conv", "model-config key 'extra_convs' must be a list of "
                          "[height, width, channels] int lists, got [[5, 5]]"),
+        ("action count", "model-config key 'action_count' must be 4, the number of actions, "
+                         "got 5"),
     ], ids=["missing", "corrupt", "pickled", "npy", "plain npz", "version 1", "version 99",
-            "unknown key", "str int", "bool int", "float int", "two-int conv"])
+            "unknown key", "str int", "bool int", "float int", "two-int conv", "action count"])
     def test_eval_checks_checkpoints_before_reading_data(self, workspace, tmp_path, capsys,
                                                          fault, cause):
         # the data file's last line is malformed; a bad checkpoint is named
@@ -666,8 +693,10 @@ class TestCliErrors:
         ('{"extra_convs": [[5, 5, 2.0]]}', "model-config key 'extra_convs' must be a list of "
                                            "[height, width, channels] int lists, got "
                                            "[[5, 5, 2.0]]"),
+        ('{"action_count": 5}', "model-config key 'action_count' must be 4, the number of "
+                                "actions, got 5"),
     ], ids=["unknown key", "list", "not json", "str int", "bool int", "float int", "int str",
-            "two-int conv", "float conv"])
+            "two-int conv", "float conv", "action count"])
     @pytest.mark.parametrize("command", ["train", "bench", "hpo"])
     def test_bad_config_file_exits_2(self, workspace, tmp_path, capsys, command, text, cause):
         config = tmp_path / "config.json"

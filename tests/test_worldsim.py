@@ -324,7 +324,8 @@ def astar_path(world: WorldMap, start, goal):
     """A* with the Manhattan heuristic, ties broken by push order; the node
     path including both endpoints, or None. shortest_path ran this search
     before it became a breadth-first search; in a perfect maze both find
-    the one simple path."""
+    the one simple path. A node's open neighbours, tried in N, E, S, W
+    order, are read off `edge_attrs` here, not from the package's tables."""
     gx, gy = goal
     g = {start: 0}
     parent = {}
@@ -339,8 +340,9 @@ def astar_path(world: WorldMap, start, goal):
                 path.append(node)
             return path[::-1]
         base = g[node] + 1
-        for nb in world.neighbors[node]:
-            if base < g.get(nb, 1 << 30):
+        for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)):
+            nb = (node[0] + dx, node[1] + dy)
+            if norm_edge(node, nb) in world.edge_attrs and base < g.get(nb, 1 << 30):
                 g[nb] = base
                 parent[nb] = node
                 counter += 1
@@ -376,10 +378,20 @@ class TestShortestPathOracle:
         for a, b in zip(path, path[1:]):
             assert norm_edge(a, b) in world.edge_attrs
 
+    def test_ties_go_to_the_first_link_in_n_e_s_w_order(self):
+        # The search tries a node's links N, E, S, W and keeps the first
+        # parent found, so of two equal paths it takes the one whose first
+        # branching hop comes earlier in that order.
+        world = open_grid(2, 2)
+        assert shortest_path(world, (0, 0), (1, 1)) == [(0, 0), (1, 0), (1, 1)]
+        assert shortest_path(world, (1, 1), (0, 0)) == [(1, 1), (1, 0), (0, 0)]
+        assert shortest_path(world, (1, 0), (0, 1)) == [(1, 0), (1, 1), (0, 1)]
+
     def test_shortest_on_worlds_with_cycles(self):
         world = open_grid(5, 4)
-        for start in world.neighbors:
-            for goal in world.neighbors:
+        nodes = [(x, y) for y in range(4) for x in range(5)]
+        for start in nodes:
+            for goal in nodes:
                 self.check_shortest(world, start, goal)
         # a perfect maze with extra edges opened: loops of every length
         rng = random.Random(8)
@@ -397,8 +409,10 @@ class TestEndpointSampling:
         rng = random.Random(5)
         for _ in range(100):
             world = generate_world(rng)
-            start, goal = sample_endpoints(world, rng, min_dist=4)
+            path = sample_endpoints(world, rng, min_dist=4)
+            start, goal = path[0], path[-1]
             assert bfs_distances(world, start)[goal] >= 4
+            assert path == shortest_path(world, start, goal)
 
     def test_impossible_distance_raises(self):
         world = WorldMap(2, 1, {}, {norm_edge((0, 0), (1, 0)): ("blue", "fish")})
@@ -449,23 +463,6 @@ class TestSerialization:
         assert once == twice
 
 
-class TestNeighbors:
-    def test_order_is_north_east_south_west(self):
-        world = generate_world(random.Random(4), WorldConfig(5, 5))
-        for node, nbs in world.neighbors.items():
-            assert isinstance(nbs, tuple)
-            dirs = [(nb[0] - node[0], nb[1] - node[1]) for nb in nbs]
-            order = [(0, -1), (1, 0), (0, 1), (-1, 0)]
-            assert dirs == [d for d in order if d in dirs]
-            assert sorted(nbs) == sorted(b if a == node else a
-                                         for a, b in world.edge_attrs if node in (a, b))
-
-    def test_edge_off_the_grid_is_named(self):
-        world = WorldMap(3, 1, {}, {((0, 0), (2, 0)): ("blue", "fish")})
-        with pytest.raises(ValueError, match="does not join grid neighbours of the 3x1 map"):
-            world.neighbors
-
-
 class TestGridTable:
     def kept_bytes(self, width, height):
         tracemalloc.start()
@@ -489,4 +486,4 @@ class TestGridTable:
         assert len(edges) == 100 * 100 - 1
         assert _table_runs(_grid(100, 100), edges) == \
                [h.edges for h in compute_halls(edges)]
-        assert sum(map(len, world.neighbors.values())) == 2 * len(edges)
+        assert len(bfs_distances(world, (0, 0))) == 100 * 100

@@ -35,7 +35,11 @@ MIX_PRESETS = {
 
 
 def default_seed() -> int:
-    return int(os.environ.get("MAZENAV_SEED", "0"))
+    text = os.environ.get("MAZENAV_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"MAZENAV_SEED must be an integer, got {text!r}") from None
 
 
 def resolve_mix(spec: str) -> Optional[dict[TaskCategory, float]]:
@@ -498,9 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # a bad flag exits 2 from argparse
         return args.func(args)
     except (OSError, ValueError, KeyError, datastore.DatasetError,
             TemplateError, GenerationError) as exc:

@@ -80,6 +80,14 @@ class ModelConfig:
             raise ValueError("vocab_size must be set (>= 2) before building a model")
         if not (1 <= self.conv_width <= GRID_COLS):
             raise ValueError("conv filter width out of range")
+        for key in ("embed_dim", "encoder_hidden", "attention_hidden", "conv_channels",
+                    "beam_width", "max_actions"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"model-config key {key!r} must be >= 1, "
+                                 f"got {getattr(self, key)}")
+        if any(n < 1 for kernel in self.extra_convs for n in kernel):
+            raise ValueError(f"model-config key 'extra_convs' must hold sizes >= 1, "
+                             f"got {[list(k) for k in self.extra_convs]}")
         if self.action_count != len(ACTIONS):
             # beam_search splits a row's flat scores into actions by len(ACTIONS)
             raise ValueError(f"model-config key 'action_count' must be {len(ACTIONS)}, "

@@ -24,8 +24,8 @@ A training step whose parameters hold _HELPER_MIN elements or more, with
 two or more usable CPUs, runs part of its work on one persistent helper
 thread (see _helper_for): a share of Adam's blocks, and the largest Param's
 gradient while the rest of the reverse pass runs. The helper runs only this
-module's private code and numpy, never touches _SCRATCH, and changes no
-result: every element takes the same operations on either thread.
+module's private code and numpy and changes no result: every element
+takes the same operations on either thread.
 
 Three kernels are exact rewrites that round differently, and the tests
 keep the plain form of each as the reference:
@@ -47,20 +47,15 @@ import contextvars
 import functools
 import math
 import os
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-# Work space for the optimizer update of a step that runs inline and the
-# overflow fallback of the gradient norm. It grows to the largest request
-# (Adam's block buffer, or an array of the largest gradient's size) and is
-# shared by every caller, so this module is not thread-safe. The helper
-# thread never touches it: a split Adam step uses the helper's own two block
-# buffers, one for each side.
-_SCRATCH = np.empty(0)
+if TYPE_CHECKING:  # imported when first used: it takes 12 ms and 0.6 MB
+    from concurrent.futures import ThreadPoolExecutor
 
-# Adam updates a parameter this many elements at a time, so its two work
-# arrays stay small and in cache.
+# Adam updates a parameter this many elements at a time, so its work array
+# stays small and in cache.
 _ADAM_BLOCK = 32768
 
 # A step uses the helper thread only when its parameters hold at least this
@@ -72,22 +67,10 @@ _ADAM_BLOCK = 32768
 # criterion-10 size (180k) the rounds ranged from a 5% gain to a 7% loss.
 _HELPER_MIN = 400_000
 
-
-class _Helper:
-    """The helper thread, and one Adam block buffer for each side of a
-    split step."""
-
-    def __init__(self):
-        # imported here, not with this module: it takes 12 ms and 0.6 MB
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nnet-helper")
-        self.buffers = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
-
-
-# Started by the first step that uses it; a forked child drops its copy,
-# whose thread did not survive the fork, and starts its own.
-_HELPER: Optional[_Helper] = None
+# The helper thread, a one-worker executor started by the first step that
+# uses it; a forked child drops its copy, whose thread did not survive the
+# fork, and starts its own.
+_HELPER: Optional[ThreadPoolExecutor] = None
 
 
 def _drop_helper() -> None:
@@ -106,7 +89,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _helper_for(size: int) -> Optional[_Helper]:
+def _helper_for(size: int) -> Optional[ThreadPoolExecutor]:
     """The helper thread for a step whose parameters hold `size` elements,
     started on first use, or None when the step runs inline: below
     _HELPER_MIN elements, or with fewer than two usable CPUs."""
@@ -114,12 +97,14 @@ def _helper_for(size: int) -> Optional[_Helper]:
     if size < _HELPER_MIN or _usable_cpus() < 2:
         return None
     if _HELPER is None:
-        _HELPER = _Helper()
+        from concurrent.futures import ThreadPoolExecutor
+
+        _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="nnet-helper")
     return _HELPER
 
 
 @contextlib.contextmanager
-def _alongside(helper: Optional[_Helper], fn: Callable, *args):
+def _alongside(helper: Optional[ThreadPoolExecutor], fn: Callable, *args):
     """Run fn(*args) alongside the body of the with statement: on the helper
     thread, in a copy of the caller's context (numpy's error state is a
     context variable), or inline before the body when helper is None.
@@ -133,7 +118,7 @@ def _alongside(helper: Optional[_Helper], fn: Callable, *args):
         fn(*args)
         yield
         return
-    future = helper.executor.submit(contextvars.copy_context().run, fn, *args)
+    future = helper.submit(contextvars.copy_context().run, fn, *args)
     try:
         yield
     except BaseException:
@@ -144,15 +129,6 @@ def _alongside(helper: Optional[_Helper], fn: Callable, *args):
         fn(*args)
     else:
         future.result()
-
-
-def _scratch(shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous array of `shape` at the start of the work space."""
-    global _SCRATCH
-    size = math.prod(shape)
-    if _SCRATCH.size < size:
-        _SCRATCH = np.empty(size)
-    return _SCRATCH[:size].reshape(shape)
 
 
 class Param:
@@ -493,7 +469,7 @@ def _rescaled_norm(grads: Sequence[np.ndarray]) -> float:
     top = max(float(np.abs(g).max(initial=0.0)) for g in grads)
     total = 0.0
     for g in grads:
-        scaled = np.divide(g, top, out=_scratch(g.shape))
+        scaled = g / top
         scaled *= scaled
         total += float(scaled.sum())
     return top * math.sqrt(total)
@@ -543,7 +519,7 @@ def adam_step(params: Sequence[Param], lr: float = 1e-3, beta1: float = 0.9,
     are bit-identical.
     """
     todo = collections.deque()
-    sizes = []
+    total = 0
     for p in params:
         if p.grad is None:
             continue
@@ -553,30 +529,28 @@ def adam_step(params: Sequence[Param], lr: float = 1e-3, beta1: float = 0.9,
         eps_hat = eps * root_v_corr
         data, m, v = _flat(p.data), _flat(p.m), _flat(p.v)
         grad = p.grad.reshape(-1)
-        sizes.append(data.size)
+        total += data.size
         for lo in range(0, data.size, _ADAM_BLOCK):
             hi = lo + _ADAM_BLOCK
             todo.append((data[lo:hi], m[lo:hi], v[lo:hi], grad[lo:hi], alpha, eps_hat))
-    helper = _helper_for(sum(sizes))
-    if helper is None:
-        longest = min(max(sizes, default=0), _ADAM_BLOCK)
-        _adam_blocks(todo, beta1, beta2, _scratch((longest,)))
-        return
-    with _alongside(helper, _adam_blocks, todo, beta1, beta2, helper.buffers[1]):
-        _adam_blocks(todo, beta1, beta2, helper.buffers[0])
+    with _alongside(_helper_for(total), _adam_blocks, todo, beta1, beta2):
+        _adam_blocks(todo, beta1, beta2)
 
 
-def _adam_blocks(todo: collections.deque, beta1: float, beta2: float,
-                 buffer: np.ndarray) -> None:
+def _adam_blocks(todo: collections.deque, beta1: float, beta2: float) -> None:
     """adam_step's update of (data, m, v, grad, alpha, eps_hat) blocks, in
-    place, taken from the front of `todo` until it is empty, with `buffer`
-    (as long as the longest block) as work space. Popping from a deque is
-    thread-safe, so the caller and the helper can share one queue."""
+    place, taken from the front of `todo` until it is empty. A call takes
+    its own block-sized work array with its first block. Popping from a
+    deque is thread-safe, so the caller and the helper can share one
+    queue."""
+    buffer = None
     while True:
         try:
             data, mb, vb, g, alpha, eps_hat = todo.popleft()
         except IndexError:  # every block is taken
             return
+        if buffer is None:
+            buffer = np.empty(_ADAM_BLOCK, dtype=g.dtype)
         s = buffer[:g.size]
         mb *= beta1
         mb += np.multiply(g, 1.0 - beta1, out=s)

@@ -5,7 +5,10 @@ import json
 import math
 import multiprocessing
 import re
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -92,6 +95,12 @@ class TestConfig:
         ModelConfig(vocab_size=5).validate()
         with pytest.raises(ValueError, match="'action_count' must be 4, .* got " + str(count)):
             ModelConfig(vocab_size=5, action_count=count).validate()
+
+    def test_validate_keeps_the_smallest_sizes(self):
+        # every size may be 1, and a full model may have no extra conv
+        ModelConfig(vocab_size=5, embed_dim=1, encoder_hidden=1, attention_hidden=1,
+                    conv_channels=1, extra_convs=(), beam_width=1, max_actions=1).validate()
+        ModelConfig(vocab_size=5, extra_convs=((1, 1, 1),)).validate()
 
     def test_percept_dim_by_variant(self):
         assert tiny_config("languageOnly", 5).percept_dim() == 0
@@ -253,16 +262,37 @@ class TestTraining:
         assert all(np.isfinite(after[k]).all() for k in after)
         assert not np.array_equal(before["dec_b"], after["dec_b"])
 
-    def test_optimizer_scratch_bounded_by_adam_block(self, shared_vocab,
-                                                     lo_instances, monkeypatch):
-        # The norm takes no scratch and Adam works in blocks, so the shared
-        # scratch holds one Adam block, not an array of the largest parameter.
-        monkeypatch.setattr(nnet, "_SCRATCH", np.empty(0))
-        model = make_model(shared_vocab, encoder_hidden=64)
-        largest = max(p.data.size for p in model.params())
-        assert largest > 2 * nnet._ADAM_BLOCK
-        model.train_on(lo_instances[0])
-        assert nnet._SCRATCH.size == nnet._ADAM_BLOCK
+    def test_models_trained_in_two_threads_match_one_after_the_other(
+            self, shared_vocab, lo_instances, monkeypatch):
+        # Adam's work array belongs to the call that takes it, so two models
+        # that train at once, each step inline, get the bits they get in turn.
+        monkeypatch.setattr(nnet, "_HELPER_MIN", math.inf)
+
+        def fit(seed, start=None):
+            model = make_model(shared_vocab, seed=seed, encoder_hidden=64)
+            if start is not None:
+                start.wait(30)
+            for inst in lo_instances * 2:
+                model.train_on(inst)
+            return model
+
+        in_turn = [fit(0), fit(1)]
+        assert max(p.data.size for p in in_turn[0].params()) > 2 * nnet._ADAM_BLOCK
+        start = threading.Barrier(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads take turns often
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                at_once = list(pool.map(fit, (0, 1), (start, start)))
+        finally:
+            sys.setswitchinterval(interval)
+        for model, ref in zip(at_once, in_turn):
+            state, ref_state = model.state_dict(), ref.state_dict()
+            assert state.keys() == ref_state.keys()
+            assert all(np.array_equal(state[k], ref_state[k]) for k in state)
+            for p, q in zip(model.params(), ref.params()):
+                assert p.t == q.t
+                assert np.array_equal(p.m, q.m) and np.array_equal(p.v, q.v), p.name
 
     def test_train_on_rejects_nonfinite_gradient(self, shared_vocab, lo_instances,
                                                  monkeypatch):
@@ -769,10 +799,10 @@ class TestBeamSearch:
         with pytest.raises(ValueError, match=message):
             beam_search(inst.world, inst.start, inst.instruction, [model],
                         **{name: value})
-        # the same check applies to the model config's defaults
-        model = make_model(shared_vocab, **{name: value})
-        with pytest.raises(ValueError, match=message):
-            beam_search(inst.world, inst.start, inst.instruction, [model])
+        # a model config with such a default is refused when the model is built
+        with pytest.raises(ValueError, match=f"model-config key '{name}' must be >= 1, "
+                                             f"got {value}"):
+            make_model(shared_vocab, **{name: value})
 
     def test_requires_models_and_sentences(self, shared_vocab, lo_instances):
         inst = lo_instances[0]

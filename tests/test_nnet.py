@@ -769,7 +769,7 @@ def fresh_helper(monkeypatch):
     monkeypatch.setattr(nnet, "_HELPER", None)
     yield
     if nnet._HELPER is not None:
-        nnet._HELPER.executor.shutdown()
+        nnet._HELPER.shutdown()
 
 
 @pytest.fixture
@@ -849,7 +849,7 @@ class TestHelperThread:
 
         monkeypatch.setattr(nnet, "_adam_blocks", spy)
         release = threading.Event()
-        blocker = nnet._helper_for(0).executor.submit(release.wait, 30)
+        blocker = nnet._helper_for(0).submit(release.wait, 30)
         try:
             busy = self.adam_run()
             assert not release.is_set() and not blocker.done()

@@ -39,10 +39,11 @@ from test_datastore import MAP_FAULTS, earlier_layout, line_instance
 from test_navmodel import rewrite_metadata
 
 
-# Model-config values of the wrong type, by test id.
+# Model-config values of the wrong type or an impossible size, by test id.
 BAD_CONFIG_VALUES = {"str int": {"embed_dim": "x"}, "bool int": {"embed_dim": True},
                      "float int": {"beam_width": 2.5}, "two-int conv": {"extra_convs": [[5, 5]]},
-                     "action count": {"action_count": 5}}
+                     "action count": {"action_count": 5}, "zero beam": {"beam_width": 0},
+                     "zero conv": {"extra_convs": [[5, 5, 0]]}}
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,13 @@ class TestMixResolution:
         assert default_seed() == 321
         args = build_parser().parse_args(["gen", "--out", "x.jsonl"])
         assert args.seed == 321
+
+    def test_bad_env_var_seed_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("MAZENAV_SEED", "abc")
+        out = tmp_path / "x.jsonl"
+        assert main(["gen", "--count", "2", "--out", str(out)]) == 2
+        assert "error: MAZENAV_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -634,8 +642,11 @@ class TestCliErrors:
                          "[height, width, channels] int lists, got [[5, 5]]"),
         ("action count", "model-config key 'action_count' must be 4, the number of actions, "
                          "got 5"),
+        ("zero beam", "model-config key 'beam_width' must be >= 1, got 0"),
+        ("zero conv", "model-config key 'extra_convs' must hold sizes >= 1, got [[5, 5, 0]]"),
     ], ids=["missing", "corrupt", "pickled", "npy", "plain npz", "version 1", "version 99",
-            "unknown key", "str int", "bool int", "float int", "two-int conv", "action count"])
+            "unknown key", "str int", "bool int", "float int", "two-int conv", "action count",
+            "zero beam", "zero conv"])
     def test_eval_checks_checkpoints_before_reading_data(self, workspace, tmp_path, capsys,
                                                          fault, cause):
         # the data file's last line is malformed; a bad checkpoint is named
@@ -695,8 +706,20 @@ class TestCliErrors:
                                            "[[5, 5, 2.0]]"),
         ('{"action_count": 5}', "model-config key 'action_count' must be 4, the number of "
                                 "actions, got 5"),
+        ('{"max_actions": 0}', "model-config key 'max_actions' must be >= 1, got 0"),
+        ('{"beam_width": 0}', "model-config key 'beam_width' must be >= 1, got 0"),
+        ('{"embed_dim": 0}', "model-config key 'embed_dim' must be >= 1, got 0"),
+        ('{"attention_hidden": 0}', "model-config key 'attention_hidden' must be >= 1, got 0"),
+        ('{"conv_channels": 0}', "model-config key 'conv_channels' must be >= 1, got 0"),
+        ('{"encoder_hidden": -1}', "model-config key 'encoder_hidden' must be >= 1, got -1"),
+        ('{"extra_convs": [[0, 0, 0]]}', "model-config key 'extra_convs' must hold sizes >= 1, "
+                                         "got [[0, 0, 0]]"),
+        ('{"extra_convs": [[5, 5, 0]]}', "model-config key 'extra_convs' must hold sizes >= 1, "
+                                         "got [[5, 5, 0]]"),
     ], ids=["unknown key", "list", "not json", "str int", "bool int", "float int", "int str",
-            "two-int conv", "float conv", "action count"])
+            "two-int conv", "float conv", "action count", "zero max_actions", "zero beam_width",
+            "zero embed_dim", "zero attention_hidden", "zero conv_channels",
+            "negative encoder_hidden", "zero conv kernel", "zero conv channels"])
     @pytest.mark.parametrize("command", ["train", "bench", "hpo"])
     def test_bad_config_file_exits_2(self, workspace, tmp_path, capsys, command, text, cause):
         config = tmp_path / "config.json"
